@@ -5,7 +5,7 @@ Layout:
     potentials   closed-form potential catalogue + hypothesis audits
     grid         radial mesh, Simpson quadrature, weights, energies
     dynamics     u = r*phi method-of-lines integrator (RK4, orders 2/4/6)
-    virials      virial functionals, analytic rates, diagnostics records
+    virials      one-pass diagnostics record: virials, rates, energies
     experiments  canned decay scenarios with pass/fail verdicts
     cli          JSON-config command line front end
 """
@@ -14,15 +14,12 @@ from .potentials import (PotentialSpec, PotentialAuditReport, parse_family,
                          eval_F, eval_f, eval_fprime, audit_potential,
                          classify_theorem, dbrane_virial_closed_form)
 from .grid import (RadialGrid, WeightTables, integrate, weighted_h1_sq,
-                   weighted_l2_sq, energy, ball_energy, exterior_cone_energy,
-                   radial_sup_check)
+                   weighted_l2_sq, energy_density, energy, ball_energy,
+                   exterior_cone_energy, radial_sup_check)
 from .dynamics import (FieldState, SolverConfig, SupportMonitor, bump_profile,
                        gaussian_profile, initial_state, rhs, step, evolve,
                        cfl_dt, support_radius)
-from .virials import (VirialSample, virial_P, virial_R, virial_I,
-                      virial_I_rate, virial_I_rate_corrected, origin_flux,
-                      virial_R_tilde, virial_R_tilde_rate, weighted_energy_W,
-                      virial_J, virial_J_bound, sample_diagnostics)
+from .virials import VirialSample, sample_diagnostics
 from .experiments import (Scenario, DecayVerdict, run_scenario,
                           run_thm1_scenario, run_thm2_scenario,
                           run_thm3_scenario, run_exploratory_scenario,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -106,6 +107,12 @@ CONFIG_SCHEMA = {
 }
 
 
+def _finite_number(value) -> bool:
+    # Python's json also reads NaN, Infinity and overflowing literals as floats
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_scalar(value, rule, path, errors):
     expected = rule["type"]
     if expected is int and isinstance(value, bool):
@@ -114,6 +121,9 @@ def _check_scalar(value, rule, path, errors):
     if not isinstance(value, expected):
         name = expected.__name__ if isinstance(expected, type) else "number"
         errors.append(f"{path}: expected {name}, got {type(value).__name__}")
+        return
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{path}: must be a finite number")
         return
     if "choices" in rule and value not in rule["choices"]:
         errors.append(f"{path}: must be one of {rule['choices']}, got {value!r}")
@@ -143,19 +153,16 @@ def _validate_block(data: dict, schema: dict, path: str, errors: list) -> dict:
                 errors.append(f"{path}{key}: expected object")
                 continue
             if rule.get("free_numeric"):
-                bad = [k for k, v in value.items()
-                       if not isinstance(v, (int, float)) or isinstance(v, bool)]
-                for k in bad:
-                    errors.append(f"{path}{key}.{k}: expected number")
+                errors.extend(f"{path}{key}.{k}: expected finite number"
+                              for k, v in value.items() if not _finite_number(v))
                 out[key] = dict(value)
             else:
                 out[key] = _validate_block(value, rule["fields"],
                                            f"{path}{key}.", errors)
         elif rule["type"] is list:
-            if not isinstance(value, list) or not value or any(
-                    not isinstance(v, (int, float)) or isinstance(v, bool)
-                    for v in value):
-                errors.append(f"{path}{key}: expected non-empty list of numbers")
+            if not isinstance(value, list) or not value or not all(
+                    map(_finite_number, value)):
+                errors.append(f"{path}{key}: expected non-empty list of finite numbers")
             else:
                 out[key] = [float(v) for v in value]
         else:
@@ -189,11 +196,10 @@ def load_config(path: str | Path) -> dict:
 
 def _cross_validate(cfg: dict, errors: list) -> None:
     try:
-        spec = parse_family(cfg["potential"])
+        parse_family(cfg["potential"])
     except ValueError as exc:
         errors.append(f"potential: {exc}")
         return
-    del spec
     grid_cfg = cfg["grid"]
     if grid_cfg["n_cells"] % 2:
         errors.append("grid.n_cells: must be even")
@@ -349,7 +355,7 @@ def _write_outputs(result: ScenarioResult, out_dir: Path, emit: bool) -> None:
     write_series_csv(out_dir / "series.csv", result.samples)
     (out_dir / "verdict.json").write_text(
         json.dumps(result.verdict.to_dict(), indent=2, sort_keys=True) + "\n")
-    if emit:
+    if emit and result.samples:
         emit_plots(read_series_csv(out_dir / "series.csv"), out_dir, "series")
 
 
@@ -429,6 +435,13 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    threads = os.environ.get("INFLATON_THREADS", "0")
+    try:
+        max_workers = int(threads) or (os.cpu_count() or 1)
+    except ValueError:
+        print(f"error: INFLATON_THREADS must be an integer, got {threads!r}",
+              file=sys.stderr)
+        return 1
     sweep = cfg.get("sweep") or {}
     amplitudes = sweep.get("amplitudes") or [cfg["initial"]["amplitude"]]
     hubbles = sweep.get("hubbles") or [cfg["hubble"]]
@@ -451,7 +464,6 @@ def cmd_sweep(args) -> int:
             job_cfg["name"] = f"{cfg['name']}-{name}"
             jobs.append((job_cfg, name, str(out_root / name)))
 
-    max_workers = int(os.environ.get("INFLATON_THREADS", "0")) or (os.cpu_count() or 1)
     max_workers = max(1, min(max_workers, len(jobs)))
     try:
         if max_workers == 1:
@@ -464,16 +476,19 @@ def cmd_sweep(args) -> int:
         return 1
     results.sort(key=lambda kv: kv[0])
 
+    def num(value) -> str:      # null (nothing sampled) stays an empty cell
+        return "" if value is None else repr(float(value))
+
     lines = ["run,amplitude,hubble,passed,w_ratio,local_ratio,cone_ratio,aborted"]
     for name, verdict in results:
         lines.append(",".join([
             name,
-            repr(float(verdict["_amplitude"])),
-            repr(float(verdict["hubble"])),
+            num(verdict["_amplitude"]),
+            num(verdict["hubble"]),
             str(verdict["passed"]),
-            repr(float(verdict["w_ratio"])),
-            repr(float(verdict["local_energy_ratio"])),
-            repr(float(verdict["cone_energy_ratio"])),
+            num(verdict["w_ratio"]),
+            num(verdict["local_energy_ratio"]),
+            num(verdict["cone_energy_ratio"]),
             verdict["aborted"] or "",
         ]))
     (out_root / "summary.csv").write_text("\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ monotonicity regressions are stated for the radiating family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -159,6 +159,8 @@ class DecayVerdict:
         for key, val in out.items():
             if isinstance(val, float) and math.isinf(val):
                 out[key] = "unbounded"
+            elif isinstance(val, float) and math.isnan(val):
+                out[key] = None     # nothing was sampled
         return out
 
 
@@ -217,17 +219,17 @@ def _saturation(ts: np.ndarray, w: np.ndarray) -> float:
     return float((total - head) / total)
 
 
-def _enforce_mode_preconditions(scn: Scenario) -> None:
-    """Theorem-labelled scenarios must satisfy the label's hypotheses."""
-    if scn.mode == "exploratory":
-        return
+def _enforce_mode_preconditions(scn: Scenario) -> str:
+    """Check the mode's hypotheses; return the audited theorem class or "free"."""
+    if scn.mode == "exploratory" and scn.spec is None:
+        return "free"
     if scn.spec is None:
         raise ScenarioClassError(f"mode {scn.mode} needs a potential")
     if scn.mode == "thm1":
-        _require_class(scn.spec, ("Thm1",), "thm1")
-    elif scn.mode == "thm2":
-        _require_class(scn.spec, ("Thm2-flatness", "Thm2-sign"), "thm2")
-    elif scn.mode == "thm3":
+        return _require_class(scn.spec, ("Thm1",), "thm1")
+    if scn.mode == "thm2":
+        return _require_class(scn.spec, ("Thm2-flatness", "Thm2-sign"), "thm2")
+    if scn.mode == "thm3":
         if scn.hubble <= 0:
             raise ScenarioClassError("thm3 scenario needs hubble > 0")
         if scn.cone_b <= 1:
@@ -238,11 +240,12 @@ def _enforce_mode_preconditions(scn: Scenario) -> None:
             raise ScenarioClassError(
                 f"{scn.spec.label} has F < 0 on the visited window; "
                 "thm3 needs F >= 0")
+    return audit_potential(scn.spec).theorem_class
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Evolve one scenario, collect diagnostics, and grade the verdict."""
-    _enforce_mode_preconditions(scn)
+    theorem_class = _enforce_mode_preconditions(scn)
     grid = scn.grid()
     state0 = scn.initial(grid)
     cfg = scn.solver_config()
@@ -261,35 +264,38 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     except (SupportOverflow, NonFiniteField) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
 
-    verdict = _grade(scn, samples, monitor, aborted)
+    verdict = _grade(scn, samples, monitor, aborted, theorem_class)
     return ScenarioResult(scn, verdict, samples)
 
 
 def _grade(scn: Scenario, samples: list[VirialSample], monitor: SupportMonitor,
-           aborted: str | None) -> DecayVerdict:
+           aborted: str | None, theorem_class: str) -> DecayVerdict:
     thresholds = scn.effective_thresholds()
-    first, last = samples[0], samples[-1]
-    ts = np.array([s.t for s in samples])
-    I = np.array([s.I for s in samples])
-    W = np.array([s.W for s in samples])
-    E = np.array([s.E for s in samples])
-    J = np.array([s.J for s in samples])
+    # an abort at the first snapshot leaves nothing sampled: grade one
+    # all-NaN record, so every sampled quantity reads as undefined
+    graded = samples or [VirialSample(*[math.nan] * len(fields(VirialSample)))]
+    first, last = graded[0], graded[-1]
+    ts = np.array([s.t for s in graded])
+    I = np.array([s.I for s in graded])
+    W = np.array([s.W for s in graded])
+    E = np.array([s.E for s in graded])
+    J = np.array([s.J for s in graded])
 
-    i_scale = np.max(np.abs(I)) if len(I) else 0.0
+    i_scale = np.max(np.abs(I))
     i_steps = np.diff(I)
     min_i_step = float(i_steps.min()) if i_steps.size else 0.0
     monotone_i = bool(i_steps.size == 0 or min_i_step >= -I_MONOTONE_TOL * max(i_scale, 1e-300))
 
     e_steps = np.diff(E)
-    e_scale = np.max(np.abs(E)) if len(E) else 0.0
+    e_scale = np.max(np.abs(E))
     energy_nonincreasing = bool(e_steps.size == 0
                                 or e_steps.max() <= 1e-9 * max(e_scale, 1e-300))
     j_steps = np.diff(J)
-    j_scale = np.max(np.abs(J)) if len(J) else 0.0
+    j_scale = np.max(np.abs(J))
     j_monotone = bool(j_steps.size == 0 or j_steps.max() <= 1e-9 * max(j_scale, 1e-300))
 
-    sup_phi = np.array([s.sup_phi for s in samples])
-    h1 = np.array([s.h1_norm for s in samples])
+    sup_phi = np.array([s.sup_phi for s in graded])
+    h1 = np.array([s.h1_norm for s in graded])
     growth = max(_ratio(sup_phi.max(), sup_phi[0]), _ratio(h1.max(), h1[0]))
 
     fprime_bound = None
@@ -300,8 +306,7 @@ def _grade(scn: Scenario, samples: list[VirialSample], monitor: SupportMonitor,
         name=scn.name,
         mode=scn.mode,
         potential=scn.spec.label if scn.spec is not None else "free",
-        theorem_class=(audit_potential(scn.spec).theorem_class
-                       if scn.spec is not None else "free"),
+        theorem_class=theorem_class,
         hubble=scn.hubble,
         w_ratio=_ratio(last.W, first.W),
         local_energy_ratio=_ratio(last.ballE, first.ballE),

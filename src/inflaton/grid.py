@@ -27,6 +27,7 @@ __all__ = [
     "radial_derivative",
     "weighted_l2_sq",
     "weighted_h1_sq",
+    "energy_density",
     "energy",
     "ball_energy",
     "exterior_cone_energy",
@@ -167,8 +168,9 @@ def weighted_h1_sq(phi: np.ndarray, phi_r: np.ndarray, grid: RadialGrid) -> floa
     return integrate(w * (np.asarray(phi) ** 2 + np.asarray(phi_r) ** 2), grid)
 
 
-def _energy_density(state, hubble: float, t: float, grid: RadialGrid,
-                    spec: PotentialSpec | None) -> np.ndarray:
+def energy_density(state, hubble: float, t: float, grid: RadialGrid,
+                   spec: PotentialSpec | None) -> np.ndarray:
+    """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy integrand."""
     damp = np.exp(-2.0 * hubble * t)
     dens = 0.5 * state.phi_t**2 + 0.5 * damp * state.phi_r**2
     if spec is not None:
@@ -176,30 +178,23 @@ def _energy_density(state, hubble: float, t: float, grid: RadialGrid,
     return grid.weights.r_sq * dens
 
 
-def energy(state, hubble: float, t: float, grid: RadialGrid,
-           spec: PotentialSpec | None) -> float:
-    """Total energy 4*pi * integral of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F)."""
-    return FOUR_PI * integrate(_energy_density(state, hubble, t, grid, spec), grid)
+def energy(density: np.ndarray, grid: RadialGrid) -> float:
+    """Total energy 4*pi * integral of an ``energy_density`` array."""
+    return FOUR_PI * integrate(density, grid)
 
 
-def ball_energy(state, hubble: float, t: float, R: float, grid: RadialGrid,
-                spec: PotentialSpec | None) -> float:
+def ball_energy(density: np.ndarray, R: float, grid: RadialGrid) -> float:
     """Energy restricted to the ball r <= R (nearest node below R)."""
     j_hi = int(np.floor(R / grid.dr + 1e-9))
-    dens = _energy_density(state, hubble, t, grid, spec)
-    return FOUR_PI * integrate_range(dens, grid, 0, j_hi)
+    return FOUR_PI * integrate_range(density, grid, 0, j_hi)
 
 
-def exterior_cone_energy(state, hubble: float, t: float, b: float, grid: RadialGrid,
-                         spec: PotentialSpec | None) -> float:
+def exterior_cone_energy(density: np.ndarray, t: float, b: float,
+                         grid: RadialGrid) -> float:
     """Energy restricted to the light-cone exterior r > (1+b) t."""
     edge = (1.0 + b) * t
-    if edge <= 0.0:
-        j_lo = 0
-    else:
-        j_lo = int(np.floor(edge / grid.dr)) + 1
-    dens = _energy_density(state, hubble, t, grid, spec)
-    return FOUR_PI * integrate_range(dens, grid, j_lo, grid.n_cells)
+    j_lo = 0 if edge <= 0.0 else int(np.floor(edge / grid.dr)) + 1
+    return FOUR_PI * integrate_range(density, grid, j_lo, grid.n_cells)
 
 
 def radial_sup_check(phi: np.ndarray, grid: RadialGrid) -> tuple[float, float]:

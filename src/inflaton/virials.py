@@ -1,25 +1,34 @@
-"""Virial functionals and their analytic rates, evaluated on field snapshots.
+"""The diagnostics record of one field snapshot: virial functionals, their
+analytic rates and the energies, all evaluated in one pass by
+``sample_diagnostics``.
 
-With the weight psi(r) = r^2/(1+r) (psi' = r(r+2)/(1+r)^2):
+With psi = r^2/(1+r), psi' = r(r+2)/(1+r)^2 and the energy density
+e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) of ``grid.energy_density``:
 
-    P = int psi phi_r phi_t dr
-    R = int psi' phi phi_t dr
-    I = P + R/2
-    Rm = int r^2/(1+r)^4 phi phi_t dr          (heavily origin-damped variant)
+    P  = int psi phi_r phi_t dr
+    R  = int psi' phi phi_t dr
+    I  = P + R/2                   (one quadrature of the combined integrand)
+    Rt = int r^2/(1+r)^4 phi phi_t dr          (heavily origin-damped variant)
     W  = int r^2/(1+r)^4 (phi^2 + phi_r^2 + phi_t^2) dr
-    J  = int r^2 (1 + tanh(r + sigma t + b)) (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) dr
+    J  = int (1 + tanh(r + sigma t + b)) e dr
+    E  = 4 pi int e dr; ballE and coneE restrict it to r <= R and r > (1+b) t
 
-Rate formulas hold along H = 0 flows.  Integration by parts in dR/dt
-produces a boundary flux at the origin, -phi(0,t)^2, whenever the field
-does not vanish there (the radial wave operator focuses incoming waves
-through r = 0, so this is the generic case).  The *_rate functions return
-the bulk integrand exactly as displayed in the source identities; the
-*_rate_corrected variants add the origin flux and are the ones that match
-centered differences of the sampled functionals.  Rm and P have no origin
-flux: their weights vanish fast enough at r = 0.
+Rates, in the displayed forms (H = 0 for I and Rt):
 
-Near-origin integrands are written in cancelled polynomial form, never as
-1/r quotients.
+    I_rate  = int r^2/(1+r)^2 phi_r^2 + r(r+4)/(2(1+r)^4) phi^2 + psi'/2 (2F - phi f)
+    Rt_rate = int r^2/(1+r)^4 (phi_t^2 - phi_r^2 - phi f) + 2r(3r-2)/(1+r)^6 phi^2
+    J_bound = (1 + sigma) int sech^2(r + sigma t + b) e dr
+    E_rate  = -H 4 pi int r^2 (3 phi_t^2 + phi_r^2 / e^{2Ht}) dr
+
+I_rate is bounded below by the weighted H^1 norm when 2F - s f >= 0.
+Integration by parts in dI/dt leaves a boundary flux -phi(0,t)^2/2 at the
+origin whenever the field does not vanish there (radial waves focus
+through r = 0, so this is the generic case); ``I_rate_corrected`` adds it
+and matches centered differences of I.  Rt has no origin flux: its weight
+kills every boundary term at r = 0.  J_bound bounds dJ/dt when F >= 0 and
+is nonpositive for sigma <= -1, which makes J a decreasing light-cone
+selector.  Near-origin integrands are written in cancelled polynomial
+form, never as 1/r quotients.
 """
 
 from __future__ import annotations
@@ -28,216 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (RadialGrid, ball_energy, energy, exterior_cone_energy,
-                   integrate, weighted_h1_sq, weighted_l2_sq, FOUR_PI)
+from .grid import (RadialGrid, ball_energy, energy, energy_density,
+                   exterior_cone_energy, integrate, weighted_h1_sq,
+                   weighted_l2_sq, FOUR_PI)
 from .potentials import PotentialSpec, eval_F, eval_f
 
-__all__ = [
-    "VirialSample",
-    "CSV_COLUMNS",
-    "virial_P",
-    "virial_R",
-    "virial_I",
-    "virial_P_rate",
-    "virial_P_rate_display",
-    "p_rate_discrepancy",
-    "virial_R_rate",
-    "virial_I_rate",
-    "origin_flux",
-    "virial_I_rate_corrected",
-    "virial_R_rate_corrected",
-    "virial_R_tilde",
-    "virial_R_tilde_rate",
-    "weighted_energy_W",
-    "virial_J",
-    "virial_J_bound",
-    "sample_diagnostics",
-]
-
-
-def _sign_term(spec: PotentialSpec | None, phi: np.ndarray) -> np.ndarray | float:
-    if spec is None:
-        return 0.0
-    return 2.0 * eval_F(spec, phi) - phi * eval_f(spec, phi)
-
-
-def virial_P(state, grid: RadialGrid) -> float:
-    """int r^2/(1+r) phi_r phi_t dr."""
-    return integrate(grid.weights.psi * state.phi_r * state.phi_t, grid)
-
-
-def virial_R(state, grid: RadialGrid) -> float:
-    """int r(r+2)/(1+r)^2 phi phi_t dr."""
-    return integrate(grid.weights.psi_p * state.phi * state.phi_t, grid)
-
-
-def virial_I(state, grid: RadialGrid) -> float:
-    """P + R/2 in one quadrature pass."""
-    w = grid.weights
-    return integrate((w.psi * state.phi_r + 0.5 * w.psi_p * state.phi) * state.phi_t,
-                     grid)
-
-
-def virial_P_rate(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """dP/dt at H=0 from the generic weight identity.
-
-    int (2 psi / r) phi_r^2 - psi' (phi_t^2/2 + phi_r^2/2 - F), with the
-    coordinate quotient evaluated in cancelled form 2r/(1+r).
-    """
-    r = grid.r
-    w = grid.weights
-    fpot = eval_F(spec, state.phi) if spec is not None else 0.0
-    integrand = (2.0 * r / (1.0 + r)) * state.phi_r**2 \
-        - w.psi_p * (0.5 * state.phi_t**2 + 0.5 * state.phi_r**2 - fpot)
-    return integrate(integrand, grid)
-
-
-def virial_P_rate_display(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """dP/dt at H=0 in the specialized displayed form
-
-    int r(2+3r)/(2(1+r)^2) phi_r^2 - r(r+2)/(1+r)^2 (phi_t^2/2 - F).
-    """
-    r = grid.r
-    w = grid.weights
-    fpot = eval_F(spec, state.phi) if spec is not None else 0.0
-    integrand = r * (2.0 + 3.0 * r) / (2.0 * (1.0 + r) ** 2) * state.phi_r**2 \
-        - w.psi_p * (0.5 * state.phi_t**2 - fpot)
-    return integrate(integrand, grid)
-
-
-def p_rate_discrepancy(state, spec: PotentialSpec | None,
-                       grid: RadialGrid) -> dict[str, float]:
-    """Report both dP/dt forms side by side instead of silently choosing.
-
-    The two agree identically (the specialized form is the generic one with
-    the weight inserted); the report exists so any disagreement would be
-    visible data, not a hidden convention.
-    """
-    generic = virial_P_rate(state, spec, grid)
-    displayed = virial_P_rate_display(state, spec, grid)
-    return {"generic": generic, "displayed": displayed,
-            "abs_diff": abs(generic - displayed)}
-
-
-def origin_flux(state) -> float:
-    """phi(0,t)^2: the boundary flux integration by parts leaves at r=0."""
-    return float(state.phi[0] ** 2)
-
-
-def virial_R_rate(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """Bulk part of dR/dt at H=0:
-
-    int psi' (phi_t^2 - phi_r^2 - phi f) + r(r+4)/(1+r)^4 phi^2.
-    """
-    r = grid.r
-    w = grid.weights
-    phi = state.phi
-    integrand = w.psi_p * (state.phi_t**2 - state.phi_r**2) \
-        + r * (r + 4.0) / (1.0 + r) ** 4 * phi**2
-    if spec is not None:
-        integrand = integrand - w.psi_p * phi * eval_f(spec, phi)
-    return integrate(integrand, grid)
-
-
-def virial_R_rate_corrected(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """dR/dt including the origin flux; matches centered differences of R."""
-    return virial_R_rate(state, spec, grid) - origin_flux(state)
-
-
-def virial_I_rate(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """Bulk part of dI/dt at H=0 (the displayed defocusing form):
-
-    int r^2/(1+r)^2 phi_r^2 + r(r+4)/(2(1+r)^4) phi^2
-        + r(r+2)/(2(1+r)^2) (2F - phi f).
-
-    This is the quantity bounded below by the weighted H^1 norm when the
-    sign condition 2F - s f >= 0 holds.  It is the full time derivative of
-    I only when phi(0,t) = 0; see virial_I_rate_corrected.
-    """
-    r = grid.r
-    w = grid.weights
-    phi = state.phi
-    integrand = (r / (1.0 + r)) ** 2 * state.phi_r**2 \
-        + r * (r + 4.0) / (2.0 * (1.0 + r) ** 4) * phi**2 \
-        + 0.5 * w.psi_p * _sign_term(spec, phi)
-    return integrate(integrand, grid)
-
-
-def virial_I_rate_corrected(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """dI/dt including the origin flux; matches centered differences of I."""
-    return virial_I_rate(state, spec, grid) - 0.5 * origin_flux(state)
-
-
-def virial_R_tilde(state, grid: RadialGrid) -> float:
-    """int r^2/(1+r)^4 phi phi_t dr (origin-damped companion of R)."""
-    return integrate(grid.weights.w_sob * state.phi * state.phi_t, grid)
-
-
-def virial_R_tilde_rate(state, spec: PotentialSpec | None, grid: RadialGrid) -> float:
-    """d/dt of the origin-damped functional at H=0:
-
-    int r^2/(1+r)^4 (phi_t^2 - phi_r^2 - phi f) + 2r(3r-2)/(1+r)^6 phi^2.
-
-    No origin flux here: the weight kills every boundary term at r=0.
-    """
-    r = grid.r
-    w = grid.weights
-    phi = state.phi
-    integrand = w.w_sob * (state.phi_t**2 - state.phi_r**2) \
-        + 2.0 * r * (3.0 * r - 2.0) / (1.0 + r) ** 6 * phi**2
-    if spec is not None:
-        integrand = integrand - w.w_sob * phi * eval_f(spec, phi)
-    return integrate(integrand, grid)
-
-
-def weighted_energy_W(state, grid: RadialGrid) -> float:
-    """int r^2/(1+r)^4 (phi^2 + phi_r^2 + phi_t^2) dr.
-
-    Equals ||phi||_{H1_w}^2 + ||phi_t||_{L2_w}^2 componentwise; controls the
-    plain H^1 x L^2 norm on any ball B(0,R) up to the factor 4 pi (1+R)^4.
-    """
-    return (weighted_h1_sq(state.phi, state.phi_r, grid)
-            + weighted_l2_sq(state.phi_t, grid))
-
-
-def _sech_sq(x: np.ndarray) -> np.ndarray:
-    # sech^2 with underflow-safe evaluation for large |x|
-    ax = np.abs(x)
-    c = np.cosh(np.minimum(ax, 350.0))
-    return np.where(ax >= 350.0, 0.0, 1.0 / (c * c))
-
-
-def _j_density(state, hubble: float, t: float, spec: PotentialSpec | None,
-               grid: RadialGrid) -> np.ndarray:
-    damp = np.exp(-2.0 * hubble * t)
-    dens = 0.5 * state.phi_t**2 + 0.5 * damp * state.phi_r**2
-    if spec is not None:
-        dens = dens + eval_F(spec, state.phi)
-    return grid.weights.r_sq * dens
-
-
-def virial_J(state, hubble: float, t: float, sigma: float, b: float,
-             grid: RadialGrid, spec: PotentialSpec | None) -> float:
-    """int r^2 (1 + tanh(r + sigma t + b)) (energy density) dr."""
-    weight = 1.0 + np.tanh(grid.r + sigma * t + b)
-    return integrate(weight * _j_density(state, hubble, t, spec, grid), grid)
-
-
-def virial_J_bound(state, hubble: float, t: float, sigma: float, b: float,
-                   grid: RadialGrid, spec: PotentialSpec | None) -> float:
-    """(1 + sigma) int r^2 sech^2(r + sigma t + b) (energy density) dr.
-
-    Upper bound for dJ/dt when F >= 0; nonpositive for sigma <= -1, which
-    is what makes J a decreasing light-cone selector.
-    """
-    weight = _sech_sq(grid.r + sigma * t + b)
-    return (1.0 + sigma) * integrate(weight * _j_density(state, hubble, t, spec, grid),
-                                     grid)
-
-
-# ---------------------------------------------------------------------------
-# one-shot diagnostics record
-
+__all__ = ["VirialSample", "CSV_COLUMNS", "sample_diagnostics"]
 
 CSV_COLUMNS = ("t", "E", "W", "P", "R", "I", "I_rate", "R_tilde", "Rt_rate",
                "J", "J_bound", "ballE", "coneE", "sup_phi", "h1_norm")
@@ -276,39 +81,56 @@ class VirialSample:
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
 
 
+def _sech_sq(x: np.ndarray) -> np.ndarray:
+    # sech^2 with underflow-safe evaluation for large |x|
+    ax = np.abs(x)
+    c = np.cosh(np.minimum(ax, 350.0))
+    return np.where(ax >= 350.0, 0.0, 1.0 / (c * c))
+
+
 def sample_diagnostics(state, hubble: float, spec: PotentialSpec | None,
                        grid: RadialGrid, *, sigma: float = -2.0, offset: float = 0.0,
                        ball_radius: float = 10.0, cone_b: float = 2.0) -> VirialSample:
     """Evaluate the full diagnostics record on one snapshot."""
-    t = state.t
-    phi = state.phi
-    h1w = weighted_h1_sq(phi, state.phi_r, grid)
-    l2w = weighted_l2_sq(state.phi_t, grid)
-    flux = origin_flux(state)
-    i_rate = virial_I_rate(state, spec, grid)
-    h1_sq = FOUR_PI * integrate(grid.weights.r_sq * (phi**2 + state.phi_r**2), grid)
+    t, phi, phi_r, phi_t = state.t, state.phi, state.phi_r, state.phi_t
+    r, w = grid.r, grid.weights
+    phi_sq, phi_r_sq, phi_t_sq = phi**2, phi_r**2, phi_t**2
+    dens = energy_density(state, hubble, t, grid, spec)
+
+    i_rate_dens = (r / (1.0 + r)) ** 2 * phi_r_sq \
+        + r * (r + 4.0) / (2.0 * (1.0 + r) ** 4) * phi_sq
+    rt_rate_dens = w.w_sob * (phi_t_sq - phi_r_sq) \
+        + 2.0 * r * (3.0 * r - 2.0) / (1.0 + r) ** 6 * phi_sq
+    if spec is not None:
+        force = eval_f(spec, phi)
+        i_rate_dens = i_rate_dens + 0.5 * w.psi_p * (2.0 * eval_F(spec, phi) - phi * force)
+        rt_rate_dens = rt_rate_dens - w.w_sob * phi * force
+    e_rate = 0.0
     if hubble:
-        damp = np.exp(-2.0 * hubble * t)
         e_rate = -hubble * FOUR_PI * integrate(
-            grid.weights.r_sq * (3.0 * state.phi_t**2 + damp * state.phi_r**2), grid)
-    else:
-        e_rate = 0.0
+            w.r_sq * (3.0 * phi_t_sq + np.exp(-2.0 * hubble * t) * phi_r_sq), grid)
+
+    h1w = weighted_h1_sq(phi, phi_r, grid)
+    l2w = weighted_l2_sq(phi_t, grid)
+    flux = float(phi[0] ** 2)
+    i_rate = integrate(i_rate_dens, grid)
+    cone = r + sigma * t + offset
     return VirialSample(
         t=t,
-        E=energy(state, hubble, t, grid, spec),
+        E=energy(dens, grid),
         W=h1w + l2w,
-        P=virial_P(state, grid),
-        R=virial_R(state, grid),
-        I=virial_I(state, grid),
+        P=integrate(w.psi * phi_r * phi_t, grid),
+        R=integrate(w.psi_p * phi * phi_t, grid),
+        I=integrate((w.psi * phi_r + 0.5 * w.psi_p * phi) * phi_t, grid),
         I_rate=i_rate,
-        R_tilde=virial_R_tilde(state, grid),
-        Rt_rate=virial_R_tilde_rate(state, spec, grid),
-        J=virial_J(state, hubble, t, sigma, offset, grid, spec),
-        J_bound=virial_J_bound(state, hubble, t, sigma, offset, grid, spec),
-        ballE=ball_energy(state, hubble, t, ball_radius, grid, spec),
-        coneE=exterior_cone_energy(state, hubble, t, cone_b, grid, spec),
+        R_tilde=integrate(w.w_sob * phi * phi_t, grid),
+        Rt_rate=integrate(rt_rate_dens, grid),
+        J=integrate((1.0 + np.tanh(cone)) * dens, grid),
+        J_bound=(1.0 + sigma) * integrate(_sech_sq(cone) * dens, grid),
+        ballE=ball_energy(dens, ball_radius, grid),
+        coneE=exterior_cone_energy(dens, t, cone_b, grid),
         sup_phi=float(np.max(np.abs(phi))),
-        h1_norm=float(np.sqrt(h1_sq)),
+        h1_norm=float(np.sqrt(FOUR_PI * integrate(w.r_sq * (phi_sq + phi_r_sq), grid))),
         h1w_sq=h1w,
         l2w_sq=l2w,
         origin_flux=flux,

@@ -180,6 +180,15 @@ def test_c09_decay_verdicts(thm1_results, thm2_results, thm3_results):
     assert _report(9, "decay verdicts", ok, "; ".join(details))
 
 
+def test_suite_energy_drift(thm1_results, thm2_results):
+    # H = 0 conserves energy; the committed suite runs drift by at most
+    # 1.01e-2 (thm1-T1, RK4 at cfl 0.5 over T=100) and 1.3e-3 elsewhere
+    drifts = {r.verdict.name: abs(1.0 - r.verdict.energy_ratio)
+              for r in thm1_results + thm2_results}
+    assert len(drifts) == 11
+    assert max(drifts.values()) <= 2e-2, drifts
+
+
 def test_c10_finite_speed_support_bound(thm1_results, thm2_results, thm3_results):
     # literal criterion: support(t) <= support(0) + t + 2 dr at threshold 1e-13
     excesses = {}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
                           render_line_plot, scenario_from_config)
 from inflaton.virials import CSV_COLUMNS
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
@@ -256,3 +259,55 @@ def test_sweep_deterministic_jitter(tmp_path, monkeypatch):
     a = (out1 / "a0.3_H0" / "series.csv").read_bytes()
     b = (out2 / "a0.3_H0" / "series.csv").read_bytes()
     assert a == b
+
+
+def test_load_config_rejects_non_finite_numbers(tmp_path):
+    # Python's json reads NaN / Infinity (and overflowing literals) as floats
+    cfg = tiny_config()
+    cfg["initial"]["amplitude"] = float("nan")
+    cfg["sweep"] = {"amplitudes": [0.1, float("inf")], "hubbles": [0.0]}
+    cfg["thresholds"] = {"w_ratio": float("-inf")}
+    path = write_config(tmp_path, cfg)
+    assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    msg = str(err.value)
+    assert "initial.amplitude: must be a finite number" in msg
+    assert "sweep.amplitudes: expected non-empty list of finite numbers" in msg
+    assert "thresholds.w_ratio: expected finite number" in msg
+    assert main(["simulate", str(path), "--out", str(tmp_path / "nan")]) == 1
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(tiny_config()).replace('"hubble": 0.0', '"hubble": 1e999'))
+    with pytest.raises(ConfigError, match="hubble: must be a finite number"):
+        load_config(overflow)
+
+
+def test_simulate_abort_at_first_snapshot_exits_3(tmp_path, monkeypatch):
+    # a wide gaussian already reaches the outer boundary at t = 0, so the
+    # run aborts before its first sample
+    cfg = json.loads((REPO / "configs" / "t1_smoke.json").read_text())
+    cfg["initial"].update(kind="gaussian", width=4.0)
+    cfg["grid"].update(r_max=10.0, n_cells=256)
+    cfg["time"]["t_end"] = 1.0
+    cfg["emit_plots"] = True
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "abort0"
+    assert main(["simulate", str(path), "--out", str(out)]) == 3
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["aborted"].startswith("SupportOverflow")
+    assert verdict["passed"] is False
+    assert verdict["w_ratio"] is None and verdict["sup_phi_initial"] is None
+    assert (out / "series.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    assert main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 2
+    row = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()[1]
+    assert ",False,,,,SupportOverflow" in row
+
+
+def test_sweep_rejects_non_integer_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("INFLATON_THREADS", "abc")
+    path = write_config(tmp_path, tiny_config())
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert "INFLATON_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()

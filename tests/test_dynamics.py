@@ -5,7 +5,7 @@ from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
                                SolverConfig, SupportMonitor, SupportOverflow,
                                bump_profile, cfl_dt, evolve, gaussian_profile,
                                initial_state, rhs, step, support_radius)
-from inflaton.grid import RadialGrid, energy
+from inflaton.grid import RadialGrid, energy, energy_density
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import sample_diagnostics
 
@@ -111,9 +111,9 @@ def test_short_energy_conservation_all_orders(order):
     spec = PotentialSpec("T", n=1)
     state = initial_state(g, 1.0, 4.0, 2.0, space_order=order)
     cfg = SolverConfig(t_end=5.0, cfl=0.25, space_order=order, output_every=10**9)
-    e0 = energy(state, 0.0, 0.0, g, spec)
+    e0 = energy(energy_density(state, 0.0, 0.0, g, spec), g)
     final = evolve(state, cfg, spec, g)
-    eT = energy(final, 0.0, final.t, g, spec)
+    eT = energy(energy_density(final, 0.0, final.t, g, spec), g)
     tol = {2: 2e-3, 4: 3e-5, 6: 6e-6}[order]
     assert abs(eT - e0) / e0 <= tol
 
@@ -124,8 +124,8 @@ def test_energy_monotone_under_expansion():
     state = initial_state(g, 0.2, 4.0, 2.0)
     cfg = SolverConfig(t_end=8.0, hubble=1.0, cfl=0.5, output_every=8)
     energies = []
-    evolve(state, cfg, spec, g,
-           observer=lambda s: energies.append(energy(s, 1.0, s.t, g, spec)))
+    evolve(state, cfg, spec, g, observer=lambda s: energies.append(
+        energy(energy_density(s, 1.0, s.t, g, spec), g)))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * energies[0])
 

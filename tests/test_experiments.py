@@ -9,7 +9,8 @@ from inflaton.experiments import (ConvergenceReport, Scenario,
                                   run_potential_audit_suite, run_scenario,
                                   run_thm1_scenario, run_thm2_scenario,
                                   run_thm3_scenario, thm1_suite, thm2_suite,
-                                  thm3_suite, _grade, _suite_scenario)
+                                  thm3_suite, _enforce_mode_preconditions,
+                                  _grade, _suite_scenario)
 from inflaton.dynamics import SupportMonitor
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import VirialSample
@@ -132,7 +133,7 @@ def _grade_with(samples, mode="thm2", **scn_overrides):
                           mode, **scn_overrides)
     grid = scn.grid()
     monitor = SupportMonitor(grid)
-    return _grade(scn, samples, monitor, None)
+    return _grade(scn, samples, monitor, None, _enforce_mode_preconditions(scn))
 
 
 def test_grade_flags_supnorm_growth():

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from types import SimpleNamespace
 
-from inflaton.grid import (RadialGrid, ball_energy, energy, exterior_cone_energy,
-                           integrate, integrate_range, radial_derivative,
+from inflaton.grid import (RadialGrid, ball_energy, energy, energy_density,
+                           exterior_cone_energy, integrate, integrate_range,
+                           radial_derivative,
                            radial_sup_check, weighted_h1_sq, weighted_l2_sq)
 from inflaton.potentials import PotentialSpec
 
@@ -138,21 +139,22 @@ def test_weighted_norm_quadratic_scaling(small_grid):
 def test_energy_zero_state(small_grid):
     z = np.zeros(small_grid.n_nodes)
     state = SimpleNamespace(phi=z, phi_t=z, phi_r=z)
-    assert energy(state, 1.0, 2.0, small_grid, PotentialSpec("T", n=1)) == 0.0
+    dens = energy_density(state, 1.0, 2.0, small_grid, PotentialSpec("T", n=1))
+    assert energy(dens, small_grid) == 0.0
 
 
 def test_energy_static_gaussian_oracle():
     g = RadialGrid(12.0, 1024)
     state = gaussian_state(g)
     state.phi_t = np.zeros_like(state.phi)
-    got = energy(state, 0.0, 0.0, g, None)
+    got = energy(energy_density(state, 0.0, 0.0, g, None), g)
     assert got == pytest.approx(GAUSSIAN_STATIC_ENERGY, rel=1e-6)
 
 
 def test_energy_time_independent_without_expansion():
     g = RadialGrid(12.0, 512)
     state = gaussian_state(g)
-    vals = {energy(state, 0.0, t, g, None) for t in (0.0, 1.0, 17.5)}
+    vals = {energy(energy_density(state, 0.0, t, g, None), g) for t in (0.0, 1.0, 17.5)}
     assert len(vals) == 1
 
 
@@ -160,8 +162,8 @@ def test_energy_expansion_damps_gradient_term():
     g = RadialGrid(12.0, 512)
     state = gaussian_state(g)
     state.phi_t = np.zeros_like(state.phi)
-    e0 = energy(state, 1.0, 0.0, g, None)
-    e1 = energy(state, 1.0, 1.0, g, None)
+    e0 = energy(energy_density(state, 1.0, 0.0, g, None), g)
+    e1 = energy(energy_density(state, 1.0, 1.0, g, None), g)
     assert e1 == pytest.approx(np.exp(-2.0) * e0, rel=1e-12)
 
 
@@ -171,9 +173,10 @@ def test_ball_energy_limits():
     z = np.zeros(g.n_nodes)
     zero_state = SimpleNamespace(phi=z, phi_t=z, phi_r=z)
     spec = PotentialSpec("T", n=1)
-    assert ball_energy(zero_state, 0.0, 0.0, 5.0, g, spec) == 0.0
-    assert ball_energy(state, 0.0, 0.0, 12.0, g, spec) == pytest.approx(
-        energy(state, 0.0, 0.0, g, spec), rel=1e-14)
+    zero_dens = energy_density(zero_state, 0.0, 0.0, g, spec)
+    dens = energy_density(state, 0.0, 0.0, g, spec)
+    assert ball_energy(zero_dens, 5.0, g) == 0.0
+    assert ball_energy(dens, 12.0, g) == pytest.approx(energy(dens, g), rel=1e-14)
 
 
 def test_ball_energy_partial_against_oracle():
@@ -183,7 +186,7 @@ def test_ball_energy_partial_against_oracle():
     state = gaussian_state(g)
     fstate = gaussian_state(fine)
     R = 1.7
-    got = ball_energy(state, 0.0, 0.0, R, g, spec)
+    got = ball_energy(energy_density(state, 0.0, 0.0, g, spec), R, g)
     from inflaton.potentials import eval_F
     dens = 4 * np.pi * fine.r**2 * (0.5 * fstate.phi_t**2 + 0.5 * fstate.phi_r**2
                                     + eval_F(spec, fstate.phi))
@@ -197,9 +200,10 @@ def test_cone_energy_limits():
     g = RadialGrid(12.0, 512)
     state = gaussian_state(g)
     spec = PotentialSpec("T", n=1)
-    full = energy(state, 0.5, 0.0, g, spec)
-    assert exterior_cone_energy(state, 0.5, 0.0, 2.0, g, spec) == full
-    assert exterior_cone_energy(state, 0.5, 10.0, 2.0, g, spec) == 0.0
+    dens = energy_density(state, 0.5, 0.0, g, spec)
+    assert exterior_cone_energy(dens, 0.0, 2.0, g) == energy(dens, g)
+    late = energy_density(state, 0.5, 10.0, g, spec)
+    assert exterior_cone_energy(late, 10.0, 2.0, g) == 0.0
 
 
 def test_cone_energy_partial_against_oracle():
@@ -208,7 +212,7 @@ def test_cone_energy_partial_against_oracle():
     state = gaussian_state(g)
     fstate = gaussian_state(fine)
     t, b = 1.0, 1.5
-    got = exterior_cone_energy(state, 0.0, t, b, g, None)
+    got = exterior_cone_energy(energy_density(state, 0.0, t, g, None), t, b, g)
     dens = 4 * np.pi * fine.r**2 * (0.5 * fstate.phi_t**2 + 0.5 * fstate.phi_r**2)
     edge = (1 + b) * t
     j_coarse = int(np.floor(edge / g.dr)) + 1
