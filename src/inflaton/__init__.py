@@ -4,7 +4,8 @@ equations on expanding (de Sitter) backgrounds.
 Layout:
     potentials   closed-form potential catalogue + hypothesis audits
     grid         radial mesh, Simpson quadrature, weights, energies
-    dynamics     u = r*phi method-of-lines integrator (RK4, orders 2/4/6)
+    dynamics     u = r*phi method-of-lines integrator (RK4 on orders 2/4/6,
+                 H = 0 leapfrog on order 2)
     virials      one-pass diagnostics record: virials, rates, energies
     experiments  canned decay scenarios with pass/fail verdicts
     cli          JSON-config command line front end

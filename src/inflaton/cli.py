@@ -1,9 +1,10 @@
 """Command-line front end: JSON scenario configs, CSV/JSON/SVG emission,
 machine-readable verdicts.
 
-Exit codes for ``simulate``: 0 verdict passed, 1 malformed config,
-2 verdict failed, 3 run aborted (support overflow / non-finite field /
-potential domain violation).
+Exit codes for ``simulate``: 0 verdict passed, 1 malformed config (also a
+time step the run refuses as unstable), 2 verdict failed, 3 run aborted
+(support overflow / non-finite field / potential domain violation / field
+range outgrowing the leapfrog step).
 
 One run is single-threaded and bit-reproducible: identical configs yield
 identical CSV bytes.  ``sweep`` parallelizes across runs only; the worker
@@ -22,12 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import SCHEMES, CflViolation
 from .experiments import (DEFAULT_THRESHOLDS, Scenario, ScenarioClassError,
                           ScenarioResult, run_potential_audit_suite,
                           run_scenario)
 from .grid import RadialGrid
-from .potentials import (DomainViolation, EXPECTED_CLASS, audit_potential,
-                         coarse_class, parse_family)
+from .potentials import (EXPECTED_CLASS, audit_potential, coarse_class,
+                         parse_family)
 from .virials import CSV_COLUMNS
 
 __all__ = ["main", "load_config", "ConfigError", "write_series_csv",
@@ -79,6 +81,7 @@ CONFIG_SCHEMA = {
             "output_every": {"type": int, "default": 16, "min": 1},
             "space_order": {"type": int, "default": 4, "choices": (2, 4, 6)},
             "dt": {"type": (int, float), "default": None, "min_exclusive": 0.0},
+            "scheme": {"type": str, "default": "rk4", "choices": SCHEMES},
         },
     },
     "diagnostics": {
@@ -144,6 +147,9 @@ def _validate_block(data: dict, schema: dict, path: str, errors: list) -> dict:
         if key not in data:
             if rule.get("required"):
                 errors.append(f"{path}{key}: missing required key")
+            elif rule.get("default") == {} and "fields" in rule:
+                # an omitted block takes the defaults of its fields
+                out[key] = _validate_block({}, rule["fields"], f"{path}{key}.", errors)
             else:
                 out[key] = rule.get("default")
             continue
@@ -209,6 +215,14 @@ def _cross_validate(cfg: dict, errors: list) -> None:
     if tcfg["dt"] is not None and tcfg["dt"] > tcfg["cfl"] * grid.dr * (1 + 1e-12):
         errors.append(
             f"time.dt: {tcfg['dt']} exceeds cfl*dr = {tcfg['cfl'] * grid.dr:.6g}")
+    if tcfg["scheme"] == "leapfrog":
+        hubbles = [cfg["hubble"]] + ((cfg["sweep"] or {}).get("hubbles") or [])
+        if max(hubbles) > 0.0:
+            errors.append(f"time.scheme: leapfrog needs hubble = 0 (hubble / "
+                          f"sweep.hubbles reach {max(hubbles):g}); use rk4")
+        if tcfg["space_order"] != 2:
+            errors.append(f"time.space_order: leapfrog needs space_order 2, "
+                          f"got {tcfg['space_order']}")
     init = cfg["initial"]
     needed = init["center"] + init["width"] + tcfg["t_end"] + 5 * grid.dr
     if grid_cfg["r_max"] < needed:
@@ -238,6 +252,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         space_order=tcfg["space_order"],
         output_every=tcfg["output_every"],
         dt=tcfg["dt"],
+        scheme=tcfg["scheme"],
         decay_radius=float(diag["decay_radius"]),
         cone_b=float(diag["cone_b"]),
         j_sigma=float(diag["j_sigma"]),
@@ -368,12 +383,9 @@ def cmd_simulate(args) -> int:
         return 1
     try:
         result = run_scenario(scenario)
-    except ScenarioClassError as exc:
+    except (ScenarioClassError, CflViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DomainViolation as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
     out_dir = Path(args.out) if args.out else Path(cfg["name"])
     _write_outputs(result, out_dir, cfg["emit_plots"])
     verdict = result.verdict
@@ -471,7 +483,7 @@ def cmd_sweep(args) -> int:
         else:
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 results = list(pool.map(_sweep_job, jobs))
-    except ScenarioClassError as exc:
+    except (ScenarioClassError, CflViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     results.sort(key=lambda kv: kv[0])

@@ -13,13 +13,27 @@ The outer Dirichlet row is only valid while the support stays away from
 r_max, which the support monitor enforces (abort, not absorbing layers --
 absorbing boundaries would contaminate the virial diagnostics).
 
-Time stepping is classical RK4. The problem is dissipative for H > 0, so
-no symplectic structure is at stake; H = 0 energy conservation is an
-accuracy statement, checked by the tests rather than built into the scheme.
+Two time schemes are offered.  ``"rk4"`` (the default) is classical RK4
+on any stencil order and any H >= 0, with four force evaluations per step
+and dt <= cfl * dr.  ``"leapfrog"`` is kick-drift-kick leapfrog (velocity
+Verlet) for H = 0 on the three-point stencil, with one force evaluation per
+step.  For u_tt = u_rr it is exact on the lattice at dt = dr (the CFL
+"magic" time step): its numerical domain of dependence is the physical
+light cone, so the 1e-13 support front shows no dispersive precursor.  The
+potential term adds stiffness: with L = max(0, sup f') over the field range
+the run visits, von Neumann stability needs dt^2 (4/dr^2 + L) <= 4, i.e.
+
+    dt <= cfl* dr,   cfl* = 1 / sqrt(1 + L dr^2 / 4).
+
+The leapfrog step is 0.99995 * min(cfl, cfl*) * dr, with L taken over
++-2 sup|phi(0)|; when sup|phi| at a snapshot leaves that window, L is
+recomputed on the wider window and the run aborts (StiffnessViolation)
+once its fixed step exceeds the new bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -27,12 +41,13 @@ from typing import Callable
 import numpy as np
 
 from .grid import RadialGrid
-from .potentials import PotentialSpec, eval_f
+from .potentials import PotentialSpec, eval_f, eval_fprime
 
 __all__ = [
     "CflViolation",
     "SupportOverflow",
     "NonFiniteField",
+    "StiffnessViolation",
     "SolverConfig",
     "FieldState",
     "SupportMonitor",
@@ -41,12 +56,16 @@ __all__ = [
     "initial_state",
     "support_radius",
     "cfl_dt",
+    "stiffness_cfl",
     "rhs",
     "step",
     "evolve",
 ]
 
 SUPPORT_THRESHOLD = 1e-13
+SCHEMES = ("rk4", "leapfrog")
+# the default leapfrog step stays this fraction below its stability bound
+LEAPFROG_SAFETY = 0.99995
 
 
 class CflViolation(ValueError):
@@ -61,12 +80,21 @@ class NonFiniteField(RuntimeError):
     """NaN/Inf appeared in the evolved field."""
 
 
+class StiffnessViolation(RuntimeError):
+    """The field left the range its leapfrog step was sized for, and the
+    fixed step now exceeds the stiffness bound cfl* dr of the wider range."""
+
+
 @dataclass
 class SolverConfig:
     """Evolution parameters.
 
-    The wave speed e^{-Ht} never exceeds 1 for H >= 0, so the single bound
-    dt <= cfl * dr covers every Hubble value.
+    ``scheme`` is ``"rk4"`` (any stencil order, any H >= 0) or
+    ``"leapfrog"`` (H = 0 and the order-2 stencil only; see the module
+    docstring).  The wave speed e^{-Ht} never exceeds 1 for H >= 0, so for
+    RK4 the single bound dt <= cfl * dr covers every Hubble value.  The
+    leapfrog step is further bounded by the stiffness of the potential:
+    dt <= min(cfl, cfl*) * dr with cfl* = 1 / sqrt(1 + L dr^2 / 4).
     """
 
     t_end: float
@@ -75,6 +103,7 @@ class SolverConfig:
     output_every: int = 1
     space_order: int = 2
     dt: float | None = None
+    scheme: str = "rk4"
 
     def __post_init__(self) -> None:
         if self.t_end < 0:
@@ -87,11 +116,31 @@ class SolverConfig:
             raise ValueError("output_every must be >= 1")
         if self.space_order not in (2, 4, 6):
             raise ValueError("space_order must be one of 2, 4, 6")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if self.scheme == "leapfrog" and self.hubble != 0.0:
+            raise ValueError("the leapfrog scheme needs hubble = 0")
+        if self.scheme == "leapfrog" and self.space_order != 2:
+            raise ValueError("the leapfrog scheme needs space_order = 2")
 
 
 def cfl_dt(grid: RadialGrid, cfg: SolverConfig) -> float:
-    """Largest admissible time step, cfl * dr."""
+    """Largest time step the CFL number admits, cfl * dr."""
     return cfg.cfl * grid.dr
+
+
+def stiffness_cfl(spec: PotentialSpec | None, half_width: float, dr: float) -> float:
+    """Leapfrog stability limit cfl* = 1 / sqrt(1 + L dr^2 / 4).
+
+    L = max(0, sup f') sampled over [-half_width, half_width], clipped to
+    the family's domain; f' <= 0 adds no stiffness.
+    """
+    if spec is None:
+        return 1.0
+    lo = max(-half_width, spec.domain_lo + 0.1)
+    fprime = eval_fprime(spec, np.linspace(lo, half_width, 2001))
+    stiffness = max(0.0, float(np.max(fprime)))
+    return 1.0 / math.sqrt(1.0 + 0.25 * stiffness * dr * dr)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +256,10 @@ class SupportMonitor:
 
     The semigroup propagates at speed <= 1, so up to mesh effects
     support(t) <= support(t0) + (t - t0).  ``max_excess`` reports how far
-    the measured 1e-13 front ran beyond that bound plus the 2*dr grace;
-    the lattice dispersive precursor makes this positive in practice (see
-    the acceptance notes), which is why it is recorded rather than assumed.
+    the measured 1e-13 front ran beyond that bound plus the 2*dr grace.
+    Under RK4 the lattice dispersive precursor makes this positive in
+    practice (see the acceptance notes), which is why it is recorded rather
+    than assumed.
     """
 
     grid: RadialGrid
@@ -292,6 +342,16 @@ def rhs(state: FieldState, hubble: float, spec: PotentialSpec | None,
 def _rhs(u: np.ndarray, u_t: np.ndarray, t: float, hubble: float,
          spec: PotentialSpec | None, grid: RadialGrid,
          order: int) -> tuple[np.ndarray, np.ndarray]:
+    du_t = _accel(u, u_t, t, hubble, spec, grid, order)
+    du = u_t.copy()
+    du[0] = 0.0
+    du[-1] = 0.0
+    return du, du_t
+
+
+def _accel(u: np.ndarray, u_t: np.ndarray, t: float, hubble: float,
+           spec: PotentialSpec | None, grid: RadialGrid, order: int) -> np.ndarray:
+    """u_tt of the semi-discrete system; u_t is read only when hubble > 0."""
     du_t = _second_derivative(u, grid.dr, order)
     if hubble:
         du_t *= np.exp(-2.0 * hubble * t)
@@ -300,21 +360,35 @@ def _rhs(u: np.ndarray, u_t: np.ndarray, t: float, hubble: float,
         du_t -= grid.r * eval_f(spec, u * grid.r_inv)
     du_t[0] = 0.0
     du_t[-1] = 0.0
-    du = u_t.copy()
-    du[0] = 0.0
-    du[-1] = 0.0
-    return du, du_t
+    return du_t
 
 
-def _resolve_dt(grid: RadialGrid, cfg: SolverConfig) -> float:
+def _sup_phi(state: FieldState) -> float:
+    return float(np.max(np.abs(state.phi)))
+
+
+def _resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
+                state: FieldState) -> float:
+    """Time-step ceiling of a run from ``state``; refuses an explicit dt
+    above the CFL bound or, for leapfrog, above the stiffness bound."""
     limit = cfl_dt(grid, cfg)
+    stable = math.inf
+    if cfg.scheme == "leapfrog":
+        stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr) * grid.dr
     if cfg.dt is not None:
         if cfg.dt <= 0:
             raise CflViolation("dt must be positive")
         if cfg.dt > limit * (1.0 + 1e-12):
             raise CflViolation(f"dt={cfg.dt} exceeds cfl*dr={limit}")
+        if cfg.dt > stable:
+            raise CflViolation(
+                f"dt={cfg.dt} exceeds the leapfrog stiffness bound cfl* dr = "
+                f"{stable:.6g}; admissible dt <= {min(limit, stable):.6g}")
         return cfg.dt
-    return limit
+    if not stable > 0.0:
+        raise CflViolation("the potential's stiffness on the visited window "
+                           "admits no positive leapfrog step")
+    return LEAPFROG_SAFETY * min(limit, stable) if cfg.scheme == "leapfrog" else limit
 
 
 def _rk4(u: np.ndarray, u_t: np.ndarray, t: float, dt: float, hubble: float,
@@ -333,12 +407,31 @@ def _rk4(u: np.ndarray, u_t: np.ndarray, t: float, dt: float, hubble: float,
     return un, vn
 
 
+def _leapfrog(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, dt: float,
+              spec: PotentialSpec | None,
+              grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One kick-drift-kick step at H = 0 on the order-2 stencil; ``acc`` is
+    u_tt at the start and the returned one is u_tt at the end."""
+    h = 0.5 * dt
+    vn = u_t + h * acc
+    un = u + dt * vn
+    un[0] = un[-1] = 0.0
+    acc = _accel(un, vn, 0.0, 0.0, spec, grid, 2)
+    vn += h * acc
+    vn[0] = vn[-1] = 0.0
+    return un, vn, acc
+
+
 def step(state: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
          grid: RadialGrid) -> FieldState:
-    """One RK4 step; boundary values re-imposed afterwards."""
-    dt = _resolve_dt(grid, cfg)
-    u, u_t = _rk4(state.u, state.u_t, state.t, dt, cfg.hubble, spec, grid,
-                  cfg.space_order)
+    """One step of ``cfg.scheme``; boundary values re-imposed afterwards."""
+    dt = _resolve_dt(grid, cfg, spec, state)
+    if cfg.scheme == "leapfrog":
+        acc = _accel(state.u, state.u_t, state.t, 0.0, spec, grid, 2)
+        u, u_t, _ = _leapfrog(state.u, state.u_t, acc, dt, spec, grid)
+    else:
+        u, u_t = _rk4(state.u, state.u_t, state.t, dt, cfg.hubble, spec, grid,
+                      cfg.space_order)
     return FieldState(state.t + dt, u, u_t, grid, cfg.space_order)
 
 
@@ -349,9 +442,11 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     every ``output_every`` steps (always at the start and the final step).
 
     Aborts with SupportOverflow once the support comes within 4 dr of
-    r_max, and with NonFiniteField on NaN/Inf.
+    r_max, with NonFiniteField on NaN/Inf, and (leapfrog) with
+    StiffnessViolation once sup|phi| at a snapshot widens the visited
+    window so far that the fixed step exceeds its stiffness bound.
     """
-    dt_max = _resolve_dt(grid, cfg)
+    dt_max = _resolve_dt(grid, cfg, spec, state0)
     if cfg.t_end == 0.0:
         if monitor is not None:
             monitor.observe(state0)
@@ -367,9 +462,27 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     def snapshot(k: int) -> FieldState:
         return FieldState(t0 + k * dt, u.copy(), u_t.copy(), grid, cfg.space_order)
 
+    leapfrog = cfg.scheme == "leapfrog"
+    window = 2.0 * _sup_phi(state0)
+
+    def check_window(state: FieldState) -> None:
+        nonlocal window
+        sup = _sup_phi(state)
+        if sup <= 0.5 * window:
+            return
+        window = 2.0 * sup
+        bound = stiffness_cfl(spec, window, grid.dr) * grid.dr
+        if dt > bound:
+            raise StiffnessViolation(
+                f"sup|phi|={sup:.4g} at t={state.t:.6g} widens the visited "
+                f"window to +-{window:.4g}; there the leapfrog step dt={dt:.6g} "
+                f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
+
     def inspect(state: FieldState) -> None:
         if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.u_t))):
             raise NonFiniteField(f"non-finite field at t={state.t:.6g}")
+        if leapfrog:
+            check_window(state)
         radius = monitor.observe(state) if monitor is not None else support_radius(state)
         if radius >= grid.r_max - 4.0 * grid.dr:
             raise SupportOverflow(
@@ -379,9 +492,14 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
             observer(state)
 
     inspect(snapshot(0))
+    if leapfrog:
+        acc = _accel(u, u_t, t0, 0.0, spec, grid, 2)
     for k in range(1, n_steps + 1):
-        u, u_t = _rk4(u, u_t, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
-                      cfg.space_order)
+        if leapfrog:
+            u, u_t, acc = _leapfrog(u, u_t, acc, dt, spec, grid)
+        else:
+            u, u_t = _rk4(u, u_t, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
+                          cfg.space_order)
         if k % cfg.output_every == 0 or k == n_steps:
             inspect(snapshot(k))
     return snapshot(n_steps)

@@ -311,3 +311,77 @@ def test_sweep_rejects_non_integer_threads(tmp_path, monkeypatch, capsys):
     assert main(["sweep", str(path), "--out", str(out)]) == 1
     assert "INFLATON_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_omitted_diagnostics_block_takes_field_defaults(tmp_path):
+    cfg = tiny_config()
+    del cfg["diagnostics"]
+    path = write_config(tmp_path, cfg)
+    assert load_config(path)["diagnostics"] == {
+        "decay_radius": 10.0, "cone_b": 2.0, "j_sigma": -2.0, "j_offset": 0.0}
+    assert main(["simulate", str(path), "--out", str(tmp_path / "nodiag")]) == 0
+
+
+def test_sweep_reports_domain_violation_as_aborted_row(tmp_path, monkeypatch):
+    # amplitude -1.5 takes dbrane1 below its pole at v = -1; the other job
+    # must still run and the summary must still be written
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    cfg = tiny_config(potential="dbrane1")
+    cfg["sweep"] = {"amplitudes": [0.5, -1.5], "hubbles": [0.0]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--out", str(out)]) == 2
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert header == "run,amplitude,hubble,passed,w_ratio,local_ratio,cone_ratio,aborted"
+    cells = {row.split(",")[0]: row.split(",") for row in rows}
+    assert set(cells) == {"a-1.5_H0", "a0.5_H0"}
+    assert cells["a-1.5_H0"][3] == "False"
+    assert cells["a-1.5_H0"][7].startswith("DomainViolation")
+    assert cells["a0.5_H0"][3] == "True" and cells["a0.5_H0"][7] == ""
+    assert (out / "a0.5_H0" / "series.csv").exists()
+
+
+def _leapfrog_config(**time):
+    cfg = tiny_config()
+    cfg["time"].update({"scheme": "leapfrog", "cfl": 1.0, "space_order": 2, **time})
+    return cfg
+
+
+def test_load_config_leapfrog_rules(tmp_path):
+    cfg = load_config(write_config(tmp_path, _leapfrog_config()))
+    assert cfg["time"]["scheme"] == "leapfrog"
+    assert scenario_from_config(cfg).solver_config().scheme == "leapfrog"
+    assert load_config(write_config(tmp_path, tiny_config()))["time"]["scheme"] == "rk4"
+    bad = _leapfrog_config(space_order=4)
+    bad["hubble"] = 0.5
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, bad))
+    assert "time.scheme: leapfrog needs hubble = 0" in str(err.value)
+    assert "time.space_order: leapfrog needs space_order 2" in str(err.value)
+    swept = _leapfrog_config()
+    swept["sweep"] = {"amplitudes": [0.1], "hubbles": [0.0, 1.0]}
+    with pytest.raises(ConfigError, match="sweep.hubbles"):
+        load_config(write_config(tmp_path, swept))
+    assert main(["simulate", str(write_config(tmp_path, bad)), "--out",
+                 str(tmp_path / "bad")]) == 1
+
+
+def test_leapfrog_unstable_step_exit_codes(tmp_path, monkeypatch, capsys):
+    # T1 has sup f' = 2: at n_cells=256 the stiffness bound is 0.99848 dr,
+    # so dt = 0.999 dr passes the CFL check but not the stiffness check
+    dr = 20.0 / 256
+    path = write_config(tmp_path, _leapfrog_config(dt=0.999 * dr))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert "admissible dt <=" in capsys.readouterr().err
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    assert main(["sweep", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert "admissible dt <=" in capsys.readouterr().err
+    # E1 data at rest focus into the stiff side of the potential: the run
+    # stops once the visited window outgrows the step
+    cfg = _leapfrog_config(t_end=20.0)
+    cfg.update(potential="E1", grid={"r_max": 40.0, "n_cells": 512})
+    cfg["initial"].update(amplitude=-0.2, center=10.0, width=2.0, velocity="rest")
+    out = tmp_path / "stiff"
+    assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["aborted"].startswith("StiffnessViolation")

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import inflaton.dynamics as dynamics
 from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
-                               SolverConfig, SupportMonitor, SupportOverflow,
-                               bump_profile, cfl_dt, evolve, gaussian_profile,
-                               initial_state, rhs, step, support_radius)
+                               SolverConfig, StiffnessViolation, SupportMonitor,
+                               SupportOverflow, bump_profile, cfl_dt, evolve,
+                               gaussian_profile, initial_state, rhs, step,
+                               stiffness_cfl, support_radius)
 from inflaton.grid import RadialGrid, energy, energy_density
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import sample_diagnostics
@@ -31,6 +33,12 @@ def test_solver_config_validation():
         SolverConfig(t_end=1.0, output_every=0)
     with pytest.raises(ValueError):
         SolverConfig(t_end=1.0, hubble=-0.5)
+    with pytest.raises(ValueError, match="scheme"):
+        SolverConfig(t_end=1.0, scheme="euler")
+    with pytest.raises(ValueError, match="hubble"):
+        SolverConfig(t_end=1.0, hubble=0.5, scheme="leapfrog")
+    with pytest.raises(ValueError, match="space_order"):
+        SolverConfig(t_end=1.0, space_order=4, scheme="leapfrog")
 
 
 def test_zero_state_has_zero_rhs(small_grid):
@@ -143,10 +151,10 @@ def test_support_radius_and_monitor(small_grid):
 
 
 def test_support_growth_bounded_by_wave_speed_plus_precursor():
-    # the analytic front moves at speed <= 1; at the 1e-13 threshold the
-    # lattice adds a dispersive precursor measured at ~35 dr across
-    # resolutions, so 40 dr is the engineering bound (the idealized +2dr
-    # grace is checked, and red, in the acceptance suite)
+    # the analytic front moves at speed <= 1; at the 1e-13 threshold RK4
+    # adds a dispersive precursor measured at ~35 dr across resolutions, so
+    # 40 dr is the engineering bound (the idealized +2dr grace is checked
+    # in the acceptance suite)
     g = RadialGrid(40.0, 1024)
     state = initial_state(g, 1.0, 5.0, 2.0, velocity="outgoing")
     cfg = SolverConfig(t_end=15.0, cfl=0.5, output_every=32)
@@ -244,3 +252,87 @@ def test_dissipation_identity_smoke():
     fd = (E[2:] - E[:-2]) / (2 * dt)
     resid = np.abs(fd - rate[1:-1]) / np.abs(rate[1:-1])
     assert resid.max() <= 2e-3
+
+
+def _leapfrog(t_end, output_every=10**9, **kw):
+    return SolverConfig(t_end=t_end, cfl=1.0, space_order=2,
+                        output_every=output_every, scheme="leapfrog", **kw)
+
+
+def test_leapfrog_free_bump_stays_inside_light_cone():
+    # at the magic step dt ~ dr the three-point leapfrog translates the
+    # outgoing bump almost exactly: no precursor at the 1e-13 threshold
+    # (measured -1.0 cells at every n; RK4 order 2 at cfl 0.5: +22 to +29)
+    for n in (1024, 2048, 4096):
+        g = RadialGrid(40.0, n)
+        state = initial_state(g, 1.0, 12.0, 3.0, velocity="outgoing", space_order=2)
+        mon = SupportMonitor(g)
+        final = evolve(state, _leapfrog(5.0, output_every=16), None, g, monitor=mon)
+        assert mon.max_excess() <= 0.0, (n, mon.max_excess() / g.dr)
+        if n == 1024:
+            shifted = g.r - 5.0
+            exact = shifted * bump_profile(shifted, 1.0, 12.0, 3.0)
+            err = np.linalg.norm(final.u - exact) / np.linalg.norm(exact)
+            assert err <= 1e-4   # measured 3.0e-5
+
+
+def test_leapfrog_stiffness_bound_refuses_explicit_dt(small_grid):
+    spec = PotentialSpec("T", n=1)   # sup f' = f'(0) = 2
+    state = initial_state(small_grid, 1.0, 5.0, 2.0)
+    dr = small_grid.dr
+    bound = stiffness_cfl(spec, 2.0, dr) * dr
+    assert bound == pytest.approx(dr / np.sqrt(1.0 + 0.5 * dr * dr))
+    too_big = _leapfrog(1.0, dt=0.5 * (bound + dr))
+    with pytest.raises(CflViolation, match="admissible dt"):
+        evolve(state, too_big, spec, small_grid)
+    with pytest.raises(CflViolation, match="admissible dt"):
+        step(state, too_big, spec, small_grid)
+    new = step(state, _leapfrog(1.0, dt=bound), spec, small_grid)
+    assert new.t == bound and new.u[0] == new.u[-1] == 0.0
+    # without a potential the bound is the magic step itself
+    assert stiffness_cfl(None, 2.0, dr) == 1.0
+
+
+@pytest.mark.parametrize("scheme, per_step", [("leapfrog", 1), ("rk4", 4)])
+def test_force_evaluations_per_step(small_grid, monkeypatch, scheme, per_step):
+    calls = []
+    real_eval_f = dynamics.eval_f
+
+    def counting(spec, s):
+        calls.append(1)
+        return real_eval_f(spec, s)
+
+    monkeypatch.setattr(dynamics, "eval_f", counting)
+    state = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=2)
+    cfg = SolverConfig(t_end=2.0, cfl=1.0 if scheme == "leapfrog" else 0.5,
+                       space_order=2, output_every=5, scheme=scheme)
+    seen = []
+    evolve(state, cfg, PotentialSpec("T", n=1), small_grid,
+           observer=lambda s: seen.append(s.t))
+    n_steps = round(2.0 / ((seen[1] - seen[0]) / 5))
+    # leapfrog: one per step plus the acceleration of the initial data
+    assert len(calls) == per_step * n_steps + (scheme == "leapfrog")
+    assert len(seen) == n_steps // 5 + 1 + (n_steps % 5 != 0)
+
+
+def test_leapfrog_window_recheck():
+    # data at rest focus through the origin and amplify sup|phi| ~11x; for
+    # T1 sup f' stays f'(0) = 2 on any window, so the step stays stable
+    g = RadialGrid(40.0, 512)
+    spec = PotentialSpec("T", n=1)
+    state = initial_state(g, 0.3, 12.0, 2.0, velocity="rest", space_order=2)
+    sups, energies = [], []
+
+    def observe(s):
+        sups.append(np.max(np.abs(s.phi)))
+        energies.append(energy(energy_density(s, 0.0, s.t, g, spec), g))
+
+    final = evolve(state, _leapfrog(20.0, output_every=4), spec, g, observer=observe)
+    assert final.t == pytest.approx(20.0)
+    assert 10.0 <= max(sups) / sups[0] <= 14.0
+    assert abs(energies[-1] / energies[0] - 1.0) <= 1e-2   # measured 1.4e-3
+    # E1's f' grows like 4 e^{-2s} for s < 0: the widened window breaks the
+    # fixed step, and the run stops instead of stepping past its bound
+    state = initial_state(g, -0.2, 10.0, 2.0, velocity="rest", space_order=2)
+    with pytest.raises(StiffnessViolation, match="stiffness bound"):
+        evolve(state, _leapfrog(20.0, output_every=4), PotentialSpec("E", n=1), g)
