@@ -1,10 +1,15 @@
 """Command-line front end: JSON scenario configs, CSV/JSON/SVG emission,
 machine-readable verdicts.
 
-Exit codes for ``simulate``: 0 verdict passed, 1 malformed config (also a
-time step the run refuses as unstable), 2 verdict failed, 3 run aborted
+A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``); the
+types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
+
+Exit codes for ``simulate`` and ``sweep``: 0 verdict passed, 1 malformed
+config (also a time step the run refuses as unstable, and a sweep job
+``Scenario`` rejects, before any output), 2 verdict failed, 3 run aborted
 (support overflow / non-finite field / potential domain violation / field
-range outgrowing the leapfrog step).
+range outgrowing the leapfrog step); ``audit`` and ``audit-suite``: 1 on a
+bad family, interval or sample count, 2 on an expected-class mismatch.
 
 ``time.scheme`` picks the time integrator: ``"rk4"`` (the default, any
 ``time.space_order``) or ``"leapfrog"`` (``space_order`` 2 only, any
@@ -23,16 +28,16 @@ import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import SCHEMES, CflViolation
-from .experiments import (DEFAULT_THRESHOLDS, Scenario, ScenarioClassError,
-                          ScenarioResult, run_potential_audit_suite,
-                          run_scenario)
-from .grid import RadialGrid
+from .dynamics import CflViolation
+from .experiments import (CHOICES, Scenario, ScenarioClassError, ScenarioResult,
+                          run_potential_audit_suite, run_scenario)
 from .potentials import (EXPECTED_CLASS, audit_potential, coarse_class,
                          parse_family)
 from .virials import CSV_COLUMNS
@@ -46,145 +51,119 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config: Scenario's fields under a nested-key map
 
-_MODES = tuple(DEFAULT_THRESHOLDS)
-
-CONFIG_SCHEMA = {
-    "name": {"type": str, "required": True},
-    "mode": {"type": str, "required": True, "choices": _MODES},
-    "potential": {"type": str, "required": True},
-    "hubble": {"type": (int, float), "default": 0.0, "min": 0.0},
-    "initial": {
-        "type": dict,
-        "required": True,
-        "fields": {
-            "kind": {"type": str, "default": "bump", "choices": ("bump", "gaussian")},
-            "amplitude": {"type": (int, float), "required": True},
-            "center": {"type": (int, float), "required": True, "min": 0.0},
-            "width": {"type": (int, float), "required": True, "min_exclusive": 0.0},
-            "steepness": {"type": (int, float), "default": 1.0, "min_exclusive": 0.0},
-            "velocity": {"type": str, "default": "outgoing",
-                         "choices": ("rest", "outgoing")},
-        },
-    },
-    "grid": {
-        "type": dict,
-        "required": True,
-        "fields": {
-            "r_max": {"type": (int, float), "required": True, "min_exclusive": 0.0},
-            "n_cells": {"type": int, "required": True, "min": 16},
-        },
-    },
-    "time": {
-        "type": dict,
-        "required": True,
-        "fields": {
-            "t_end": {"type": (int, float), "required": True, "min": 0.0},
-            "cfl": {"type": (int, float), "default": 0.5, "min_exclusive": 0.0,
-                    "max": 1.0},
-            "output_every": {"type": int, "default": 16, "min": 1},
-            "space_order": {"type": int, "default": 4, "choices": (2, 4, 6)},
-            "dt": {"type": (int, float), "default": None, "min_exclusive": 0.0},
-            # "rk4": any space_order; "leapfrog": space_order 2, any hubble
-            "scheme": {"type": str, "default": "rk4", "choices": SCHEMES},
-        },
-    },
-    "diagnostics": {
-        "type": dict,
-        "default": {},
-        "fields": {
-            "decay_radius": {"type": (int, float), "default": 10.0,
-                             "min_exclusive": 0.0},
-            "cone_b": {"type": (int, float), "default": 2.0},
-            "j_sigma": {"type": (int, float), "default": -2.0},
-            "j_offset": {"type": (int, float), "default": 0.0},
-        },
-    },
-    "thresholds": {"type": dict, "default": {}, "free_numeric": True},
-    "seed": {"type": int, "default": 0},
-    "emit_plots": {"type": bool, "default": False},
-    "sweep": {
-        "type": dict,
-        "default": None,
-        "fields": {
-            "amplitudes": {"type": list, "default": None},
-            "hubbles": {"type": list, "default": None},
-            "jitter_pct": {"type": (int, float), "default": 0.0, "min": 0.0},
-        },
-    },
+# JSON block -> the Scenario fields it holds.  Every other field is a
+# top-level key of its own name, except ``spec``, named by ``potential``.
+BLOCKS = {
+    "initial": ("kind", "amplitude", "center", "width", "steepness", "velocity"),
+    "grid": ("r_max", "n_cells"),
+    "time": ("t_end", "cfl", "output_every", "space_order", "dt", "scheme"),
+    "diagnostics": ("decay_radius", "cone_b", "j_sigma", "j_offset"),
+}
+# Scenario fields a config must give (and ``potential``); the others take
+# Scenario's defaults
+REQUIRED = ("name", "mode", "amplitude", "center", "width", "r_max", "n_cells", "t_end")
+# front-end keys, not Scenario fields: key -> (type or block, default)
+FRONT_END = {
+    "seed": (int, 0),
+    "emit_plots": (bool, False),
+    "sweep": ({"amplitudes": (list, None), "hubbles": (list, None),
+               "jitter_pct": (float, 0.0)}, None),
 }
 
+_FIELDS = {f.name for f in fields(Scenario)}
+# Scenario field -> config key path, for the constructors' messages
+_PATHS = {"spec": "potential",
+          **{name: f"{block}.{name}" for block, names in BLOCKS.items() for name in names}}
+_SWEEP_PATHS = {**_PATHS, "amplitude": "sweep.amplitudes", "hubble": "sweep.hubbles"}
 
-def _finite_number(value) -> bool:
-    # Python's json also reads NaN, Infinity and overflowing literals as floats
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+
+def _config_keys() -> dict:
+    """key -> (type or block of keys, default), from Scenario's fields and type
+    hints (``float | None`` reads as float); MISSING marks a required key."""
+    hints = typing.get_type_hints(Scenario)
+    keys = {}
+    for f in fields(Scenario):
+        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        keys[f.name] = (kind, MISSING if f.name in REQUIRED else default)
+    del keys["spec"]
+    keys["potential"] = (str, MISSING)      # the family name spec is parsed from
+    for block, names in BLOCKS.items():
+        block_keys = {name: keys.pop(name) for name in names}
+        required = any(default is MISSING for _, default in block_keys.values())
+        keys[block] = (block_keys, MISSING if required else {})
+    return {**keys, **FRONT_END}
 
 
-def _check_scalar(value, rule, path, errors):
-    expected = rule["type"]
-    if expected is int and isinstance(value, bool):
+CONFIG_KEYS = _config_keys()
+
+
+def _finite(value) -> bool:
+    # Python's json also reads NaN, Infinity and overflowing literals
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:       # an integer literal beyond the float range
+        return False
+
+
+def _load_value(value, kind, path: str, errors: list):
+    if isinstance(kind, dict):                  # a block of keys
+        if isinstance(value, dict):
+            return _load_block(value, kind, f"{path}.", errors)
+        errors.append(f"{path}: expected object")
+    elif kind is dict:                          # thresholds: name -> number
+        if isinstance(value, dict):
+            errors.extend(f"{path}.{k}: expected finite number"
+                          for k, v in value.items()
+                          if isinstance(v, bool) or not _finite(v))
+            return dict(value)
+        errors.append(f"{path}: expected object")
+    elif kind is list:
+        if isinstance(value, list) and value and all(
+                _finite(v) and not isinstance(v, bool) for v in value):
+            return [float(v) for v in value]
+        errors.append(f"{path}: expected non-empty list of finite numbers")
+    elif kind is int and isinstance(value, bool):
         errors.append(f"{path}: expected integer, got bool")
-        return
-    if not isinstance(value, expected):
-        name = expected.__name__ if isinstance(expected, type) else "number"
+    elif not isinstance(value, (int, float) if kind is float else kind):
+        name = "number" if kind is float else kind.__name__
         errors.append(f"{path}: expected {name}, got {type(value).__name__}")
-        return
-    if isinstance(value, float) and not math.isfinite(value):
+    elif kind in (int, float) and not _finite(value):
         errors.append(f"{path}: must be a finite number")
-        return
-    if "choices" in rule and value not in rule["choices"]:
-        errors.append(f"{path}: must be one of {rule['choices']}, got {value!r}")
-    if "min" in rule and value < rule["min"]:
-        errors.append(f"{path}: must be >= {rule['min']}")
-    if "min_exclusive" in rule and value <= rule["min_exclusive"]:
-        errors.append(f"{path}: must be > {rule['min_exclusive']}")
-    if "max" in rule and value > rule["max"]:
-        errors.append(f"{path}: must be <= {rule['max']}")
+    else:
+        return float(value) if kind is float else value
+    return None
 
 
-def _validate_block(data: dict, schema: dict, path: str, errors: list) -> dict:
+def _load_block(data: dict, keys: dict, path: str, errors: list) -> dict:
     out = {}
-    unknown = set(data) - set(schema)
-    for key in sorted(unknown):
+    for key in sorted(set(data) - set(keys)):
         errors.append(f"{path}{key}: unknown key")
-    for key, rule in schema.items():
-        if key not in data:
-            if rule.get("required"):
-                errors.append(f"{path}{key}: missing required key")
-            elif rule.get("default") == {} and "fields" in rule:
-                # an omitted block takes the defaults of its fields
-                out[key] = _validate_block({}, rule["fields"], f"{path}{key}.", errors)
-            else:
-                out[key] = rule.get("default")
-            continue
-        value = data[key]
-        if rule["type"] is dict:
-            if not isinstance(value, dict):
-                errors.append(f"{path}{key}: expected object")
-                continue
-            if rule.get("free_numeric"):
-                errors.extend(f"{path}{key}.{k}: expected finite number"
-                              for k, v in value.items() if not _finite_number(v))
-                out[key] = dict(value)
-            else:
-                out[key] = _validate_block(value, rule["fields"],
-                                           f"{path}{key}.", errors)
-        elif rule["type"] is list:
-            if not isinstance(value, list) or not value or not all(
-                    map(_finite_number, value)):
-                errors.append(f"{path}{key}: expected non-empty list of finite numbers")
-            else:
-                out[key] = [float(v) for v in value]
+    for key, (kind, default) in keys.items():
+        if key in data:
+            out[key] = _load_value(data[key], kind, path + key, errors)
+        elif default is MISSING:
+            errors.append(f"{path}{key}: missing required key")
+        elif default == {}:     # an omitted object takes the defaults of its keys
+            out[key] = _load_value({}, kind, path + key, errors)
         else:
-            _check_scalar(value, rule, f"{path}{key}", errors)
-            out[key] = value
+            out[key] = default
     return out
 
 
+def _keyed(exc: ValueError, paths: dict = _PATHS) -> str:
+    """The message of a constructor rule, its leading field name made a key path."""
+    head, sep, rest = str(exc).partition(": ")
+    name, dot, sub = head.partition(".")
+    return f"{paths.get(name, name)}{dot}{sub}{sep}{rest}"
+
+
 def load_config(path: str | Path) -> dict:
-    """Parse and validate a run config; raises ConfigError with diagnostics."""
+    """Parse a run config into a nested dict with every default filled in.
+    Collects structural errors (unknown or missing keys, wrong types, non-finite
+    numbers), then checks Scenario's rules; raises ConfigError with key paths."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -198,69 +177,30 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     errors: list[str] = []
-    cfg = _validate_block(raw, CONFIG_SCHEMA, "", errors)
-    if not errors:
-        _cross_validate(cfg, errors)
+    cfg = _load_block(raw, CONFIG_KEYS, "", errors)
+    if not errors and cfg["seed"] < 0:
+        errors.append("seed: must be >= 0")
+    if not errors and cfg["sweep"] and cfg["sweep"]["jitter_pct"] < 0:
+        errors.append("sweep.jitter_pct: must be >= 0.0")
     if errors:
         raise ConfigError("; ".join(errors))
+    try:
+        scenario_from_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(_keyed(exc)) from None
     return cfg
 
 
-def _cross_validate(cfg: dict, errors: list) -> None:
-    try:
-        parse_family(cfg["potential"])
-    except ValueError as exc:
-        errors.append(f"potential: {exc}")
-        return
-    grid_cfg = cfg["grid"]
-    if grid_cfg["n_cells"] % 2:
-        errors.append("grid.n_cells: must be even")
-        return
-    grid = RadialGrid(grid_cfg["r_max"], grid_cfg["n_cells"])
-    tcfg = cfg["time"]
-    if tcfg["dt"] is not None and tcfg["dt"] > tcfg["cfl"] * grid.dr * (1 + 1e-12):
-        errors.append(
-            f"time.dt: {tcfg['dt']} exceeds cfl*dr = {tcfg['cfl'] * grid.dr:.6g}")
-    if tcfg["scheme"] == "leapfrog" and tcfg["space_order"] != 2:
-        errors.append(f"time.space_order: leapfrog needs space_order 2, "
-                      f"got {tcfg['space_order']}")
-    init = cfg["initial"]
-    needed = init["center"] + init["width"] + tcfg["t_end"] + 5 * grid.dr
-    if grid_cfg["r_max"] < needed:
-        errors.append(
-            f"grid.r_max: {grid_cfg['r_max']} too small for the data support "
-            f"plus horizon (needs >= {needed:.3f})")
-
-
 def scenario_from_config(cfg: dict) -> Scenario:
-    init = cfg["initial"]
-    tcfg = cfg["time"]
-    diag = cfg["diagnostics"]
-    return Scenario(
-        name=cfg["name"],
-        spec=parse_family(cfg["potential"]),
-        hubble=float(cfg["hubble"]),
-        amplitude=float(init["amplitude"]),
-        center=float(init["center"]),
-        width=float(init["width"]),
-        steepness=float(init["steepness"]),
-        kind=init["kind"],
-        velocity=init["velocity"],
-        r_max=float(cfg["grid"]["r_max"]),
-        n_cells=cfg["grid"]["n_cells"],
-        t_end=float(tcfg["t_end"]),
-        cfl=float(tcfg["cfl"]),
-        space_order=tcfg["space_order"],
-        output_every=tcfg["output_every"],
-        dt=tcfg["dt"],
-        scheme=tcfg["scheme"],
-        decay_radius=float(diag["decay_radius"]),
-        cone_b=float(diag["cone_b"]),
-        j_sigma=float(diag["j_sigma"]),
-        j_offset=float(diag["j_offset"]),
-        mode=cfg["mode"],
-        thresholds=cfg["thresholds"],
-    )
+    """Flatten a loaded config onto Scenario's fields and construct it."""
+    flat = {key: value for key, value in cfg.items() if key in _FIELDS}
+    for block in BLOCKS:
+        flat.update(cfg[block])
+    try:
+        spec = parse_family(cfg["potential"])
+    except ValueError as exc:
+        raise ValueError(f"spec: {exc}") from None
+    return Scenario(spec=spec, **flat)
 
 
 # ---------------------------------------------------------------------------
@@ -378,13 +318,8 @@ def _write_outputs(result: ScenarioResult, out_dir: Path, emit: bool) -> None:
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-        scenario = scenario_from_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        result = run_scenario(scenario)
-    except (ScenarioClassError, CflViolation) as exc:
+        result = run_scenario(scenario_from_config(cfg))
+    except (ConfigError, ScenarioClassError, CflViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else Path(cfg["name"])
@@ -399,15 +334,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_audit(args) -> int:
     try:
-        spec = parse_family(args.family)
-    except ValueError as exc:
+        report = audit_potential(parse_family(args.family),
+                                 interval=tuple(args.interval), n_samples=args.samples)
+    except ValueError as exc:     # unknown family, bad interval, < 2 samples
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    interval = (args.interval[0], args.interval[1])
-    if not interval[0] < interval[1]:
-        print("error: interval must satisfy lo < hi", file=sys.stderr)
-        return 1
-    report = audit_potential(spec, interval=interval, n_samples=args.samples)
     rows = [
         ("family", report.label),
         ("interval", f"[{report.interval[0]:g}, {report.interval[1]:g}]"),
@@ -426,19 +357,16 @@ def cmd_audit(args) -> int:
     for key, val in rows:
         print(f"  {key:<{width}}  {val}")
     print(json.dumps(report.to_dict(), sort_keys=True))
-    expected = EXPECTED_CLASS.get(report.label)
-    if expected is None:
-        return 0
-    return 0 if coarse_class(report.theorem_class) == expected else 2
+    coarse = coarse_class(report.theorem_class)     # uncatalogued families pass
+    return 0 if EXPECTED_CLASS.get(report.label, coarse) == coarse else 2
 
 
-def _sweep_job(payload: tuple) -> tuple[str, dict]:
-    cfg, name, out_dir = payload
-    scenario = scenario_from_config(cfg)
+def _sweep_job(job: tuple) -> tuple[str, dict]:
+    scenario, name, out_dir, emit = job
     result = run_scenario(scenario)
-    _write_outputs(result, Path(out_dir), cfg["emit_plots"])
+    _write_outputs(result, Path(out_dir), emit)
     verdict = result.verdict.to_dict()
-    verdict["_amplitude"] = cfg["initial"]["amplitude"]
+    verdict["_amplitude"] = scenario.amplitude
     return name, verdict
 
 
@@ -455,28 +383,28 @@ def cmd_sweep(args) -> int:
         print(f"error: INFLATON_THREADS must be an integer, got {threads!r}",
               file=sys.stderr)
         return 1
-    sweep = cfg.get("sweep") or {}
-    amplitudes = sweep.get("amplitudes") or [cfg["initial"]["amplitude"]]
-    hubbles = sweep.get("hubbles") or [cfg["hubble"]]
-    jit = float(sweep.get("jitter_pct") or 0.0)
+    base = scenario_from_config(cfg)
+    sweep = cfg["sweep"] or {}
+    amplitudes = sweep.get("amplitudes") or [base.amplitude]
+    hubbles = sweep.get("hubbles") or [base.hubble]
+    jit = sweep.get("jitter_pct", 0.0)
     rng = np.random.default_rng(cfg["seed"])
     out_root = Path(args.out) if args.out else Path(cfg["name"] + "-sweep")
-    out_root.mkdir(parents=True, exist_ok=True)
 
     jobs = []
-    for amp in amplitudes:
-        for hub in hubbles:
-            job_cfg = json.loads(json.dumps(cfg))  # deep copy
-            a = float(amp)
-            if jit > 0.0:
-                a *= 1.0 + jit / 100.0 * float(rng.uniform(-1.0, 1.0))
-            job_cfg["initial"]["amplitude"] = a
-            job_cfg["hubble"] = float(hub)
-            job_cfg["sweep"] = None
-            name = f"a{amp:g}_H{hub:g}"
-            job_cfg["name"] = f"{cfg['name']}-{name}"
-            jobs.append((job_cfg, name, str(out_root / name)))
-
+    try:    # every job is checked before any output exists
+        for amp in amplitudes:
+            for hub in hubbles:
+                a = amp
+                if jit > 0.0:
+                    a *= 1.0 + jit / 100.0 * float(rng.uniform(-1.0, 1.0))
+                name = f"a{amp:g}_H{hub:g}"
+                job = replace(base, name=f"{base.name}-{name}", amplitude=a, hubble=hub)
+                jobs.append((job, name, str(out_root / name), cfg["emit_plots"]))
+    except ValueError as exc:
+        print(f"config error: {_keyed(exc, _SWEEP_PATHS)}", file=sys.stderr)
+        return 1
+    out_root.mkdir(parents=True, exist_ok=True)
     max_workers = max(1, min(max_workers, len(jobs)))
     try:
         if max_workers == 1:
@@ -524,35 +452,39 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _schema(keys: dict) -> dict:
+    out = {}
+    for key, (kind, default) in keys.items():
+        block = isinstance(kind, dict)
+        entry = {"type": "dict" if block else "number" if kind is float else kind.__name__}
+        if default is MISSING:
+            entry["required"] = True
+        elif not (block or kind is dict):
+            entry["default"] = default
+        if key in CHOICES:
+            entry["choices"] = list(CHOICES[key])
+        if block:
+            entry["fields"] = _schema(kind)
+        out[key] = entry
+    return out
+
+
 def cmd_schema(args) -> int:
     del args
-
-    def strip(block: dict) -> dict:
-        out = {}
-        for key, rule in block.items():
-            entry = {"type": ("number" if rule["type"] in ((int, float),)
-                              else getattr(rule["type"], "__name__", "number"))}
-            if rule.get("required"):
-                entry["required"] = True
-            if "default" in rule and rule["type"] is not dict:
-                entry["default"] = rule["default"]
-            if "choices" in rule:
-                entry["choices"] = list(rule["choices"])
-            if rule["type"] is dict and "fields" in rule:
-                entry["fields"] = strip(rule["fields"])
-            out[key] = entry
-        return out
-
-    print(json.dumps(strip(CONFIG_SCHEMA), indent=2, sort_keys=True))
+    print(json.dumps(_schema(CONFIG_KEYS), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_audit_suite(args) -> int:
-    suite = run_potential_audit_suite(n_samples=args.samples)
+    try:
+        suite = run_potential_audit_suite(n_samples=args.samples)
+    except ValueError as exc:     # fewer than 2 samples
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     width = max(len(label) for label in suite["reports"])
     for label, report in suite["reports"].items():
-        expected = EXPECTED_CLASS.get(label, "-")
-        print(f"  {label:<{width}}  {report.theorem_class:<14} expected {expected}")
+        print(f"  {label:<{width}}  {report.theorem_class:<14} "
+              f"expected {EXPECTED_CLASS[label]}")
     if suite["mismatches"]:
         for label, expected, got in suite["mismatches"]:
             print(f"MISMATCH {label}: expected {expected}, audited {got}",

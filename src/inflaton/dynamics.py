@@ -75,6 +75,7 @@ __all__ = [
 
 SUPPORT_THRESHOLD = 1e-13
 SCHEMES = ("rk4", "leapfrog")
+SPACE_ORDERS = (2, 4, 6)
 # the default leapfrog step stays this fraction below its stability bound
 LEAPFROG_SAFETY = 0.99995
 
@@ -118,20 +119,23 @@ class SolverConfig:
     scheme: str = "rk4"
 
     def __post_init__(self) -> None:
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
-        if self.hubble < 0:
-            raise ValueError("hubble must be nonnegative")
+        # each message starts with the field it is about
+        if not self.t_end >= 0:
+            raise ValueError(f"t_end: must be >= 0, got {self.t_end}")
+        if not self.hubble >= 0:
+            raise ValueError(f"hubble: must be nonnegative, got {self.hubble}")
         if not 0 < self.cfl <= 1:
-            raise ValueError("cfl must lie in (0, 1]")
+            raise ValueError(f"cfl: must lie in (0, 1], got {self.cfl}")
         if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
-        if self.space_order not in (2, 4, 6):
-            raise ValueError("space_order must be one of 2, 4, 6")
+            raise ValueError(f"output_every: must be >= 1, got {self.output_every}")
+        if self.space_order not in SPACE_ORDERS:
+            raise ValueError(f"space_order: must be one of {SPACE_ORDERS}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise ValueError(f"scheme: must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "leapfrog" and self.space_order != 2:
-            raise ValueError("the leapfrog scheme needs space_order = 2")
+            raise ValueError("space_order: leapfrog needs space_order 2")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt: must be > 0, got {self.dt}")
 
 
 def cfl_dt(grid: RadialGrid, cfg: SolverConfig) -> float:
@@ -398,8 +402,6 @@ def _resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
     if cfg.scheme == "leapfrog":
         stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr) * grid.dr
     if cfg.dt is not None:
-        if cfg.dt <= 0:
-            raise CflViolation("dt must be positive")
         if cfg.dt > limit * (1.0 + 1e-12):
             raise CflViolation(f"dt={cfg.dt} exceeds cfl*dr={limit}")
         if cfg.dt > stable:

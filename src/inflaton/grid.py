@@ -48,10 +48,10 @@ class RadialGrid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
+        if not self.r_max > 0:
+            raise ValueError(f"r_max: must be > 0, got {self.r_max}")
         if self.n_cells < 16 or self.n_cells % 2:
-            raise ValueError("n_cells must be even and >= 16")
+            raise ValueError(f"n_cells: must be even and >= 16, got {self.n_cells}")
 
     @property
     def dr(self) -> float:

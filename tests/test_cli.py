@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
                           render_line_plot, scenario_from_config)
@@ -169,6 +172,19 @@ def test_audit_exit_codes(capsys):
     assert main(["audit", "monodromy:q=0"]) == 1
     assert main(["audit", "frobnicate"]) == 1
     assert main(["audit", "T1", "--interval", "3", "-3"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "T1", "--samples", "1"],
+    ["audit", "T1", "--samples", "0"],
+    ["audit-suite", "--samples", "1"],
+    ["audit", "dbrane1", "--interval", "-10", "-0.95"],   # empty after the clip
+    ["audit", "T1", "--interval", "1", "inf"],
+])
+def test_audit_bad_arguments_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_audit_suite_command(capsys):
@@ -393,3 +409,111 @@ def test_leapfrog_unstable_step_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["aborted"].startswith("StiffnessViolation")
+
+
+@pytest.mark.parametrize("block,key,value,message", [
+    (None, "mode", "thm9", "mode: must be one of"),
+    (None, "hubble", -1.0, "hubble: must be nonnegative"),
+    ("initial", "center", -1.0, "initial.center: must be >= 0"),
+    ("initial", "width", 0.0, "initial.width: must be > 0"),
+    ("initial", "steepness", 0.0, "initial.steepness: must be > 0"),
+    ("initial", "kind", "box", "initial.kind: must be one of"),
+    ("initial", "velocity", "sideways", "initial.velocity: must be one of"),
+    ("grid", "r_max", 0.0, "grid.r_max: must be > 0"),
+    ("grid", "n_cells", 8, "grid.n_cells: must be even and >= 16"),
+    ("time", "t_end", -1.0, "time.t_end: must be >= 0"),
+    ("time", "cfl", 1.5, "time.cfl: must lie in (0, 1]"),
+    ("time", "output_every", 0, "time.output_every: must be >= 1"),
+    ("time", "space_order", 3, "time.space_order: must be one of"),
+    ("time", "scheme", "euler", "time.scheme: must be one of"),
+    ("time", "dt", 0.0, "time.dt: must be > 0"),
+    ("diagnostics", "decay_radius", 0.0, "diagnostics.decay_radius: must be > 0"),
+])
+def test_constructor_rules_report_key_paths(tmp_path, block, key, value, message):
+    # the rules live in Scenario / SolverConfig / RadialGrid; load_config
+    # turns the field name that starts each message into its key path
+    cfg = tiny_config()
+    (cfg[block] if block else cfg)[key] = value
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, cfg))
+    assert str(err.value).startswith(message)
+
+
+def test_load_config_rejects_unknown_threshold_names(tmp_path):
+    cfg = tiny_config(mode="thm1", thresholds={"w_ration": 1e-30})
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=r"^thresholds\.w_ration: not one of"):
+        load_config(path)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "typo")]) == 1
+    assert not (tmp_path / "typo").exists()
+    names = {"w_ratio": 1.0, "cone_ratio": 1.0, "local_ratio": 1.0}
+    assert load_config(write_config(tmp_path, tiny_config(thresholds=names)))[
+        "thresholds"] == names
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"sweep": {"amplitudes": [0.1], "hubbles": [0.0, -1.0]}},
+     "sweep.hubbles: must be nonnegative"),
+    ({"seed": -1, "sweep": {"amplitudes": [0.1], "jitter_pct": 5.0}}, "seed: must be >= 0"),
+])
+def test_sweep_bad_job_inputs_exit_1_before_any_output(tmp_path, monkeypatch, capsys,
+                                                       edit, message):
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    path = write_config(tmp_path, tiny_config(**edit))
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_MUTABLE_PATHS = [
+    ("name",), ("mode",), ("potential",), ("hubble",), ("seed",), ("emit_plots",),
+    ("thresholds",), ("thresholds", "w_ratio"), ("initial",), ("initial", "kind"),
+    ("initial", "amplitude"), ("initial", "center"), ("initial", "width"),
+    ("initial", "steepness"), ("initial", "velocity"), ("grid",), ("grid", "r_max"),
+    ("grid", "n_cells"), ("time",), ("time", "t_end"), ("time", "cfl"),
+    ("time", "output_every"), ("time", "space_order"), ("time", "dt"),
+    ("time", "scheme"), ("diagnostics",), ("diagnostics", "decay_radius"),
+    ("diagnostics", "cone_b"), ("sweep",), ("sweep", "amplitudes"),
+    ("sweep", "hubbles"), ("sweep", "jitter_pct"),
+]
+_ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", [], {}]),                      # wrong types
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]),  # non-finite
+    st.sampled_from([-1, -1.0, 0, 0.0, 1e-300, 1e300, 1.5, 2, 3, 4, 6, 15, 16, 17]),
+    st.sampled_from(["rk4", "leapfrog", "gaussian", "rest", "thm3", "E1", "dbrane1",
+                     "monodromy:q=0", "frobnicate"]),
+    st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=3),
+    st.dictionaries(st.sampled_from(["w_ratio", "cone_ratio", "zz"]),
+                    st.one_of(st.floats(), st.booleans()), max_size=2),
+)
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["drop", "set", "unknown"]),
+                                st.sampled_from(_MUTABLE_PATHS), _ODD_VALUES),
+                      min_size=1, max_size=3)
+
+
+@settings(max_examples=300)
+@given(mutations=_MUTATIONS)
+def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, mutations):
+    # dropped keys, unknown keys, wrong types, NaN/+-Infinity, out-of-range
+    # and odd values: load_config either returns a config Scenario accepts
+    # or raises ConfigError, never anything else
+    cfg = tiny_config()
+    for action, path, value in mutations:
+        node = cfg
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        if action == "drop":
+            node.pop(path[-1], None)
+        else:
+            node[path[-1] if action == "set" else path[-1] + "_x"] = value
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        loaded = load_config(path)
+    except ConfigError:
+        return
+    scenario_from_config(loaded)
