@@ -5,7 +5,7 @@ Layout:
     potentials   closed-form potential catalogue + hypothesis audits
     grid         radial mesh, Simpson quadrature, weights, energies
     dynamics     u = r*phi method-of-lines integrator (RK4 on orders 2/4/6,
-                 leapfrog on order 2)
+                 leapfrog on order 2, its fourth-order composition at H = 0)
     virials      one-pass diagnostics record: virials, rates, energies
     experiments  canned decay scenarios with pass/fail verdicts
     cli          JSON-config command line front end

@@ -12,9 +12,10 @@ range outgrowing the leapfrog step); ``audit`` and ``audit-suite``: 1 on a
 bad family, interval or sample count, 2 on an expected-class mismatch.
 
 ``time.scheme`` picks the time integrator: ``"rk4"`` (the default, any
-``time.space_order``) or ``"leapfrog"`` (``space_order`` 2 only, any
-``hubble``; its step is also bounded by the potential's stiffness, see
-``inflaton.dynamics``).
+``time.space_order``), ``"leapfrog"`` (``space_order`` 2 only, any
+``hubble``) or ``"leapfrog4"`` (any ``space_order``, ``hubble`` 0 only, also
+in ``sweep.hubbles``).  Every scheme's step is also bounded by the
+potential's stiffness, see ``inflaton.dynamics``.
 
 One run is single-threaded and bit-reproducible: identical configs yield
 identical CSV bytes.  ``sweep`` parallelizes across runs only; the worker
@@ -125,8 +126,9 @@ def _load_value(value, kind, path: str, errors: list):
                 _finite(v) and not isinstance(v, bool) for v in value):
             return [float(v) for v in value]
         errors.append(f"{path}: expected non-empty list of finite numbers")
-    elif kind is int and isinstance(value, bool):
-        errors.append(f"{path}: expected integer, got bool")
+    elif kind in (int, float) and isinstance(value, bool):
+        name = "integer" if kind is int else "number"
+        errors.append(f"{path}: expected {name}, got bool")
     elif not isinstance(value, (int, float) if kind is float else kind):
         name = "number" if kind is float else kind.__name__
         errors.append(f"{path}: expected {name}, got {type(value).__name__}")
@@ -392,6 +394,7 @@ def cmd_sweep(args) -> int:
     out_root = Path(args.out) if args.out else Path(cfg["name"] + "-sweep")
 
     jobs = []
+    seen: dict[str, int] = {}
     try:    # every job is checked before any output exists
         for amp in amplitudes:
             for hub in hubbles:
@@ -399,6 +402,9 @@ def cmd_sweep(args) -> int:
                 if jit > 0.0:
                     a *= 1.0 + jit / 100.0 * float(rng.uniform(-1.0, 1.0))
                 name = f"a{amp:g}_H{hub:g}"
+                seen[name] = seen.get(name, 0) + 1
+                if seen[name] > 1:      # a repeated pair gets its own directory
+                    name = f"{name}-{seen[name]}"
                 job = replace(base, name=f"{base.name}-{name}", amplitude=a, hubble=hub)
                 jobs.append((job, name, str(out_root / name), cfg["emit_plots"]))
     except ValueError as exc:

@@ -13,12 +13,11 @@ The outer Dirichlet row is only valid while the support stays away from
 r_max, which the support monitor enforces (abort, not absorbing layers --
 absorbing boundaries would contaminate the virial diagnostics).
 
-Two time schemes are offered.  ``"rk4"`` (the default) is classical RK4
-on any stencil order and any H >= 0, with four force evaluations per step
-and dt <= cfl * dr.  ``"leapfrog"`` is kick-drift-kick leapfrog (velocity
-Verlet) on the three-point stencil, for any H >= 0, with one force
-evaluation per step.  With v+ = (u^{n+1} - u^n) / dt and
-v- = (u^n - u^{n-1}) / dt it is
+Three time schemes are offered.  ``"rk4"`` (the default) is classical RK4
+on any stencil order and any H >= 0, with four force evaluations per step.
+``"leapfrog"`` is kick-drift-kick leapfrog (velocity Verlet) on the
+three-point stencil, for any H >= 0, with one force evaluation per step.
+With v+ = (u^{n+1} - u^n) / dt and v- = (u^n - u^{n-1}) / dt it is
 
     v+ (1 + m^2 dt^2/4 + 3H dt/2) = v- (1 + m^2 dt^2/4 - 3H dt/2) + dt A_n,
     A_n = e^{-2H t_n} D2 u^n - r f(u^n / r),
@@ -28,17 +27,31 @@ m^2 = max(0, f'(0)) weighted as (u^{n+1} + 2u^n + u^{n-1})/4; the velocity
 at the integer time level is (v+ + v-)/2.  For u_tt = u_rr it is exact on
 the lattice at dt = dr (the CFL "magic" time step): its numerical domain
 of dependence is the physical light cone, so the 1e-13 support front shows
-no dispersive precursor.  The weighted mass adds no stiffness; the rest of
-the potential term does: with L = max(0, sup f' - m^2) over the field range
-the run visits, von Neumann stability needs dt^2 (4/dr^2 + L) <= 4, i.e.
+no dispersive precursor.  ``"leapfrog4"`` composes that step as the
+symmetric "triple jump" w1 dt, w0 dt, w1 dt, w1 = 1/(2 - 2^{1/3}),
+w0 = -2^{1/3} w1 (Yoshida, Phys. Lett. A 150 (1990) 262): fourth order in
+time, any stencil order, three force evaluations per step, H = 0 only (the
+negative substep would run the friction backwards).  It fills the quiet
+tail ahead of the front with slow subnormals, so each composed step
+flushes entries of u, u_t and the carried acceleration below the smallest
+normal double to 0, as a hardware flush-to-zero mode would.
 
-    dt <= cfl* dr,   cfl* = 1 / sqrt(1 + L dr^2 / 4).
+One stability bound covers every scheme.  The leapfrogs' weighted mass
+adds no stiffness, the rest of the potential does: with
+L = max(0, sup f' - m^2) over the visited field range (max(0, sup f') for
+RK4, which has no implicit mass), von Neumann stability needs
 
-The comoving wave speed e^{-Ht} <= 1 and the centred friction keep this
-bound at H > 0.  The leapfrog step is 0.99995 * min(cfl, cfl*) * dr, with
-L taken over +-2 sup|phi(0)|; when sup|phi| at a snapshot leaves that
-window, L is recomputed on the wider window and the run aborts
-(StiffnessViolation) once its fixed step exceeds the new bound.
+    dt <= cfl* dr,   cfl* = beta / sqrt(rho_p + L dr^2),
+
+with rho_p = 4, 16/3, 272/45 the symbol maximum of the order-2, 4, 6
+stencil and beta = 2 (leapfrog), 1.5734 (leapfrog4), 2 sqrt 2 (RK4) the
+scheme's stability interval; leapfrog at order 2 has cfl* =
+1 / sqrt(1 + L dr^2 / 4).  The wave speed e^{-Ht} <= 1 and the friction
+keep the bound at H > 0.  L is taken over +-2 sup|phi(0)|.  The leapfrogs
+step at min(cfl dr, 0.99995 cfl* dr) and abort (StiffnessViolation) once
+sup|phi| at a snapshot widens the window so far that the step exceeds the
+new bound; RK4 steps at cfl dr and refuses (CflViolation) a cfl dr above
+its bound.
 """
 
 from __future__ import annotations
@@ -74,10 +87,19 @@ __all__ = [
 ]
 
 SUPPORT_THRESHOLD = 1e-13
-SCHEMES = ("rk4", "leapfrog")
+SCHEMES = ("rk4", "leapfrog", "leapfrog4")
 SPACE_ORDERS = (2, 4, 6)
 # the default leapfrog step stays this fraction below its stability bound
 LEAPFROG_SAFETY = 0.99995
+# triple-jump substep weights of leapfrog4
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+W0 = -(2.0 ** (1.0 / 3.0)) * W1
+# beta: each scheme's stability interval (leapfrog4's to k dt = 1.57340)
+STABILITY = {"rk4": 2.0 * math.sqrt(2.0), "leapfrog": 2.0, "leapfrog4": 1.5734}
+# rho_p: symbol maximum of the order-p second-derivative stencil
+SYMBOL_MAX = {2: 4.0, 4: 16.0 / 3.0, 6: 272.0 / 45.0}
+# entries below the smallest normal double are flushed after a leapfrog4 step
+TINY = np.finfo(float).tiny
 
 
 class CflViolation(ValueError):
@@ -93,21 +115,18 @@ class NonFiniteField(RuntimeError):
 
 
 class StiffnessViolation(RuntimeError):
-    """The field left the range its leapfrog step was sized for, and the
-    fixed step now exceeds the stiffness bound cfl* dr of the wider range."""
+    """The field left the range its leapfrog(4) step was sized for, and the
+    fixed step now exceeds the stability bound cfl* dr of the wider range."""
 
 
 @dataclass
 class SolverConfig:
     """Evolution parameters.
 
-    ``scheme`` is ``"rk4"`` (any stencil order) or ``"leapfrog"`` (the
-    order-2 stencil only; see the module docstring); both take any
-    H >= 0.  The wave speed e^{-Ht} never exceeds 1 for H >= 0, so for
-    RK4 the single bound dt <= cfl * dr covers every Hubble value.  The
-    leapfrog step is further bounded by the stiffness of the potential
-    beyond its linear mass: dt <= min(cfl, cfl*) * dr with
-    cfl* = 1 / sqrt(1 + L dr^2 / 4), L = max(0, sup f' - m^2).
+    ``scheme`` is ``"rk4"`` (any stencil order, any H >= 0), ``"leapfrog"``
+    (the order-2 stencil only, any H >= 0) or ``"leapfrog4"`` (any stencil
+    order, H = 0 only); see the module docstring.  Every step satisfies
+    dt <= cfl * dr and the scheme's stability bound dt <= cfl* dr.
     """
 
     t_end: float
@@ -134,6 +153,8 @@ class SolverConfig:
             raise ValueError(f"scheme: must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "leapfrog" and self.space_order != 2:
             raise ValueError("space_order: leapfrog needs space_order 2")
+        if self.scheme == "leapfrog4" and self.hubble != 0:
+            raise ValueError(f"hubble: leapfrog4 needs hubble 0, got {self.hubble}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt: must be > 0, got {self.dt}")
 
@@ -144,26 +165,26 @@ def cfl_dt(grid: RadialGrid, cfg: SolverConfig) -> float:
 
 
 def linear_mass(spec: PotentialSpec | None) -> float:
-    """m^2 = max(0, f'(0)), the part of the force the leapfrog weights over
+    """m^2 = max(0, f'(0)), the part of the force the leapfrogs weight over
     three time levels instead of taking it explicitly."""
     if spec is None:
         return 0.0
     return max(0.0, float(eval_fprime(spec, 0.0)))
 
 
-def stiffness_cfl(spec: PotentialSpec | None, half_width: float, dr: float) -> float:
-    """Leapfrog stability limit cfl* = 1 / sqrt(1 + L dr^2 / 4).
-
-    L = max(0, sup f' - m^2) with f' sampled over [-half_width, half_width],
-    clipped to the family's domain, and m^2 = ``linear_mass(spec)``; f' <= m^2
-    adds no stiffness.
-    """
-    if spec is None:
-        return 1.0
-    lo = max(-half_width, spec.domain_lo + 0.1)
-    fprime = eval_fprime(spec, np.linspace(lo, half_width, 2001))
-    stiffness = max(0.0, float(np.max(fprime)) - linear_mass(spec))
-    return 1.0 / math.sqrt(1.0 + 0.25 * stiffness * dr * dr)
+def stiffness_cfl(spec: PotentialSpec | None, half_width: float, dr: float,
+                  scheme: str = "leapfrog", order: int = 2) -> float:
+    """Stability limit cfl* = beta / sqrt(rho_p + L dr^2) of ``scheme`` on the
+    order-``order`` stencil; L = max(0, sup f' - m^2) with f' sampled over
+    [-half_width, half_width], clipped to the family's domain, and
+    m^2 = ``linear_mass(spec)`` for the leapfrogs, 0 for RK4."""
+    stiffness = 0.0
+    if spec is not None:
+        lo = max(-half_width, spec.domain_lo + 0.1)
+        fprime = eval_fprime(spec, np.linspace(lo, half_width, 2001))
+        mass2 = 0.0 if scheme == "rk4" else linear_mass(spec)
+        stiffness = max(0.0, float(np.max(fprime)) - mass2)
+    return STABILITY[scheme] / math.sqrt(SYMBOL_MAX[order] + stiffness * dr * dr)
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +416,27 @@ def _sup_phi(state: FieldState) -> float:
 
 def _resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
                 state: FieldState) -> float:
-    """Time-step ceiling of a run from ``state``; refuses an explicit dt
-    above the CFL bound or, for leapfrog, above the stiffness bound."""
+    """Time-step ceiling of a run from ``state``; refuses an explicit dt above
+    cfl * dr or the stability bound, and an RK4 cfl * dr above the bound."""
     limit = cfl_dt(grid, cfg)
-    stable = math.inf
-    if cfg.scheme == "leapfrog":
-        stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr) * grid.dr
+    stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr, cfg.scheme,
+                           cfg.space_order) * grid.dr
     if cfg.dt is not None:
         if cfg.dt > limit * (1.0 + 1e-12):
             raise CflViolation(f"dt={cfg.dt} exceeds cfl*dr={limit}")
         if cfg.dt > stable:
             raise CflViolation(
-                f"dt={cfg.dt} exceeds the leapfrog stiffness bound cfl* dr = "
+                f"dt={cfg.dt} exceeds the {cfg.scheme} stability bound cfl* dr = "
                 f"{stable:.6g}; admissible dt <= {min(limit, stable):.6g}")
         return cfg.dt
     if not stable > 0.0:
         raise CflViolation("the potential's stiffness on the visited window "
-                           "admits no positive leapfrog step")
-    return LEAPFROG_SAFETY * min(limit, stable) if cfg.scheme == "leapfrog" else limit
+                           f"admits no positive {cfg.scheme} step")
+    if cfg.scheme == "rk4" and limit > stable:
+        raise CflViolation(
+            f"the rk4 step cfl*dr = {limit:.6g} exceeds its stability bound "
+            f"cfl* dr = {stable:.6g}; admissible dt <= {stable:.6g}")
+    return limit if cfg.scheme == "rk4" else min(limit, LEAPFROG_SAFETY * stable)
 
 
 def _rk4(u: np.ndarray, u_t: np.ndarray, t: float, dt: float, hubble: float,
@@ -445,35 +469,54 @@ def _leapfrog_coefficients(dt: float, hubble: float,
 
 def _leapfrog(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
               dt: float, hubble: float, coef: tuple[float, float, float, float],
-              spec: PotentialSpec | None,
-              grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One kick-drift-kick step on the order-2 stencil, ending at ``t_new``;
-    ``acc`` is A_n at the start and the returned one is A_{n+1} at the end
-    (A without the friction, see the module docstring)."""
+              spec: PotentialSpec | None, grid: RadialGrid,
+              order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One kick-drift-kick step on the order-``order`` stencil, ending at
+    ``t_new``; ``acc`` is A_n at the start and the returned one is A_{n+1} at
+    the end (A without the friction, see the module docstring)."""
     kick, kick_acc, land, land_acc = coef
     vn = kick_acc * acc
     vn += kick * u_t
     un = u + dt * vn
     un[0] = un[-1] = 0.0
-    acc = _accel(un, None, t_new, hubble, spec, grid, 2)
+    acc = _accel(un, None, t_new, hubble, spec, grid, order)
     vn *= land
     vn += land_acc * acc
     vn[0] = vn[-1] = 0.0
     return un, vn, acc
 
 
+def _substeps(dt: float, cfg: SolverConfig, mass2: float) -> list[tuple[float, tuple]]:
+    """(substep, kick weights) of each substep of a leapfrog(4) step."""
+    steps = (W1 * dt, W0 * dt, W1 * dt) if cfg.scheme == "leapfrog4" else (dt,)
+    return [(h, _leapfrog_coefficients(h, cfg.hubble, mass2)) for h in steps]
+
+
+def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
+         subs: list, cfg: SolverConfig, spec: PotentialSpec | None,
+         grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One leapfrog or leapfrog4 step ending at ``t_new``; the substeps of
+    leapfrog4 (H = 0) all pass ``t_new``, which only the friction reads."""
+    for h, coef in subs:
+        u, u_t, acc = _leapfrog(u, u_t, acc, t_new, h, cfg.hubble, coef, spec, grid,
+                                cfg.space_order)
+    if len(subs) > 1:       # leapfrog4
+        for values in (u, u_t, acc):
+            values[np.abs(values) < TINY] = 0.0
+    return u, u_t, acc
+
+
 def step(state: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
          grid: RadialGrid) -> FieldState:
     """One step of ``cfg.scheme``; boundary values re-imposed afterwards."""
     dt = _resolve_dt(grid, cfg, spec, state)
-    if cfg.scheme == "leapfrog":
-        coef = _leapfrog_coefficients(dt, cfg.hubble, linear_mass(spec))
-        acc = _accel(state.u, None, state.t, cfg.hubble, spec, grid, 2)
-        u, u_t, _ = _leapfrog(state.u, state.u_t, acc, state.t + dt, dt,
-                              cfg.hubble, coef, spec, grid)
-    else:
+    if cfg.scheme == "rk4":
         u, u_t = _rk4(state.u, state.u_t, state.t, dt, cfg.hubble, spec, grid,
                       cfg.space_order)
+    else:
+        acc = _accel(state.u, None, state.t, cfg.hubble, spec, grid, cfg.space_order)
+        u, u_t, _ = _kdk(state.u, state.u_t, acc, state.t + dt,
+                         _substeps(dt, cfg, linear_mass(spec)), cfg, spec, grid)
     return FieldState(state.t + dt, u, u_t, grid, cfg.space_order)
 
 
@@ -484,9 +527,9 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     every ``output_every`` steps (always at the start and the final step).
 
     Aborts with SupportOverflow once the support comes within 4 dr of
-    r_max, with NonFiniteField on NaN/Inf, and (leapfrog) with
+    r_max, with NonFiniteField on NaN/Inf, and (leapfrog, leapfrog4) with
     StiffnessViolation once sup|phi| at a snapshot widens the visited
-    window so far that the fixed step exceeds its stiffness bound.
+    window so far that the fixed step exceeds its stability bound.
     """
     dt_max = _resolve_dt(grid, cfg, spec, state0)
     if cfg.t_end == 0.0:
@@ -504,7 +547,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     def snapshot(k: int) -> FieldState:
         return FieldState(t0 + k * dt, u.copy(), u_t.copy(), grid, cfg.space_order)
 
-    leapfrog = cfg.scheme == "leapfrog"
+    kdk = cfg.scheme != "rk4"
     window = 2.0 * _sup_phi(state0)
 
     def check_window(state: FieldState) -> None:
@@ -513,17 +556,18 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         if sup <= 0.5 * window:
             return
         window = 2.0 * sup
-        bound = stiffness_cfl(spec, window, grid.dr) * grid.dr
+        bound = stiffness_cfl(spec, window, grid.dr, cfg.scheme,
+                              cfg.space_order) * grid.dr
         if dt > bound:
             raise StiffnessViolation(
                 f"sup|phi|={sup:.4g} at t={state.t:.6g} widens the visited "
-                f"window to +-{window:.4g}; there the leapfrog step dt={dt:.6g} "
+                f"window to +-{window:.4g}; there the {cfg.scheme} step dt={dt:.6g} "
                 f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
 
     def inspect(state: FieldState) -> None:
         if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.u_t))):
             raise NonFiniteField(f"non-finite field at t={state.t:.6g}")
-        if leapfrog:
+        if kdk:
             check_window(state)
         radius = monitor.observe(state) if monitor is not None else support_radius(state)
         if radius >= grid.r_max - 4.0 * grid.dr:
@@ -534,13 +578,12 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
             observer(state)
 
     inspect(snapshot(0))
-    if leapfrog:
-        coef = _leapfrog_coefficients(dt, cfg.hubble, linear_mass(spec))
-        acc = _accel(u, None, t0, cfg.hubble, spec, grid, 2)
+    if kdk:
+        subs = _substeps(dt, cfg, linear_mass(spec))
+        acc = _accel(u, None, t0, cfg.hubble, spec, grid, cfg.space_order)
     for k in range(1, n_steps + 1):
-        if leapfrog:
-            u, u_t, acc = _leapfrog(u, u_t, acc, t0 + k * dt, dt, cfg.hubble,
-                                    coef, spec, grid)
+        if kdk:
+            u, u_t, acc = _kdk(u, u_t, acc, t0 + k * dt, subs, cfg, spec, grid)
         else:
             u, u_t = _rk4(u, u_t, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
                           cfg.space_order)

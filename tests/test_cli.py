@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
                           render_line_plot, scenario_from_config)
+from inflaton.dynamics import CflViolation
+from inflaton.experiments import Scenario, run_scenario
+from inflaton.potentials import PotentialSpec
 from inflaton.virials import CSV_COLUMNS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,6 +70,21 @@ def test_load_config_missing_and_typed(tmp_path):
         load_config(path)
     msg = str(err.value)
     assert "potential" in msg and "time.t_end" in msg
+
+
+def test_load_config_rejects_bools_for_numbers(tmp_path):
+    # a JSON bool is an int to Python: it once loaded as H = 1.0 and cfl 1.0
+    cfg = tiny_config(hubble=True)
+    cfg["time"].update(cfl=True, output_every=False)
+    cfg["sweep"] = {"amplitudes": [0.1], "jitter_pct": True}
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    msg = str(err.value)
+    for key in ("hubble", "time.cfl", "sweep.jitter_pct"):
+        assert f"{key}: expected number, got bool" in msg
+    assert "time.output_every: expected integer, got bool" in msg
+    assert main(["simulate", str(path), "--out", str(tmp_path / "bool")]) == 1
 
 
 def test_load_config_parse_error_has_position(tmp_path):
@@ -249,6 +267,24 @@ def test_sweep(tmp_path, monkeypatch):
         assert (out / name / "verdict.json").exists()
 
 
+def test_sweep_keeps_repeated_jobs_apart(tmp_path, monkeypatch):
+    # a repeated amplitude draws its own jitter and gets its own directory
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    cfg = tiny_config(seed=3)
+    cfg["time"]["t_end"] = 1.0
+    cfg["sweep"] = {"amplitudes": [0.3, 0.3], "hubbles": [0.0], "jitter_pct": 10.0}
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "summary.csv").read_text().strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["a0.3_H0", "a0.3_H0-2"]
+    assert rows[0][1] != rows[1][1]
+    for name in (row[0] for row in rows):
+        verdict = json.loads((out / name / "verdict.json").read_text())
+        assert verdict["name"] == f"tiny-{name}"
+        assert (out / name / "series.csv").is_file()
+
+
 def test_sweep_parallel_matches_sequential(tmp_path, monkeypatch):
     cfg = tiny_config()
     cfg["sweep"] = {"amplitudes": [0.2, 0.4], "hubbles": [0.0, 0.5]}
@@ -409,6 +445,39 @@ def test_leapfrog_unstable_step_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["aborted"].startswith("StiffnessViolation")
+
+
+def test_rk4_refuses_a_step_above_its_stability_bound(tmp_path, capsys):
+    # E3 at amplitude -3: sup f' ~ 1.5e17 on the window +-6, so the RK4 bound
+    # 2 sqrt 2 / sqrt(16/3 / dr^2 + sup f') is 7.2e-9 against cfl dr = 0.0195;
+    # stepped at cfl dr, the run grew its energy 5.9e4-fold and read passed
+    scn = Scenario(name="e3", spec=PotentialSpec("E", n=3), amplitude=-3.0, t_end=0.5)
+    with pytest.raises(CflViolation, match=r"rk4 step .* admissible dt <= 7\.2\d*e-09"):
+        run_scenario(scn)
+    cfg = tiny_config(potential="E3")
+    cfg["initial"]["amplitude"] = -3.0
+    out = tmp_path / "e3"
+    assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert "admissible dt <=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_config_leapfrog4_needs_hubble_0(tmp_path, monkeypatch, capsys):
+    cfg = tiny_config()
+    cfg["time"].update(scheme="leapfrog4", space_order=6)
+    assert load_config(write_config(tmp_path, cfg))["time"]["scheme"] == "leapfrog4"
+    message = "leapfrog4 needs hubble 0"
+    with pytest.raises(ConfigError, match=f"^hubble: {message}"):
+        load_config(write_config(tmp_path, {**cfg, "hubble": 0.5}))
+    assert main(["simulate", str(write_config(tmp_path, {**cfg, "hubble": 0.5})),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert f"config error: hubble: {message}" in capsys.readouterr().err
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    swept = {**cfg, "sweep": {"amplitudes": [0.1], "hubbles": [0.0, 1.0]}}
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(write_config(tmp_path, swept)), "--out", str(out)]) == 1
+    assert f"config error: sweep.hubbles: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block,key,value,message", [

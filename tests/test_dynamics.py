@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
                                SupportOverflow, bump_profile, cfl_dt, evolve,
                                gaussian_profile, initial_state, rhs, step,
                                linear_mass, stiffness_cfl, support_radius)
+from inflaton.experiments import energy_conservation_scenario
 from inflaton.grid import RadialGrid, energy, energy_density
 from inflaton.potentials import PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
@@ -300,7 +303,8 @@ def test_leapfrog_stiffness_bound_refuses_explicit_dt(small_grid):
     assert stiffness_cfl(None, 2.0, dr) == 1.0
 
 
-@pytest.mark.parametrize("scheme, per_step", [("leapfrog", 1), ("rk4", 4)])
+@pytest.mark.parametrize("scheme, per_step", [("leapfrog", 1), ("leapfrog4", 3),
+                                              ("rk4", 4)])
 def test_force_evaluations_per_step(small_grid, monkeypatch, scheme, per_step):
     calls = []
     real_eval_f = dynamics.eval_f
@@ -311,14 +315,14 @@ def test_force_evaluations_per_step(small_grid, monkeypatch, scheme, per_step):
 
     monkeypatch.setattr(dynamics, "eval_f", counting)
     state = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=2)
-    cfg = SolverConfig(t_end=2.0, cfl=1.0 if scheme == "leapfrog" else 0.5,
+    cfg = SolverConfig(t_end=2.0, cfl=0.5 if scheme == "rk4" else 1.0,
                        space_order=2, output_every=5, scheme=scheme)
     seen = []
     evolve(state, cfg, PotentialSpec("T", n=1), small_grid,
            observer=lambda s: seen.append(s.t))
     n_steps = round(2.0 / ((seen[1] - seen[0]) / 5))
-    # leapfrog: one per step plus the acceleration of the initial data
-    assert len(calls) == per_step * n_steps + (scheme == "leapfrog")
+    # leapfrogs: per step plus the acceleration of the initial data
+    assert len(calls) == per_step * n_steps + (scheme != "rk4")
     assert len(seen) == n_steps // 5 + 1 + (n_steps % 5 != 0)
 
 
@@ -388,3 +392,90 @@ def test_leapfrog_second_order_in_time_at_hubble():
     assert errs[0] <= 1e-2                      # measured 2.8e-3
     assert 3.5 <= errs[0] / errs[1] <= 4.5      # measured 3.93
 
+
+def _composed_trace(x: float) -> float:
+    # velocity Verlet for u'' = -u with step h, composed as the triple jump
+    def verlet(h):
+        return np.array([[1 - h * h / 2, h], [-h * (1 - h * h / 4), 1 - h * h / 2]])
+    w1, w0 = dynamics.W1, dynamics.W0
+    return float(np.trace(verlet(w1 * x) @ verlet(w0 * x) @ verlet(w1 * x)))
+
+
+def test_leapfrog4_stability_interval():
+    beta = dynamics.STABILITY["leapfrog4"]
+    assert dynamics.W1 == pytest.approx(1.3512071919596578, rel=1e-15)
+    assert 2 * dynamics.W1 + dynamics.W0 == pytest.approx(1.0, rel=1e-15)
+    # each outer substep alone exceeds the leapfrog interval 2, the composed
+    # map stays stable up to k dt = beta and no further
+    assert dynamics.W1 * beta > 2.0
+    assert all(abs(_composed_trace(x)) <= 2.0 for x in np.linspace(0.0, beta, 20001))
+    assert abs(_composed_trace(beta + 1e-4)) > 2.0
+    # the one bound: beta / sqrt(rho_p + L dr^2) for every scheme and order
+    assert stiffness_cfl(None, 1.0, 0.1, "leapfrog4", 6) == pytest.approx(
+        beta / np.sqrt(272 / 45))
+    assert stiffness_cfl(None, 1.0, 0.1, "rk4", 4) == pytest.approx(
+        2 * np.sqrt(2) / np.sqrt(16 / 3))
+
+
+def test_leapfrog4_fourth_order_in_time():
+    # same grid and stencil, so the difference to a fine-step RK4 run is the
+    # time error alone: halving dt cuts it about sixteenfold
+    g = RadialGrid(20.0, 256)
+    spec = PotentialSpec("T", n=1)
+    state = initial_state(g, 1.0, 5.0, 2.0, space_order=2)
+
+    def run(scheme, frac):
+        cfg = SolverConfig(t_end=2.0, cfl=1.0, space_order=2, output_every=10**9,
+                           scheme=scheme, dt=frac * g.dr)
+        return evolve(state, cfg, spec, g).u
+
+    ref = run("rk4", 1 / 64)
+    errs = [np.linalg.norm(run("leapfrog4", frac) - ref) / np.linalg.norm(ref)
+            for frac in (0.25, 0.125)]
+    assert errs[0] <= 1e-3                      # measured 6.3e-5
+    assert 14.0 <= errs[0] / errs[1] <= 18.0    # measured 15.96
+
+
+def test_leapfrog4_refuses_steps_above_its_bound(small_grid):
+    dr = small_grid.dr
+    spec = PotentialSpec("T", n=1)          # all of sup f' is linear mass
+    bound = stiffness_cfl(spec, 2.0, dr, "leapfrog4", 6) * dr
+    assert bound == pytest.approx(1.5734 / np.sqrt(272 / 45) * dr)   # 0.64 dr
+    state = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=6)
+    too_big = SolverConfig(t_end=1.0, cfl=1.0, space_order=6, scheme="leapfrog4",
+                           dt=1.01 * bound)
+    with pytest.raises(CflViolation, match="leapfrog4 stability bound.*admissible dt"):
+        evolve(state, too_big, spec, small_grid)
+    with pytest.raises(CflViolation, match="admissible dt"):
+        step(state, too_big, spec, small_grid)
+    new = step(state, replace(too_big, dt=bound), spec, small_grid)
+    assert new.t == bound and new.u[0] == new.u[-1] == 0.0
+    with pytest.raises(ValueError, match="hubble: leapfrog4 needs hubble 0"):
+        SolverConfig(t_end=1.0, hubble=0.5, scheme="leapfrog4")
+
+
+def test_leapfrog4_default_step_rule(small_grid):
+    # cfl dr below the stability bound, 0.99995 of the bound above it
+    dr = small_grid.dr
+    state = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=6)
+    bound = stiffness_cfl(None, 2.0, dr, "leapfrog4", 6) * dr
+    for cfl, expected in ((0.5, 0.5 * dr), (1.0, dynamics.LEAPFROG_SAFETY * bound)):
+        cfg = SolverConfig(t_end=1.0, cfl=cfl, space_order=6, scheme="leapfrog4")
+        assert dynamics._resolve_dt(small_grid, cfg, None, state) == expected
+
+
+def test_leapfrog4_snapshots_hold_no_subnormals():
+    # the composition fills the quiet tail ahead of the front with
+    # subnormals (731 in the t = 10 snapshot without the flush); each
+    # composed step flushes them to 0
+    scn = replace(energy_conservation_scenario(), t_end=10.0)
+    grid = scn.grid()
+    tiny = np.finfo(float).tiny
+    counts = []
+
+    def observe(s):
+        values = np.concatenate([s.u, s.u_t])
+        counts.append(int(np.count_nonzero((values != 0.0) & (np.abs(values) < tiny))))
+
+    evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid, observer=observe)
+    assert len(counts) == 5 and counts == [0] * 5

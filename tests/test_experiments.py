@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from inflaton.experiments import (ConvergenceReport, Scenario,
-                                  ScenarioClassError, breather_scan,
-                                  run_convergence_study, run_exploratory_scenario,
+                                  ScenarioClassError, run_convergence_study, run_exploratory_scenario,
                                   run_potential_audit_suite, run_scenario,
                                   run_thm1_scenario, run_thm2_scenario,
                                   run_thm3_scenario, thm1_suite, thm2_suite,
                                   thm3_suite, _enforce_mode_preconditions,
-                                  _grade, _suite_scenario)
+                                  _grade, _suite_scenario, _uniform_prefix)
 from inflaton.dynamics import SupportMonitor
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import VirialSample
@@ -214,6 +213,45 @@ def test_committed_suites_are_well_formed():
     assert len(thm2_suite()) == 5
 
 
+# exploratory probes on a sampled series; only these tests run them
+
+
+def w_rate_ratio(samples) -> np.ndarray:
+    """Diagnostic |dW/dt| / W at interior output times, for inspection.
+
+    The weighted norm obeys a Gronwall-type bound |dW/dt| <= C W with an
+    implicit constant; this exposes the sampled ratio and asserts nothing.
+    """
+    ts = np.array([s.t for s in samples])
+    w = np.array([s.W for s in samples])
+    if len(w) < 3:
+        return np.empty(0)
+    m = _uniform_prefix(ts)
+    dt = ts[1] - ts[0]
+    fd = np.abs(w[2:m] - w[:m - 2]) / (2.0 * dt)
+    return fd / np.maximum(w[1:m - 1], 1e-300)
+
+
+def breather_scan(samples) -> dict:
+    """Exploratory periodicity probe on W(t): autocorrelation of the
+    mean-removed tail.  Evidence only; never asserted by the suite."""
+    ts = np.array([s.t for s in samples])
+    w = np.array([s.W for s in samples])
+    if len(w) < 8:
+        return {"period": None, "peak": 0.0}
+    tail = w[len(w) // 4:] - np.mean(w[len(w) // 4:])
+    if np.allclose(tail, 0.0):
+        return {"period": None, "peak": 0.0}
+    ac = np.correlate(tail, tail, mode="full")[len(tail) - 1:]
+    ac /= ac[0]
+    # first local max after the zero-lag peak
+    for k in range(1, len(ac) - 1):
+        if ac[k] >= ac[k - 1] and ac[k] >= ac[k + 1] and ac[k] > 0.2:
+            dt = ts[1] - ts[0] if len(ts) > 1 else 1.0
+            return {"period": float(k * dt), "peak": float(ac[k])}
+    return {"period": None, "peak": float(np.max(ac[1:])) if len(ac) > 1 else 0.0}
+
+
 def test_breather_scan_smoke(thm3_run):
     out = breather_scan(thm3_run.samples)
     assert set(out) == {"period", "peak"}
@@ -222,7 +260,6 @@ def test_breather_scan_smoke(thm3_run):
 
 
 def test_w_rate_ratio_diagnostic(virial_run):
-    from inflaton.experiments import w_rate_ratio
     ratios = w_rate_ratio(virial_run.samples)
     assert len(ratios) == len(virial_run.samples) - 2
     assert np.all(np.isfinite(ratios)) and np.all(ratios >= 0.0)
