@@ -6,6 +6,7 @@ Layout:
     grid         radial mesh, Simpson quadrature, weights, energies
     dynamics     u = r*phi method-of-lines integrator (RK4 on orders 2/4/6,
                  leapfrog on order 2, its fourth-order composition at H = 0)
+                 and the one time-step rule, resolve_dt
     virials      one-pass diagnostics record: virials, rates, energies
     experiments  canned decay scenarios with pass/fail verdicts
     cli          JSON-config command line front end
@@ -16,10 +17,10 @@ from .potentials import (PotentialSpec, PotentialAuditReport, parse_family,
                          classify_theorem, dbrane_virial_closed_form)
 from .grid import (RadialGrid, WeightTables, integrate, weighted_h1_sq,
                    weighted_l2_sq, energy_density, energy, ball_energy,
-                   exterior_cone_energy, radial_sup_check)
+                   exterior_cone_energy)
 from .dynamics import (FieldState, SolverConfig, SupportMonitor, bump_profile,
-                       gaussian_profile, initial_state, rhs, step, evolve,
-                       cfl_dt, support_radius)
+                       gaussian_profile, initial_state, rhs, evolve,
+                       resolve_dt, support_radius)
 from .virials import VirialSample, sample_diagnostics
 from .experiments import (Scenario, DecayVerdict, run_scenario,
                           run_thm1_scenario, run_thm2_scenario,

@@ -5,11 +5,13 @@ A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``); the
 types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
 
 Exit codes for ``simulate`` and ``sweep``: 0 verdict passed, 1 malformed
-config (also a time step the run refuses as unstable, and a sweep job
-``Scenario`` rejects, before any output), 2 verdict failed, 3 run aborted
-(support overflow / non-finite field / potential domain violation / field
-range outgrowing the leapfrog step); ``audit`` and ``audit-suite``: 1 on a
-bad family, interval or sample count, 2 on an expected-class mismatch.
+config (also a potential whose audit does not support the mode), 2 verdict
+failed, 3 run aborted (support overflow / non-finite field / potential
+domain violation / field range outgrowing the leapfrog step); ``audit`` and
+``audit-suite``: 1 on a bad family, interval or sample count, 2 on an
+expected-class mismatch.  ``Scenario`` checks the mode's field rules and the
+step from its initial data when it is built: an unstable step is refused at
+load, and ``sweep`` builds every job's ``Scenario`` before it writes anything.
 
 ``time.scheme`` picks the time integrator: ``"rk4"`` (the default, any
 ``time.space_order``), ``"leapfrog"`` (``space_order`` 2 only, any
@@ -36,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import CflViolation
 from .experiments import (CHOICES, Scenario, ScenarioClassError, ScenarioResult,
                           run_potential_audit_suite, run_scenario)
 from .potentials import (EXPECTED_CLASS, audit_potential, coarse_class,
@@ -321,7 +322,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
         result = run_scenario(scenario_from_config(cfg))
-    except (ConfigError, ScenarioClassError, CflViolation) as exc:
+    except (ConfigError, ScenarioClassError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else Path(cfg["name"])
@@ -363,6 +364,31 @@ def cmd_audit(args) -> int:
     return 0 if EXPECTED_CLASS.get(report.label, coarse) == coarse else 2
 
 
+def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
+    """(directory name, Scenario) of each job of a loaded config's sweep; the
+    first job Scenario rejects raises its ValueError."""
+    base = scenario_from_config(cfg)
+    sweep = cfg["sweep"] or {}
+    amplitudes = sweep.get("amplitudes") or [base.amplitude]
+    hubbles = sweep.get("hubbles") or [base.hubble]
+    jit = sweep.get("jitter_pct", 0.0)
+    rng = np.random.default_rng(cfg["seed"])
+    jobs = []
+    seen: dict[str, int] = {}
+    for amp in amplitudes:
+        for hub in hubbles:
+            a = amp
+            if jit > 0.0:
+                a *= 1.0 + jit / 100.0 * float(rng.uniform(-1.0, 1.0))
+            name = f"a{amp:g}_H{hub:g}"
+            seen[name] = seen.get(name, 0) + 1
+            if seen[name] > 1:      # a repeated pair gets its own directory
+                name = f"{name}-{seen[name]}"
+            jobs.append((name, replace(base, name=f"{base.name}-{name}", amplitude=a,
+                                       hubble=hub)))
+    return jobs
+
+
 def _sweep_job(job: tuple) -> tuple[str, dict]:
     scenario, name, out_dir, emit = job
     result = run_scenario(scenario)
@@ -385,32 +411,13 @@ def cmd_sweep(args) -> int:
         print(f"error: INFLATON_THREADS must be an integer, got {threads!r}",
               file=sys.stderr)
         return 1
-    base = scenario_from_config(cfg)
-    sweep = cfg["sweep"] or {}
-    amplitudes = sweep.get("amplitudes") or [base.amplitude]
-    hubbles = sweep.get("hubbles") or [base.hubble]
-    jit = sweep.get("jitter_pct", 0.0)
-    rng = np.random.default_rng(cfg["seed"])
     out_root = Path(args.out) if args.out else Path(cfg["name"] + "-sweep")
-
-    jobs = []
-    seen: dict[str, int] = {}
     try:    # every job is checked before any output exists
-        for amp in amplitudes:
-            for hub in hubbles:
-                a = amp
-                if jit > 0.0:
-                    a *= 1.0 + jit / 100.0 * float(rng.uniform(-1.0, 1.0))
-                name = f"a{amp:g}_H{hub:g}"
-                seen[name] = seen.get(name, 0) + 1
-                if seen[name] > 1:      # a repeated pair gets its own directory
-                    name = f"{name}-{seen[name]}"
-                job = replace(base, name=f"{base.name}-{name}", amplitude=a, hubble=hub)
-                jobs.append((job, name, str(out_root / name), cfg["emit_plots"]))
+        jobs = [(scn, name, str(out_root / name), cfg["emit_plots"])
+                for name, scn in sweep_scenarios(cfg)]
     except ValueError as exc:
         print(f"config error: {_keyed(exc, _SWEEP_PATHS)}", file=sys.stderr)
         return 1
-    out_root.mkdir(parents=True, exist_ok=True)
     max_workers = max(1, min(max_workers, len(jobs)))
     try:
         if max_workers == 1:
@@ -418,7 +425,7 @@ def cmd_sweep(args) -> int:
         else:
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 results = list(pool.map(_sweep_job, jobs))
-    except (ScenarioClassError, CflViolation) as exc:
+    except ScenarioClassError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     results.sort(key=lambda kv: kv[0])

@@ -51,7 +51,9 @@ keep the bound at H > 0.  L is taken over +-2 sup|phi(0)|.  The leapfrogs
 step at min(cfl dr, 0.99995 cfl* dr) and abort (StiffnessViolation) once
 sup|phi| at a snapshot widens the window so far that the step exceeds the
 new bound; RK4 steps at cfl dr and refuses (CflViolation) a cfl dr above
-its bound.
+its bound.  ``resolve_dt`` is that one step rule; ``Scenario`` applies it
+to its initial data when it is built, so a run with a step it cannot take
+is refused before anything runs.
 """
 
 from __future__ import annotations
@@ -78,11 +80,10 @@ __all__ = [
     "gaussian_profile",
     "initial_state",
     "support_radius",
-    "cfl_dt",
     "stiffness_cfl",
     "linear_mass",
+    "resolve_dt",
     "rhs",
-    "step",
     "evolve",
 ]
 
@@ -157,11 +158,6 @@ class SolverConfig:
             raise ValueError(f"hubble: leapfrog4 needs hubble 0, got {self.hubble}")
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt: must be > 0, got {self.dt}")
-
-
-def cfl_dt(grid: RadialGrid, cfg: SolverConfig) -> float:
-    """Largest time step the CFL number admits, cfl * dr."""
-    return cfg.cfl * grid.dr
 
 
 def linear_mass(spec: PotentialSpec | None) -> float:
@@ -245,7 +241,8 @@ def _first_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
 class FieldState:
     """Snapshot (t, u, u_t) on a grid; u = r * phi.
 
-    Invariants: u[0] = u[-1] = 0 (origin regularity and outer Dirichlet).
+    Invariants: u and u_t vanish at r = 0 and r_max (origin regularity, outer
+    Dirichlet).
     The point values phi(0), phi_t(0) are reconstructed by quadratic
     extrapolation; the dynamics itself never divides by r = 0.
     """
@@ -282,9 +279,6 @@ class FieldState:
         out = np.zeros_like(self.u)
         out[1:] = (u_r[1:] - self.phi[1:]) * self.grid.r_inv[1:]
         return out
-
-    def copy(self) -> "FieldState":
-        return FieldState(self.t, self.u.copy(), self.u_t.copy(), self.grid, self.space_order)
 
 
 def support_radius(state: FieldState, threshold: float = SUPPORT_THRESHOLD) -> float:
@@ -380,17 +374,8 @@ def initial_state(grid: RadialGrid, amplitude: float, center: float, width: floa
 def rhs(state: FieldState, hubble: float, spec: PotentialSpec | None,
         grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete right-hand side (du, du_t) at the state's own time."""
-    return _rhs(state.u, state.u_t, state.t, hubble, spec, grid, state.space_order)
-
-
-def _rhs(u: np.ndarray, u_t: np.ndarray, t: float, hubble: float,
-         spec: PotentialSpec | None, grid: RadialGrid,
-         order: int) -> tuple[np.ndarray, np.ndarray]:
-    du_t = _accel(u, u_t, t, hubble, spec, grid, order)
-    du = u_t.copy()
-    du[0] = 0.0
-    du[-1] = 0.0
-    return du, du_t
+    return state.u_t.copy(), _accel(state.u, state.u_t, state.t, hubble, spec, grid,
+                                    state.space_order)
 
 
 def _accel(u: np.ndarray, u_t: np.ndarray | None, t: float, hubble: float,
@@ -414,27 +399,28 @@ def _sup_phi(state: FieldState) -> float:
     return float(np.max(np.abs(state.phi)))
 
 
-def _resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
-                state: FieldState) -> float:
+def resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
+               state: FieldState) -> float:
     """Time-step ceiling of a run from ``state``; refuses an explicit dt above
-    cfl * dr or the stability bound, and an RK4 cfl * dr above the bound."""
-    limit = cfl_dt(grid, cfg)
+    cfl * dr or the stability bound, and an RK4 cfl * dr above the bound.
+    Each message starts with the field it is about."""
+    limit = cfg.cfl * grid.dr
     stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr, cfg.scheme,
                            cfg.space_order) * grid.dr
     if cfg.dt is not None:
         if cfg.dt > limit * (1.0 + 1e-12):
-            raise CflViolation(f"dt={cfg.dt} exceeds cfl*dr={limit}")
+            raise CflViolation(f"dt: {cfg.dt} exceeds cfl*dr = {limit:.6g}")
         if cfg.dt > stable:
             raise CflViolation(
-                f"dt={cfg.dt} exceeds the {cfg.scheme} stability bound cfl* dr = "
+                f"dt: {cfg.dt} exceeds the {cfg.scheme} stability bound cfl* dr = "
                 f"{stable:.6g}; admissible dt <= {min(limit, stable):.6g}")
         return cfg.dt
     if not stable > 0.0:
-        raise CflViolation("the potential's stiffness on the visited window "
+        raise CflViolation("cfl: the potential's stiffness on the visited window "
                            f"admits no positive {cfg.scheme} step")
     if cfg.scheme == "rk4" and limit > stable:
         raise CflViolation(
-            f"the rk4 step cfl*dr = {limit:.6g} exceeds its stability bound "
+            f"cfl: the rk4 step cfl*dr = {limit:.6g} exceeds its stability bound "
             f"cfl* dr = {stable:.6g}; admissible dt <= {stable:.6g}")
     return limit if cfg.scheme == "rk4" else min(limit, LEAPFROG_SAFETY * stable)
 
@@ -442,82 +428,60 @@ def _resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
 def _rk4(u: np.ndarray, u_t: np.ndarray, t: float, dt: float, hubble: float,
          spec: PotentialSpec | None, grid: RadialGrid,
          order: int) -> tuple[np.ndarray, np.ndarray]:
-    k1u, k1v = _rhs(u, u_t, t, hubble, spec, grid, order)
+    """One classical RK4 step; the u-derivative of each stage is its velocity,
+    whose boundary entries are 0 like those of u_t and of every _accel."""
     h = 0.5 * dt
-    k2u, k2v = _rhs(u + h * k1u, u_t + h * k1v, t + h, hubble, spec, grid, order)
-    k3u, k3v = _rhs(u + h * k2u, u_t + h * k2v, t + h, hubble, spec, grid, order)
-    k4u, k4v = _rhs(u + dt * k3u, u_t + dt * k3v, t + dt, hubble, spec, grid, order)
+    a1 = _accel(u, u_t, t, hubble, spec, grid, order)
+    v2 = u_t + h * a1
+    a2 = _accel(u + h * u_t, v2, t + h, hubble, spec, grid, order)
+    v3 = u_t + h * a2
+    a3 = _accel(u + h * v2, v3, t + h, hubble, spec, grid, order)
+    v4 = u_t + dt * a3
+    a4 = _accel(u + dt * v3, v4, t + dt, hubble, spec, grid, order)
     w = dt / 6.0
-    un = u + w * (k1u + 2.0 * (k2u + k3u) + k4u)
-    vn = u_t + w * (k1v + 2.0 * (k2v + k3v) + k4v)
+    un = u + w * (u_t + 2.0 * (v2 + v3) + v4)
+    vn = u_t + w * (a1 + 2.0 * (a2 + a3) + a4)
     un[0] = un[-1] = 0.0
     vn[0] = vn[-1] = 0.0
     return un, vn
 
 
-def _leapfrog_coefficients(dt: float, hubble: float,
-                           mass2: float) -> tuple[float, float, float, float]:
-    """Kick weights of ``_leapfrog``: with a = 1 + m^2 dt^2/4, b = 3H dt/2,
-    v+ = ((a - b) v^n + dt/2 A_n) / a and v^{n+1} = (a v+ + dt/2 A_{n+1}) / (a + b).
-    At H = 0 without a linear mass they are (1, dt/2, 1, dt/2): plain
+def _substeps(dt: float, cfg: SolverConfig,
+              mass2: float) -> list[tuple[float, float, float, float, float]]:
+    """(h, kick, kick_acc, land, land_acc) of each kick-drift-kick substep h of
+    a leapfrog(4) step: with a = 1 + m^2 h^2/4 and b = 3H h/2,
+    v+ = ((a - b) v^n + h/2 A_n) / a and v^{n+1} = (a v+ + h/2 A_{n+1}) / (a + b).
+    At H = 0 without a linear mass the weights are (1, h/2, 1, h/2): plain
     velocity Verlet."""
-    a = 1.0 + 0.25 * mass2 * dt * dt
-    b = 1.5 * hubble * dt
-    h = 0.5 * dt
-    return (a - b) / a, h / a, a / (a + b), h / (a + b)
-
-
-def _leapfrog(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
-              dt: float, hubble: float, coef: tuple[float, float, float, float],
-              spec: PotentialSpec | None, grid: RadialGrid,
-              order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One kick-drift-kick step on the order-``order`` stencil, ending at
-    ``t_new``; ``acc`` is A_n at the start and the returned one is A_{n+1} at
-    the end (A without the friction, see the module docstring)."""
-    kick, kick_acc, land, land_acc = coef
-    vn = kick_acc * acc
-    vn += kick * u_t
-    un = u + dt * vn
-    un[0] = un[-1] = 0.0
-    acc = _accel(un, None, t_new, hubble, spec, grid, order)
-    vn *= land
-    vn += land_acc * acc
-    vn[0] = vn[-1] = 0.0
-    return un, vn, acc
-
-
-def _substeps(dt: float, cfg: SolverConfig, mass2: float) -> list[tuple[float, tuple]]:
-    """(substep, kick weights) of each substep of a leapfrog(4) step."""
-    steps = (W1 * dt, W0 * dt, W1 * dt) if cfg.scheme == "leapfrog4" else (dt,)
-    return [(h, _leapfrog_coefficients(h, cfg.hubble, mass2)) for h in steps]
+    subs = []
+    for h in (W1 * dt, W0 * dt, W1 * dt) if cfg.scheme == "leapfrog4" else (dt,):
+        a = 1.0 + 0.25 * mass2 * h * h
+        b = 1.5 * cfg.hubble * h
+        subs.append((h, (a - b) / a, 0.5 * h / a, a / (a + b), 0.5 * h / (a + b)))
+    return subs
 
 
 def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
          subs: list, cfg: SolverConfig, spec: PotentialSpec | None,
          grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One leapfrog or leapfrog4 step ending at ``t_new``; the substeps of
-    leapfrog4 (H = 0) all pass ``t_new``, which only the friction reads."""
-    for h, coef in subs:
-        u, u_t, acc = _leapfrog(u, u_t, acc, t_new, h, cfg.hubble, coef, spec, grid,
-                                cfg.space_order)
+    """One leapfrog or leapfrog4 step ending at ``t_new``; ``acc`` is A_n at
+    the start and the returned one is A_{n+1} at the end (A without the
+    friction, see the module docstring).  The substeps of leapfrog4 (H = 0)
+    all pass ``t_new``, which only the friction reads."""
+    for h, kick, kick_acc, land, land_acc in subs:
+        v = kick_acc * acc
+        v += kick * u_t
+        u = u + h * v
+        u[0] = u[-1] = 0.0
+        acc = _accel(u, None, t_new, cfg.hubble, spec, grid, cfg.space_order)
+        v *= land
+        v += land_acc * acc
+        v[0] = v[-1] = 0.0
+        u_t = v
     if len(subs) > 1:       # leapfrog4
         for values in (u, u_t, acc):
             values[np.abs(values) < TINY] = 0.0
     return u, u_t, acc
-
-
-def step(state: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
-         grid: RadialGrid) -> FieldState:
-    """One step of ``cfg.scheme``; boundary values re-imposed afterwards."""
-    dt = _resolve_dt(grid, cfg, spec, state)
-    if cfg.scheme == "rk4":
-        u, u_t = _rk4(state.u, state.u_t, state.t, dt, cfg.hubble, spec, grid,
-                      cfg.space_order)
-    else:
-        acc = _accel(state.u, None, state.t, cfg.hubble, spec, grid, cfg.space_order)
-        u, u_t, _ = _kdk(state.u, state.u_t, acc, state.t + dt,
-                         _substeps(dt, cfg, linear_mass(spec)), cfg, spec, grid)
-    return FieldState(state.t + dt, u, u_t, grid, cfg.space_order)
 
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
@@ -531,7 +495,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     StiffnessViolation once sup|phi| at a snapshot widens the visited
     window so far that the fixed step exceeds its stability bound.
     """
-    dt_max = _resolve_dt(grid, cfg, spec, state0)
+    dt_max = resolve_dt(grid, cfg, spec, state0)
     if cfg.t_end == 0.0:
         if monitor is not None:
             monitor.observe(state0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, SolverConfig,
                        StiffnessViolation, SupportMonitor, SupportOverflow,
-                       bump_profile, evolve, initial_state)
+                       bump_profile, evolve, initial_state, resolve_dt)
 from .grid import RadialGrid
 from .potentials import (DomainViolation, PotentialSpec, audit_potential,
                          coarse_class, eval_fprime, parse_family, EXPECTED_CLASS,
@@ -69,7 +69,8 @@ CHOICES = {"mode": tuple(DEFAULT_THRESHOLDS), "kind": ("bump", "gaussian"),
 
 
 class ScenarioClassError(ValueError):
-    """Scenario run under a theorem label its potential audit does not support."""
+    """Scenario under a theorem label its fields or its potential audit do not
+    support."""
 
 
 @dataclass
@@ -77,7 +78,10 @@ class Scenario:
     """One reproducible run: potential + background + data + grid + horizon.
 
     The constructor, with ``RadialGrid`` and ``SolverConfig``, checks every
-    rule on the fields; each message starts with the field's name.
+    rule on the fields, the mode's field rules (ScenarioClassError) and the
+    step the solver would take from the initial data (``resolve_dt``,
+    CflViolation); each message starts with the field's name.  The mode's
+    audit-based class checks run in ``run_scenario``.
     """
 
     name: str
@@ -106,7 +110,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         grid = self.grid()
-        self.solver_config()    # rejects e.g. leapfrog with space_order 4
+        cfg = self.solver_config()      # rejects e.g. leapfrog with space_order 4
         for name in ("mode", "kind", "velocity"):
             if getattr(self, name) not in CHOICES[name]:
                 raise ValueError(f"{name}: must be one of {CHOICES[name]}")
@@ -118,13 +122,18 @@ class Scenario:
         for name in self.thresholds:
             if name not in THRESHOLD_NAMES:
                 raise ValueError(f"thresholds.{name}: not one of {THRESHOLD_NAMES}")
-        if self.dt is not None and self.dt > self.cfl * grid.dr * (1 + 1e-12):
-            raise ValueError(f"dt: {self.dt} exceeds cfl*dr = {self.cfl * grid.dr:.6g}")
+        if self.spec is None and self.mode != "exploratory":
+            raise ScenarioClassError(f"spec: mode {self.mode} needs a potential")
+        if self.mode == "thm3" and not self.hubble > 0:
+            raise ScenarioClassError(f"hubble: thm3 needs hubble > 0, got {self.hubble}")
+        if self.mode == "thm3" and not self.cone_b > 1:
+            raise ScenarioClassError(f"cone_b: thm3 needs cone_b > 1, got {self.cone_b}")
         needed = self.center + self.width + self.t_end + 5.0 * grid.dr
         if self.r_max < needed:
             raise ValueError(
                 f"r_max: grid too small for the data support plus horizon: "
                 f"{self.r_max} < {needed:.3f}")
+        resolve_dt(grid, cfg, self.spec, self.initial(grid))
 
     def grid(self) -> RadialGrid:
         return RadialGrid(self.r_max, self.n_cells)
@@ -244,20 +253,15 @@ def _saturation(ts: np.ndarray, w: np.ndarray) -> float:
 
 
 def _enforce_mode_preconditions(scn: Scenario) -> str:
-    """Check the mode's hypotheses; return the audited theorem class or "free"."""
-    if scn.mode == "exploratory" and scn.spec is None:
+    """Check the mode's audited hypotheses (the field rules are Scenario's);
+    return the audited theorem class or "free"."""
+    if scn.spec is None:        # exploratory: Scenario refuses the other modes
         return "free"
-    if scn.spec is None:
-        raise ScenarioClassError(f"mode {scn.mode} needs a potential")
     if scn.mode == "thm1":
         return _require_class(scn.spec, ("Thm1",), "thm1")
     if scn.mode == "thm2":
         return _require_class(scn.spec, ("Thm2-flatness", "Thm2-sign"), "thm2")
     if scn.mode == "thm3":
-        if scn.hubble <= 0:
-            raise ScenarioClassError("thm3 scenario needs hubble > 0")
-        if scn.cone_b <= 1:
-            raise ScenarioClassError("thm3 cone parameter b must exceed 1")
         window = max(1.0, 2.0 * abs(scn.amplitude))
         report = audit_potential(scn.spec, interval=(-window, window))
         if report.potential_min < -SIGN_TOL:

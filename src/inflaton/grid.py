@@ -24,14 +24,12 @@ __all__ = [
     "WeightTables",
     "integrate",
     "integrate_range",
-    "radial_derivative",
     "weighted_l2_sq",
     "weighted_h1_sq",
     "energy_density",
     "energy",
     "ball_energy",
     "exterior_cone_energy",
-    "radial_sup_check",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -81,18 +79,13 @@ class RadialGrid:
 class WeightTables:
     """Per-node closed-form virial weights.
 
-    psi      = r^2 / (1+r)        and its first three derivatives
+    psi      = r^2 / (1+r)        and its derivative psi'
     w_sob    = r^2 / (1+r)^4      (weighted-Sobolev density)
-    psi_m    = -(3r^2+3r+1)/(1+r)^3, with psi_m' = 3 r^2/(1+r)^4
     """
 
     psi: np.ndarray
     psi_p: np.ndarray
-    psi_pp: np.ndarray
-    psi_ppp: np.ndarray
     w_sob: np.ndarray
-    psi_m: np.ndarray
-    psi_m_p: np.ndarray
     r_sq: np.ndarray
 
     @classmethod
@@ -102,11 +95,7 @@ class WeightTables:
         return cls(
             psi=r * r / op,
             psi_p=r * (r + 2.0) / op**2,
-            psi_pp=2.0 / op**3,
-            psi_ppp=-6.0 / op**4,
             w_sob=r * r / op**4,
-            psi_m=-(3.0 * r * r + 3.0 * r + 1.0) / op**3,
-            psi_m_p=3.0 * r * r / op**4,
             r_sq=r * r,
         )
 
@@ -144,17 +133,6 @@ def integrate_range(samples: np.ndarray, grid: RadialGrid, j_lo: int, j_hi: int)
     total += (grid.dr / 3.0) * (seg[0] + seg[-1] + 4.0 * seg[1:-1:2].sum()
                                 + 2.0 * seg[2:-2:2].sum())
     return total
-
-
-def radial_derivative(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Centered d/dr of an even radial profile (ghost value[-1] = value[1])."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    dr = grid.dr
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dr)
-    out[0] = 0.0  # even symmetry
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dr)
-    return out
 
 
 def weighted_l2_sq(phi: np.ndarray, grid: RadialGrid) -> float:
@@ -195,16 +173,3 @@ def exterior_cone_energy(density: np.ndarray, t: float, b: float,
     edge = (1.0 + b) * t
     j_lo = 0 if edge <= 0.0 else int(np.floor(edge / grid.dr)) + 1
     return FOUR_PI * integrate_range(density, grid, j_lo, grid.n_cells)
-
-
-def radial_sup_check(phi: np.ndarray, grid: RadialGrid) -> tuple[float, float]:
-    """Return (sup_j |r_j phi_j|, ||phi||_{H^1} over 3-space).
-
-    Both sides of the radial sup bound; the constant is calibrated
-    empirically by the tests since no sharp value is prescribed.
-    """
-    phi = np.asarray(phi, dtype=float)
-    phi_r = radial_derivative(phi, grid)
-    sup = float(np.max(np.abs(grid.r * phi)))
-    h1 = float(np.sqrt(FOUR_PI * integrate(grid.weights.r_sq * (phi**2 + phi_r**2), grid)))
-    return sup, h1

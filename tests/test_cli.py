@@ -1,6 +1,8 @@
 import json
 import math
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
-                          render_line_plot, scenario_from_config)
-from inflaton.dynamics import CflViolation
+                          render_line_plot, scenario_from_config, sweep_scenarios)
+from inflaton.dynamics import CflViolation, resolve_dt
 from inflaton.experiments import Scenario, run_scenario
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import CSV_COLUMNS
@@ -450,10 +452,11 @@ def test_leapfrog_unstable_step_exit_codes(tmp_path, monkeypatch, capsys):
 def test_rk4_refuses_a_step_above_its_stability_bound(tmp_path, capsys):
     # E3 at amplitude -3: sup f' ~ 1.5e17 on the window +-6, so the RK4 bound
     # 2 sqrt 2 / sqrt(16/3 / dr^2 + sup f') is 7.2e-9 against cfl dr = 0.0195;
-    # stepped at cfl dr, the run grew its energy 5.9e4-fold and read passed
-    scn = Scenario(name="e3", spec=PotentialSpec("E", n=3), amplitude=-3.0, t_end=0.5)
-    with pytest.raises(CflViolation, match=r"rk4 step .* admissible dt <= 7\.2\d*e-09"):
-        run_scenario(scn)
+    # stepped at cfl dr, the run grew its energy 5.9e4-fold and read passed;
+    # the Scenario itself refuses it
+    with pytest.raises(CflViolation, match=r"^cfl: the rk4 step .* admissible dt <= 7\.2\d*e-09"):
+        run_scenario(Scenario(name="e3", spec=PotentialSpec("E", n=3), amplitude=-3.0,
+                              t_end=0.5))
     cfg = tiny_config(potential="E3")
     cfg["initial"]["amplitude"] = -3.0
     out = tmp_path / "e3"
@@ -524,6 +527,14 @@ def test_load_config_rejects_unknown_threshold_names(tmp_path):
     ({"sweep": {"amplitudes": [0.1], "hubbles": [0.0, -1.0]}},
      "sweep.hubbles: must be nonnegative"),
     ({"seed": -1, "sweep": {"amplitudes": [0.1], "jitter_pct": 5.0}}, "seed: must be >= 0"),
+    # the second job's step: E3 at amplitude -3 admits only dt <= 7.2e-9
+    ({"potential": "E3", "sweep": {"amplitudes": [0.1, -3.0]}},
+     "time.cfl: the rk4 step cfl*dr = 0.0390625 exceeds its stability bound"),
+    ({"mode": "thm3", "hubble": 1.0, "sweep": {"amplitudes": [0.1], "hubbles": [1.0, 0.0]}},
+     "sweep.hubbles: thm3 needs hubble > 0"),
+    # refused by the potential's audit when the first job runs
+    ({"mode": "thm1", "potential": "T2", "sweep": {"amplitudes": [0.1, 0.2]}},
+     "T2 audits as Thm2-flatness, cannot run as thm1"),
 ])
 def test_sweep_bad_job_inputs_exit_1_before_any_output(tmp_path, monkeypatch, capsys,
                                                        edit, message):
@@ -562,12 +573,7 @@ _MUTATIONS = st.lists(st.tuples(st.sampled_from(["drop", "set", "unknown"]),
                       min_size=1, max_size=3)
 
 
-@settings(max_examples=300)
-@given(mutations=_MUTATIONS)
-def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, mutations):
-    # dropped keys, unknown keys, wrong types, NaN/+-Infinity, out-of-range
-    # and odd values: load_config either returns a config Scenario accepts
-    # or raises ConfigError, never anything else
+def _mutated_config(mutations) -> dict:
     cfg = tiny_config()
     for action, path, value in mutations:
         node = cfg
@@ -579,10 +585,49 @@ def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, mutations)
             node.pop(path[-1], None)
         else:
             node[path[-1] if action == "set" else path[-1] + "_x"] = value
+    return cfg
+
+
+@settings(max_examples=300)
+@given(mutations=_MUTATIONS)
+def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, mutations):
+    # dropped keys, unknown keys, wrong types, NaN/+-Infinity, out-of-range
+    # and odd values: load_config either returns a config Scenario accepts
+    # or raises ConfigError, never anything else
     path = tmp_path_factory.getbasetemp() / "mutated.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_mutated_config(mutations)))
     try:
         loaded = load_config(path)
     except ConfigError:
         return
     scenario_from_config(loaded)
+
+
+def _n_steps(scn: Scenario) -> float:
+    grid = scn.grid()
+    return scn.t_end / resolve_dt(grid, scn.solver_config(), scn.spec, scn.initial(grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=_MUTATIONS)
+def test_accepted_mutated_configs_run_to_a_documented_exit(tmp_path_factory, mutations):
+    # every config load_config accepts runs through simulate and sweep and
+    # ends in exit 0, 1, 2 or 3, never in a traceback; runs above 1,024 cells
+    # or 3,000 steps are left out (cfl 1e-300 is accepted and would not finish)
+    work = tmp_path_factory.mktemp("mutated")
+    path = work / "config.json"
+    path.write_text(json.dumps(_mutated_config(mutations)))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    try:
+        jobs = [scn for _, scn in sweep_scenarios(cfg)]
+    except ValueError:      # the sweep exits 1 before it runs a job
+        jobs = []
+    for scn in [scenario_from_config(cfg), *jobs]:
+        if scn.n_cells > 1024 or _n_steps(scn) > 3000:
+            return
+    with mock.patch.dict(os.environ, {"INFLATON_THREADS": "1"}):
+        assert main(["simulate", str(path), "--out", str(work / "run")]) in (0, 1, 2, 3)
+        assert main(["sweep", str(path), "--out", str(work / "sweep")]) in (0, 1, 2, 3)

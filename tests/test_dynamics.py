@@ -6,8 +6,8 @@ import pytest
 import inflaton.dynamics as dynamics
 from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
                                SolverConfig, StiffnessViolation, SupportMonitor,
-                               SupportOverflow, bump_profile, cfl_dt, evolve,
-                               gaussian_profile, initial_state, rhs, step,
+                               SupportOverflow, bump_profile, evolve,
+                               gaussian_profile, initial_state, resolve_dt, rhs,
                                linear_mass, stiffness_cfl, support_radius)
 from inflaton.experiments import energy_conservation_scenario
 from inflaton.grid import RadialGrid, energy, energy_density
@@ -15,13 +15,18 @@ from inflaton.potentials import PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
 
 
+def _free_dt(grid, cfg):
+    # the step rule for the free wave, where only cfl * dr can bind RK4
+    return resolve_dt(grid, cfg, None, initial_state(grid, 1.0, 3.0, 1.0))
+
+
 def test_cfl_dt_examples():
     cfg = SolverConfig(t_end=1.0, cfl=0.5)
-    assert cfl_dt(RadialGrid(10.24, 1024), cfg) == pytest.approx(0.005)
+    assert _free_dt(RadialGrid(10.24, 1024), cfg) == pytest.approx(0.005)
     cfg1 = SolverConfig(t_end=1.0, cfl=1.0)
-    assert cfl_dt(RadialGrid(20.48, 1024), cfg1) == pytest.approx(0.02)
-    coarse = cfl_dt(RadialGrid(10.0, 64), cfg)
-    fine = cfl_dt(RadialGrid(10.0, 256), cfg)
+    assert _free_dt(RadialGrid(20.48, 1024), cfg1) == pytest.approx(0.02)
+    coarse = _free_dt(RadialGrid(10.0, 64), cfg)
+    fine = _free_dt(RadialGrid(10.0, 256), cfg)
     assert coarse > fine
 
 
@@ -85,9 +90,10 @@ def test_evolve_zero_horizon_returns_initial(small_grid):
 
 def test_step_preserves_boundaries_and_advances_time(small_grid):
     state = initial_state(small_grid, 1.0, 5.0, 2.0)
-    cfg = SolverConfig(t_end=1.0, cfl=0.5)
-    new = step(state, cfg, PotentialSpec("T", n=1), small_grid)
-    assert new.t == pytest.approx(cfl_dt(small_grid, cfg))
+    cfg = SolverConfig(t_end=0.5 * small_grid.dr, cfl=0.5)   # one step
+    new = evolve(state, cfg, PotentialSpec("T", n=1), small_grid)
+    assert new.t == pytest.approx(0.5 * small_grid.dr)
+    assert not np.array_equal(new.u, state.u)
     assert new.u[0] == 0.0 and new.u[-1] == 0.0
     assert new.u_t[0] == 0.0 and new.u_t[-1] == 0.0
 
@@ -95,10 +101,8 @@ def test_step_preserves_boundaries_and_advances_time(small_grid):
 def test_explicit_dt_must_respect_cfl(small_grid):
     state = initial_state(small_grid, 1.0, 5.0, 2.0)
     cfg = SolverConfig(t_end=1.0, cfl=0.5, dt=small_grid.dr)
-    with pytest.raises(CflViolation):
+    with pytest.raises(CflViolation, match="^dt: "):
         evolve(state, cfg, None, small_grid)
-    with pytest.raises(CflViolation):
-        step(state, cfg, None, small_grid)
 
 
 def test_dalembert_translation_and_refinement_factor():
@@ -234,7 +238,7 @@ def test_observer_called_on_schedule(small_grid):
     seen = []
     evolve(state, cfg, None, small_grid, observer=lambda s: seen.append(s.t))
     assert seen[0] == 0.0
-    n_steps = int(np.ceil(1.0 / cfl_dt(small_grid, cfg)))
+    n_steps = int(np.ceil(1.0 / (cfg.cfl * small_grid.dr)))
     dt = 1.0 / n_steps
     expected = [0.0] + [k * dt for k in range(7, n_steps, 7)] + [1.0]
     assert np.allclose(seen, expected, atol=1e-12)
@@ -295,9 +299,7 @@ def test_leapfrog_stiffness_bound_refuses_explicit_dt(small_grid):
     too_big = _leapfrog(1.0, dt=0.5 * (bound + dr))
     with pytest.raises(CflViolation, match="admissible dt"):
         evolve(state, too_big, spec, small_grid)
-    with pytest.raises(CflViolation, match="admissible dt"):
-        step(state, too_big, spec, small_grid)
-    new = step(state, _leapfrog(1.0, dt=bound), spec, small_grid)
+    new = evolve(state, _leapfrog(bound, dt=bound), spec, small_grid)    # one step
     assert new.t == bound and new.u[0] == new.u[-1] == 0.0
     # without a potential the bound is the magic step itself
     assert stiffness_cfl(None, 2.0, dr) == 1.0
@@ -446,9 +448,7 @@ def test_leapfrog4_refuses_steps_above_its_bound(small_grid):
                            dt=1.01 * bound)
     with pytest.raises(CflViolation, match="leapfrog4 stability bound.*admissible dt"):
         evolve(state, too_big, spec, small_grid)
-    with pytest.raises(CflViolation, match="admissible dt"):
-        step(state, too_big, spec, small_grid)
-    new = step(state, replace(too_big, dt=bound), spec, small_grid)
+    new = evolve(state, replace(too_big, t_end=bound, dt=bound), spec, small_grid)
     assert new.t == bound and new.u[0] == new.u[-1] == 0.0
     with pytest.raises(ValueError, match="hubble: leapfrog4 needs hubble 0"):
         SolverConfig(t_end=1.0, hubble=0.5, scheme="leapfrog4")
@@ -461,7 +461,7 @@ def test_leapfrog4_default_step_rule(small_grid):
     bound = stiffness_cfl(None, 2.0, dr, "leapfrog4", 6) * dr
     for cfl, expected in ((0.5, 0.5 * dr), (1.0, dynamics.LEAPFROG_SAFETY * bound)):
         cfg = SolverConfig(t_end=1.0, cfl=cfl, space_order=6, scheme="leapfrog4")
-        assert dynamics._resolve_dt(small_grid, cfg, None, state) == expected
+        assert resolve_dt(small_grid, cfg, None, state) == expected
 
 
 def test_leapfrog4_snapshots_hold_no_subnormals():

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 from types import SimpleNamespace
 
+from inflaton.dynamics import FieldState, initial_state
 from inflaton.grid import (RadialGrid, ball_energy, energy, energy_density,
                            exterior_cone_energy, integrate, integrate_range,
-                           radial_derivative,
-                           radial_sup_check, weighted_h1_sq, weighted_l2_sq)
+                           weighted_h1_sq, weighted_l2_sq)
 from inflaton.potentials import PotentialSpec
+from inflaton.virials import sample_diagnostics
 
 from conftest import gaussian_state
 
@@ -84,17 +85,9 @@ def test_integrate_range_against_refined_oracle():
 def test_weight_tables_consistent_with_finite_differences():
     g = RadialGrid(30.0, 2048)
     w = g.weights
-    # tabulated first derivatives against centered differences of the tables
+    # the tabulated psi' against a centered difference of psi
     fd_psi = (w.psi[2:] - w.psi[:-2]) / (2 * g.dr)
     assert np.max(np.abs(fd_psi - w.psi_p[1:-1])) <= 2.0 * g.dr**2
-    fd_psi_m = (w.psi_m[2:] - w.psi_m[:-2]) / (2 * g.dr)
-    assert np.max(np.abs(fd_psi_m - w.psi_m_p[1:-1])) <= 5.0 * g.dr**2
-    # centered-difference error is (dr^2/6) times the next derivative, whose
-    # magnitude peaks at the origin (|psi''''| = 24, |psi'''''| = 120)
-    fd_pp = (w.psi_p[2:] - w.psi_p[:-2]) / (2 * g.dr)
-    assert np.max(np.abs(fd_pp - w.psi_pp[1:-1])) <= 6.0 * g.dr**2
-    fd_ppp = (w.psi_pp[2:] - w.psi_pp[:-2]) / (2 * g.dr)
-    assert np.max(np.abs(fd_ppp - w.psi_ppp[1:-1])) <= 25.0 * g.dr**2
 
 
 def test_weight_tables_closed_forms():
@@ -102,9 +95,6 @@ def test_weight_tables_closed_forms():
     r = g.r
     w = g.weights
     assert np.allclose(w.psi_p, r * (r + 2) / (1 + r) ** 2, atol=1e-12)
-    assert np.allclose(w.psi_pp, 2 / (1 + r) ** 3, atol=1e-12)
-    assert np.allclose(w.psi_ppp, -6 / (1 + r) ** 4, atol=1e-12)
-    assert np.allclose(w.psi_m_p, 3 * r * r / (1 + r) ** 4, atol=1e-12)
     # weights are bounded: psi <= r and w_sob <= min(r^2, 1)
     assert np.all(w.psi <= r + 1e-15)
     assert np.all(w.w_sob <= np.minimum(r * r, 1.0) + 1e-15)
@@ -225,14 +215,22 @@ def test_cone_energy_partial_against_oracle():
 # --- radial sup bound --------------------------------------------------------
 
 
+def _radial_sup_check(state):
+    # both sides of the radial sup bound: sup_j |r_j phi_j| and ||phi||_{H^1(R^3)}
+    h1 = sample_diagnostics(state, 0.0, None, state.grid).h1_norm
+    return float(np.max(np.abs(state.u))), h1
+
+
 def test_radial_sup_check_exponential_profile():
     g = RadialGrid(40.0, 2048)
-    sup, h1 = radial_sup_check(np.exp(-g.r), g)
+    u = g.r * np.exp(-g.r)
+    u[-1] = 0.0
+    sup, h1 = _radial_sup_check(FieldState(0.0, u, np.zeros_like(u), g))
     assert sup / h1 == pytest.approx(EXP_PROFILE_SUP_RATIO, rel=1e-2)
 
 
 def test_radial_sup_check_zero(small_grid):
-    sup, h1 = radial_sup_check(np.zeros(small_grid.n_nodes), small_grid)
+    sup, h1 = _radial_sup_check(initial_state(small_grid, 0.0, 5.0, 2.0))
     assert sup == 0.0 and h1 == 0.0
 
 
@@ -240,15 +238,8 @@ def test_radial_sup_ratio_stable_under_refinement():
     ratios = []
     for n in (512, 1024, 2048):
         g = RadialGrid(40.0, n)
-        sup, h1 = radial_sup_check(np.exp(-((g.r - 5.0) ** 2)), g)
+        sup, h1 = _radial_sup_check(initial_state(g, 1.0, 5.0, 1.0, kind="gaussian",
+                                                  velocity="rest", space_order=2))
         ratios.append(sup / h1)
     spread = (max(ratios) - min(ratios)) / max(ratios)
     assert spread <= 0.01
-
-
-def test_radial_derivative_even_symmetry(small_grid):
-    # an even profile has zero derivative at the origin by construction
-    phi = np.cos(small_grid.r)
-    d = radial_derivative(phi, small_grid)
-    assert d[0] == 0.0
-    assert np.max(np.abs(d[1:-1] + np.sin(small_grid.r[1:-1]))) <= small_grid.dr**2
