@@ -3,11 +3,11 @@ equations on expanding (de Sitter) backgrounds.
 
 Layout:
     potentials   closed-form potential catalogue + hypothesis audits
-    grid         radial mesh, Simpson quadrature, weights, energies
+    grid         radial mesh, Simpson weights, virial weight tables, energies
     dynamics     u = r*phi method-of-lines integrator (RK4 on orders 2/4/6,
                  leapfrog on order 2, its fourth-order composition at H = 0)
                  and the one time-step rule, resolve_dt
-    virials      one-pass diagnostics record: virials, rates, energies
+    virials      diagnostics record as one weighted reduction per snapshot
     experiments  canned decay scenarios with pass/fail verdicts
     cli          JSON-config command line front end
 """
@@ -15,9 +15,8 @@ Layout:
 from .potentials import (PotentialSpec, PotentialAuditReport, parse_family,
                          eval_F, eval_f, eval_fprime, audit_potential,
                          classify_theorem, dbrane_virial_closed_form)
-from .grid import (RadialGrid, WeightTables, integrate, weighted_h1_sq,
-                   weighted_l2_sq, energy_density, energy, ball_energy,
-                   exterior_cone_energy)
+from .grid import (RadialGrid, WeightTables, integrate, energy_density,
+                   energy, ball_energy, exterior_cone_energy)
 from .dynamics import (FieldState, SolverConfig, SupportMonitor, bump_profile,
                        gaussian_profile, initial_state, rhs, evolve,
                        resolve_dt, support_radius)

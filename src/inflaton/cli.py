@@ -212,10 +212,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 def write_series_csv(path: Path, samples) -> None:
     """Frozen column contract; floats via repr for bit-stable round trips."""
-    lines = [",".join(CSV_COLUMNS)]
-    for sample in samples:
-        lines.append(",".join(repr(float(v)) for v in sample.csv_row()))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:     # row by row: no whole-file string in memory
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for sample in samples:
+            fh.write(",".join(repr(float(v)) for v in sample.csv_row()) + "\n")
 
 
 def read_series_csv(path: Path) -> dict[str, np.ndarray]:
@@ -366,7 +366,7 @@ def cmd_audit(args) -> int:
 
 def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
     """(directory name, Scenario) of each job of a loaded config's sweep; the
-    first job Scenario rejects raises its ValueError."""
+    first job Scenario rejects raises its ValueError, the job name appended."""
     base = scenario_from_config(cfg)
     sweep = cfg["sweep"] or {}
     amplitudes = sweep.get("amplitudes") or [base.amplitude]
@@ -384,8 +384,11 @@ def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
             seen[name] = seen.get(name, 0) + 1
             if seen[name] > 1:      # a repeated pair gets its own directory
                 name = f"{name}-{seen[name]}"
-            jobs.append((name, replace(base, name=f"{base.name}-{name}", amplitude=a,
-                                       hubble=hub)))
+            try:
+                job = replace(base, name=f"{base.name}-{name}", amplitude=a, hubble=hub)
+            except ValueError as exc:
+                raise type(exc)(f"{exc} (sweep job {name})") from None
+            jobs.append((name, job))
     return jobs
 
 

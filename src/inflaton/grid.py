@@ -1,5 +1,8 @@
-"""Uniform radial mesh, composite-Simpson quadrature, virial weight tables,
-and the weighted norms / energies evaluated on field snapshots.
+"""Uniform radial mesh, composite-Simpson quadrature, virial weight tables
+and the energies evaluated on field snapshots.
+
+The Simpson node weights and the virial weight tables depend on the grid
+alone and are built once per grid, so every quadrature is a dot product.
 
 All improper integrals over (0, inf) are truncated at ``r_max``; the solver
 keeps the field supported away from the outer boundary (finite propagation
@@ -24,8 +27,6 @@ __all__ = [
     "WeightTables",
     "integrate",
     "integrate_range",
-    "weighted_l2_sq",
-    "weighted_h1_sq",
     "energy_density",
     "energy",
     "ball_energy",
@@ -71,22 +72,35 @@ class RadialGrid:
         return out
 
     @cached_property
+    def simpson(self) -> np.ndarray:
+        """Composite-Simpson node weights (dr/3) (1, 4, 2, 4, ..., 2, 4, 1)."""
+        out = np.tile([2.0, 4.0], self.n_cells // 2 + 1)[:self.n_nodes] * (self.dr / 3.0)
+        out[0] = out[-1] = self.dr / 3.0
+        return out
+
+    @cached_property
     def weights(self) -> "WeightTables":
         return WeightTables.build(self)
 
 
 @dataclass(frozen=True)
 class WeightTables:
-    """Per-node closed-form virial weights.
+    """Per-node closed-form virial weights and rate coefficients.
 
-    psi      = r^2 / (1+r)        and its derivative psi'
-    w_sob    = r^2 / (1+r)^4      (weighted-Sobolev density)
+    psi      = r^2 / (1+r)              and its derivative psi'
+    w_sob    = r^2 / (1+r)^4            (weighted-Sobolev density)
+    i_grad   = r^2 / (1+r)^2            phi_r^2 coefficient of I_rate
+    i_mass   = r(r+4) / (2(1+r)^4)      phi^2 coefficient of I_rate
+    rt_mass  = 2r(3r-2) / (1+r)^6       phi^2 coefficient of Rt_rate
     """
 
     psi: np.ndarray
     psi_p: np.ndarray
     w_sob: np.ndarray
     r_sq: np.ndarray
+    i_grad: np.ndarray
+    i_mass: np.ndarray
+    rt_mass: np.ndarray
 
     @classmethod
     def build(cls, grid: RadialGrid) -> "WeightTables":
@@ -97,6 +111,9 @@ class WeightTables:
             psi_p=r * (r + 2.0) / op**2,
             w_sob=r * r / op**4,
             r_sq=r * r,
+            i_grad=(r / op) ** 2,
+            i_mass=r * (r + 4.0) / (2.0 * op**4),
+            rt_mass=2.0 * r * (3.0 * r - 2.0) / op**6,
         )
 
 
@@ -105,9 +122,7 @@ def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
     samples = np.asarray(samples)
     if samples.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} samples, got {samples.shape}")
-    return (grid.dr / 3.0) * (samples[0] + samples[-1]
-                              + 4.0 * samples[1:-1:2].sum()
-                              + 2.0 * samples[2:-2:2].sum())
+    return float(grid.simpson @ samples)
 
 
 def integrate_range(samples: np.ndarray, grid: RadialGrid, j_lo: int, j_hi: int) -> float:
@@ -129,21 +144,9 @@ def integrate_range(samples: np.ndarray, grid: RadialGrid, j_lo: int, j_hi: int)
         j_lo += 1
         if j_hi == j_lo:
             return total
-    seg = samples[j_lo:j_hi + 1]
-    total += (grid.dr / 3.0) * (seg[0] + seg[-1] + 4.0 * seg[1:-1:2].sum()
-                                + 2.0 * seg[2:-2:2].sum())
-    return total
-
-
-def weighted_l2_sq(phi: np.ndarray, grid: RadialGrid) -> float:
-    """Integral of r^2/(1+r)^4 * phi^2 over the grid."""
-    return integrate(grid.weights.w_sob * np.asarray(phi) ** 2, grid)
-
-
-def weighted_h1_sq(phi: np.ndarray, phi_r: np.ndarray, grid: RadialGrid) -> float:
-    """Integral of r^2/(1+r)^4 * (phi^2 + phi_r^2) over the grid."""
-    w = grid.weights.w_sob
-    return integrate(w * (np.asarray(phi) ** 2 + np.asarray(phi_r) ** 2), grid)
+    weights = grid.simpson[:j_hi - j_lo + 1].copy()     # the rule restarted at j_lo
+    weights[-1] = grid.simpson[0]
+    return total + float(weights @ samples[j_lo:j_hi + 1])
 
 
 def energy_density(state, hubble: float, t: float, grid: RadialGrid,
@@ -158,7 +161,7 @@ def energy_density(state, hubble: float, t: float, grid: RadialGrid,
 
 def energy(density: np.ndarray, grid: RadialGrid) -> float:
     """Total energy 4*pi * integral of an ``energy_density`` array."""
-    return FOUR_PI * integrate(density, grid)
+    return FOUR_PI * float(grid.simpson @ density)
 
 
 def ball_energy(density: np.ndarray, R: float, grid: RadialGrid) -> float:

@@ -1,13 +1,15 @@
 """The diagnostics record of one field snapshot: virial functionals, their
 analytic rates and the energies, all evaluated in one pass by
-``sample_diagnostics``.
+``sample_diagnostics``: each field product is formed once, carrying the
+Simpson node weights, and every functional below except J, J_bound and the
+ball and cone energies is a sum of its dot products with the grid's tables.
 
 With psi = r^2/(1+r), psi' = r(r+2)/(1+r)^2 and the energy density
 e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) of ``grid.energy_density``:
 
     P  = int psi phi_r phi_t dr
     R  = int psi' phi phi_t dr
-    I  = P + R/2                   (one quadrature of the combined integrand)
+    I  = P + R/2
     Rt = int r^2/(1+r)^4 phi phi_t dr          (heavily origin-damped variant)
     W  = int r^2/(1+r)^4 (phi^2 + phi_r^2 + phi_t^2) dr
     J  = int (1 + tanh(r + sigma t + b)) e dr
@@ -38,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (RadialGrid, ball_energy, energy, energy_density,
-                   exterior_cone_energy, integrate, weighted_h1_sq,
-                   weighted_l2_sq, FOUR_PI)
+                   exterior_cone_energy, integrate, FOUR_PI)
 from .potentials import PotentialSpec, eval_F, eval_f
 
 __all__ = ["VirialSample", "CSV_COLUMNS", "sample_diagnostics"]
@@ -81,59 +82,47 @@ class VirialSample:
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
 
 
-def _sech_sq(x: np.ndarray) -> np.ndarray:
-    # sech^2 with underflow-safe evaluation for large |x|
-    ax = np.abs(x)
-    c = np.cosh(np.minimum(ax, 350.0))
-    return np.where(ax >= 350.0, 0.0, 1.0 / (c * c))
-
-
 def sample_diagnostics(state, hubble: float, spec: PotentialSpec | None,
                        grid: RadialGrid, *, sigma: float = -2.0, offset: float = 0.0,
                        ball_radius: float = 10.0, cone_b: float = 2.0) -> VirialSample:
     """Evaluate the full diagnostics record on one snapshot."""
     t, phi, phi_r, phi_t = state.t, state.phi, state.phi_r, state.phi_t
-    r, w = grid.r, grid.weights
-    phi_sq, phi_r_sq, phi_t_sq = phi**2, phi_r**2, phi_t**2
+    w = grid.weights
     dens = energy_density(state, hubble, t, grid, spec)
+    # each product carries the Simpson node weights s, so that for a weight
+    # table c the integral of c g h is the dot product c @ (s g h)
+    phi_s, phi_r_s = grid.simpson * phi, grid.simpson * phi_r
+    pp, rr, tt = phi_s * phi, phi_r_s * phi_r, grid.simpson * phi_t**2
+    rt, pt = phi_r_s * phi_t, phi_s * phi_t
 
-    i_rate_dens = (r / (1.0 + r)) ** 2 * phi_r_sq \
-        + r * (r + 4.0) / (2.0 * (1.0 + r) ** 4) * phi_sq
-    rt_rate_dens = w.w_sob * (phi_t_sq - phi_r_sq) \
-        + 2.0 * r * (3.0 * r - 2.0) / (1.0 + r) ** 6 * phi_sq
+    h1w = w.w_sob @ pp + w.w_sob @ rr
+    l2w = w.w_sob @ tt
+    P, R = w.psi @ rt, w.psi_p @ pt
+    i_rate = w.i_grad @ rr + w.i_mass @ pp
+    rt_rate = l2w - w.w_sob @ rr + w.rt_mass @ pp
     if spec is not None:
-        force = eval_f(spec, phi)
-        i_rate_dens = i_rate_dens + 0.5 * w.psi_p * (2.0 * eval_F(spec, phi) - phi * force)
-        rt_rate_dens = rt_rate_dens - w.w_sob * phi * force
+        pf = phi_s * eval_f(spec, phi)
+        i_rate += w.psi_p @ (grid.simpson * eval_F(spec, phi)) - 0.5 * (w.psi_p @ pf)
+        rt_rate -= w.w_sob @ pf
+    r_rr = w.r_sq @ rr
     e_rate = 0.0
     if hubble:
-        e_rate = -hubble * FOUR_PI * integrate(
-            w.r_sq * (3.0 * phi_t_sq + np.exp(-2.0 * hubble * t) * phi_r_sq), grid)
+        e_rate = -hubble * FOUR_PI * (3.0 * (w.r_sq @ tt) + np.exp(-2.0 * hubble * t) * r_rr)
 
-    h1w = weighted_h1_sq(phi, phi_r, grid)
-    l2w = weighted_l2_sq(phi_t, grid)
+    # 1 + tanh x = 2/(1+q) (x >= 0) or 2q/(1+q) (x < 0) and sech^2 x =
+    # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail
+    cone = grid.r + (sigma * t + offset)
+    q = np.exp(-2.0 * np.abs(cone))
+    inv = 1.0 / (1.0 + q)
     flux = float(phi[0] ** 2)
-    i_rate = integrate(i_rate_dens, grid)
-    cone = r + sigma * t + offset
     return VirialSample(
-        t=t,
-        E=energy(dens, grid),
-        W=h1w + l2w,
-        P=integrate(w.psi * phi_r * phi_t, grid),
-        R=integrate(w.psi_p * phi * phi_t, grid),
-        I=integrate((w.psi * phi_r + 0.5 * w.psi_p * phi) * phi_t, grid),
-        I_rate=i_rate,
-        R_tilde=integrate(w.w_sob * phi * phi_t, grid),
-        Rt_rate=integrate(rt_rate_dens, grid),
-        J=integrate((1.0 + np.tanh(cone)) * dens, grid),
-        J_bound=(1.0 + sigma) * integrate(_sech_sq(cone) * dens, grid),
+        t=t, E=energy(dens, grid), W=h1w + l2w, P=P, R=R, I=P + 0.5 * R,
+        I_rate=i_rate, R_tilde=w.w_sob @ pt, Rt_rate=rt_rate,
+        J=2.0 * integrate(np.where(cone >= 0.0, inv, q * inv) * dens, grid),
+        J_bound=4.0 * (1.0 + sigma) * integrate(q * inv**2 * dens, grid),
         ballE=ball_energy(dens, ball_radius, grid),
         coneE=exterior_cone_energy(dens, t, cone_b, grid),
         sup_phi=float(np.max(np.abs(phi))),
-        h1_norm=float(np.sqrt(FOUR_PI * integrate(w.r_sq * (phi_sq + phi_r_sq), grid))),
-        h1w_sq=h1w,
-        l2w_sq=l2w,
-        origin_flux=flux,
-        I_rate_corrected=i_rate - 0.5 * flux,
-        E_rate=e_rate,
-    )
+        h1_norm=float(np.sqrt(FOUR_PI * (w.r_sq @ pp + r_rr))),
+        h1w_sq=h1w, l2w_sq=l2w, origin_flux=flux,
+        I_rate_corrected=i_rate - 0.5 * flux, E_rate=e_rate)

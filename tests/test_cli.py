@@ -523,6 +523,14 @@ def test_load_config_rejects_unknown_threshold_names(tmp_path):
         "thresholds"] == names
 
 
+# the sweep job each rule refuses, named at the end of its message
+_REFUSED_JOB = {
+    "sweep.hubbles: must be nonnegative": "a0.1_H-1",
+    "time.cfl: the rk4 step cfl*dr = 0.0390625 exceeds its stability bound": "a-3_H0",
+    "sweep.hubbles: thm3 needs hubble > 0": "a0.1_H0",
+}
+
+
 @pytest.mark.parametrize("edit,message", [
     ({"sweep": {"amplitudes": [0.1], "hubbles": [0.0, -1.0]}},
      "sweep.hubbles: must be nonnegative"),
@@ -542,7 +550,10 @@ def test_sweep_bad_job_inputs_exit_1_before_any_output(tmp_path, monkeypatch, ca
     path = write_config(tmp_path, tiny_config(**edit))
     out = tmp_path / "sweep"
     assert main(["sweep", str(path), "--out", str(out)]) == 1
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    if message in _REFUSED_JOB:
+        assert err.rstrip().endswith(f" (sweep job {_REFUSED_JOB[message]})")
     assert not out.exists()
 
 

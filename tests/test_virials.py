@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from collections import Counter
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
+from inflaton import grid as grid_module, virials
+from inflaton.dynamics import evolve
+from inflaton.experiments import thm3_suite, virial_consistency_scenario
 from inflaton.grid import FOUR_PI, RadialGrid, integrate_range
 from inflaton.potentials import PotentialSpec, eval_F
-from inflaton.virials import CSV_COLUMNS, sample_diagnostics
+from inflaton.virials import CSV_COLUMNS, VirialSample, sample_diagnostics
 
 from conftest import gaussian_state
-from virial_oracles import (p_rate_discrepancy, virial_P_rate,
+from virial_oracles import (p_rate_discrepancy, reference_record, virial_P_rate,
                             virial_P_rate_display, virial_R_rate,
                             virial_R_rate_corrected)
 
@@ -246,3 +251,59 @@ def test_sample_diagnostics_csv_contract(small_grid):
     assert CSV_COLUMNS[0] == "t" and CSV_COLUMNS[-1] == "h1_norm"
     assert all(np.isfinite(row))
     assert sample.sup_phi == pytest.approx(np.max(np.abs(state.phi)))
+
+
+# (scenario, hubble the record is evaluated at); each snapshot is the final
+# state of the scenario's run
+_SNAPSHOTS = {
+    "H0-T1": (virial_consistency_scenario(n_cells=1024, t_end=4.0), 0.0),
+    "thm3-T1": (thm3_suite(t_end=0.5)[0], 1.0),
+    # a free field, recorded at H = 0.5 so that E_rate is not 0
+    "no-potential": (replace(virial_consistency_scenario(n_cells=1024, t_end=4.0),
+                             spec=None), 0.5),
+    # J ~ 1e-5 against E ~ 1e-2: 1 + tanh cancels in the reference
+    "thm3-T1-late": (thm3_suite(t_end=3.4)[0], 1.0),
+}
+
+
+@pytest.mark.parametrize("snapshot", list(_SNAPSHOTS))
+def test_record_matches_per_functional_reference(snapshot):
+    scn, hubble = _SNAPSHOTS[snapshot]
+    grid = scn.grid()
+    state = evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid)
+    kw = dict(sigma=scn.j_sigma, offset=scn.j_offset, ball_radius=scn.decay_radius,
+              cone_b=scn.cone_b)
+    got = sample_diagnostics(state, hubble, scn.spec, grid, **kw)
+    ref = reference_record(state, hubble, scn.spec, grid, **kw)
+    assert list(ref) == [f.name for f in fields(VirialSample)]
+    for name, (want, magnitude) in ref.items():
+        assert getattr(got, name) == pytest.approx(
+            want, rel=1e-10, abs=1e-12 * magnitude), name
+    if snapshot == "thm3-T1-late":
+        assert 1e-6 < got.J < 1e-4 and got.J < 1e-2 * got.E
+
+
+def test_one_record_makes_one_force_evaluation_and_four_quadratures(monkeypatch):
+    # the record is one weighted reduction: only J, J_bound, ballE and coneE
+    # integrate an array of their own
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((virials, "eval_f"), (virials, "eval_F"), (grid_module, "eval_F"),
+                         (virials, "integrate"), (grid_module, "integrate"),
+                         (grid_module, "integrate_range")):
+        count(module, name)
+    g = RadialGrid(20.0, 256)
+    state = gaussian_state(g)
+    state.t = 0.5
+    sample_diagnostics(state, 1.0, T1, g)
+    assert calls["eval_f"] == 1
+    assert calls["eval_F"] <= 2
+    assert calls["integrate"] + calls["integrate_range"] <= 4
