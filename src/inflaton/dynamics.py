@@ -54,6 +54,23 @@ new bound; RK4 steps at cfl dr and refuses (CflViolation) a cfl dr above
 its bound.  ``resolve_dt`` is that one step rule; ``Scenario`` applies it
 to its initial data when it is built, so a run with a step it cannot take
 is refused before anything runs.
+
+``evolve`` steps only the active window [0, m) of the grid, the nodes the
+field has reached.  Its invariant: every node at or beyond m - pad is
+exactly 0 in u, u_t and the carried leapfrog acceleration.  One step moves
+the last nonzero node of those arrays by at most its reach, order/2 for
+each stencil application the step chains: 2 * order/2 for RK4 (a1 feeds
+the u-argument of a3 through v2, and a3 feeds v4), order/2 for leapfrog
+and 3 * order/2 for the three substeps of leapfrog4.  Every RECHECK = 16
+steps m is reset to pad nodes past the last nonzero node, with
+pad = RECHECK * reach + order/2: over one recheck interval the nonzero set
+stays clear of the window's last order/2 rows and of the stencil inputs
+behind them, so the one-sided outer rows and the Dirichlet zeroing at the
+window's end only ever see zeros, and every nonzero node is computed from
+the same operands as on the whole grid.  The states match the whole-grid
+loop bit for bit, up to the sign of some zeros, and the force is evaluated
+as often.  Once m reaches n_nodes the same loop runs on the whole grid;
+snapshots, and with them the diagnostics, always span the whole grid.
 """
 
 from __future__ import annotations
@@ -101,6 +118,8 @@ STABILITY = {"rk4": 2.0 * math.sqrt(2.0), "leapfrog": 2.0, "leapfrog4": 1.5734}
 SYMBOL_MAX = {2: 4.0, 4: 16.0 / 3.0, 6: 272.0 / 45.0}
 # entries below the smallest normal double are flushed after a leapfrog4 step
 TINY = np.finfo(float).tiny
+# steps between two placements of the active window (module docstring)
+RECHECK = 16
 
 
 class CflViolation(ValueError):
@@ -380,7 +399,8 @@ def rhs(state: FieldState, hubble: float, spec: PotentialSpec | None,
 
 def _accel(u: np.ndarray, u_t: np.ndarray | None, t: float, hubble: float,
            spec: PotentialSpec | None, grid: RadialGrid, order: int) -> np.ndarray:
-    """u_tt of the semi-discrete system; u_t is read only when hubble > 0,
+    """u_tt of the semi-discrete system on the first u.size nodes of the
+    grid, with a Dirichlet row at the last; u_t is read only when hubble > 0,
     and u_t = None leaves out the friction -3H u_t (the leapfrog centres it
     itself)."""
     du_t = _second_derivative(u, grid.dr, order)
@@ -389,7 +409,8 @@ def _accel(u: np.ndarray, u_t: np.ndarray | None, t: float, hubble: float,
         if u_t is not None:
             du_t -= 3.0 * hubble * u_t
     if spec is not None:
-        du_t -= grid.r * eval_f(spec, u * grid.r_inv)
+        m = u.size
+        du_t -= grid.r[:m] * eval_f(spec, u * grid.r_inv[:m])
     du_t[0] = 0.0
     du_t[-1] = 0.0
     return du_t
@@ -423,6 +444,25 @@ def resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
             f"cfl: the rk4 step cfl*dr = {limit:.6g} exceeds its stability bound "
             f"cfl* dr = {stable:.6g}; admissible dt <= {stable:.6g}")
     return limit if cfg.scheme == "rk4" else min(limit, LEAPFROG_SAFETY * stable)
+
+
+def _reach(scheme: str, order: int) -> int:
+    """Nodes by which one step can move the last nonzero node of u, u_t and
+    the carried acceleration: order/2 per chained stencil application."""
+    return {"rk4": 2, "leapfrog": 1, "leapfrog4": 3}[scheme] * (order // 2)
+
+
+def _last_nonzero(arrays) -> int:
+    """Index of the last nonzero entry over ``arrays`` (-1 if all are 0)."""
+    return max(int(idx[-1]) if idx.size else -1 for idx in map(np.flatnonzero, arrays))
+
+
+def _fit(values: np.ndarray, size: int) -> np.ndarray:
+    """A new array of ``size`` entries: ``values`` cut or extended by zeros."""
+    out = np.zeros(size)
+    keep = min(size, values.size)
+    out[:keep] = values[:keep]
+    return out
 
 
 def _rk4(u: np.ndarray, u_t: np.ndarray, t: float, dt: float, hubble: float,
@@ -505,11 +545,12 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_max - 1e-12)))
     dt = cfg.t_end / n_steps
     t0 = state0.t
-    u = state0.u.copy()
-    u_t = state0.u_t.copy()
+    n = grid.n_nodes
+    fields = (state0.u, state0.u_t)     # then the carried acceleration (kdk)
 
     def snapshot(k: int) -> FieldState:
-        return FieldState(t0 + k * dt, u.copy(), u_t.copy(), grid, cfg.space_order)
+        return FieldState(t0 + k * dt, _fit(fields[0], n), _fit(fields[1], n), grid,
+                          cfg.space_order)
 
     kdk = cfg.scheme != "rk4"
     window = 2.0 * _sup_phi(state0)
@@ -544,12 +585,18 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     inspect(snapshot(0))
     if kdk:
         subs = _substeps(dt, cfg, linear_mass(spec))
-        acc = _accel(u, None, t0, cfg.hubble, spec, grid, cfg.space_order)
+        fields += (_accel(state0.u, None, t0, cfg.hubble, spec, grid, cfg.space_order),)
+    # the active window [0, m), see the module docstring
+    pad = RECHECK * _reach(cfg.scheme, cfg.space_order) + cfg.space_order // 2
+    m = 0
     for k in range(1, n_steps + 1):
+        if m < n and (k - 1) % RECHECK == 0:
+            m = min(n, _last_nonzero(fields) + 1 + pad)
+            fields = tuple(_fit(values, m) for values in fields)
         if kdk:
-            u, u_t, acc = _kdk(u, u_t, acc, t0 + k * dt, subs, cfg, spec, grid)
+            fields = _kdk(*fields, t0 + k * dt, subs, cfg, spec, grid)
         else:
-            u, u_t = _rk4(u, u_t, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
+            fields = _rk4(*fields, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
                           cfg.space_order)
         if k % cfg.output_every == 0 or k == n_steps:
             inspect(snapshot(k))

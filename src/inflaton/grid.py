@@ -150,12 +150,14 @@ def integrate_range(samples: np.ndarray, grid: RadialGrid, j_lo: int, j_hi: int)
 
 
 def energy_density(state, hubble: float, t: float, grid: RadialGrid,
-                   spec: PotentialSpec | None) -> np.ndarray:
-    """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy integrand."""
+                   spec: PotentialSpec | None, *,
+                   potential: np.ndarray | None = None) -> np.ndarray:
+    """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy
+    integrand; ``potential``, if given, is F(phi) already evaluated."""
     damp = np.exp(-2.0 * hubble * t)
     dens = 0.5 * state.phi_t**2 + 0.5 * damp * state.phi_r**2
     if spec is not None:
-        dens = dens + eval_F(spec, state.phi)
+        dens = dens + (eval_F(spec, state.phi) if potential is None else potential)
     return grid.weights.r_sq * dens
 
 

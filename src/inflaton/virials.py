@@ -88,7 +88,8 @@ def sample_diagnostics(state, hubble: float, spec: PotentialSpec | None,
     """Evaluate the full diagnostics record on one snapshot."""
     t, phi, phi_r, phi_t = state.t, state.phi, state.phi_r, state.phi_t
     w = grid.weights
-    dens = energy_density(state, hubble, t, grid, spec)
+    potential = eval_F(spec, phi) if spec is not None else None
+    dens = energy_density(state, hubble, t, grid, spec, potential=potential)
     # each product carries the Simpson node weights s, so that for a weight
     # table c the integral of c g h is the dot product c @ (s g h)
     phi_s, phi_r_s = grid.simpson * phi, grid.simpson * phi_r
@@ -102,7 +103,7 @@ def sample_diagnostics(state, hubble: float, spec: PotentialSpec | None,
     rt_rate = l2w - w.w_sob @ rr + w.rt_mass @ pp
     if spec is not None:
         pf = phi_s * eval_f(spec, phi)
-        i_rate += w.psi_p @ (grid.simpson * eval_F(spec, phi)) - 0.5 * (w.psi_p @ pf)
+        i_rate += w.psi_p @ (grid.simpson * potential) - 0.5 * (w.psi_p @ pf)
         rt_rate -= w.w_sob @ pf
     r_rr = w.r_sq @ rr
     e_rate = 0.0
