@@ -70,7 +70,9 @@ window's end only ever see zeros, and every nonzero node is computed from
 the same operands as on the whole grid.  The states match the whole-grid
 loop bit for bit, up to the sign of some zeros, and the force is evaluated
 as often.  Once m reaches n_nodes the same loop runs on the whole grid;
-snapshots, and with them the diagnostics, always span the whole grid.
+snapshots always span the whole grid, and the finite check reads the
+window.  ``block_fields`` builds phi, phi_t and phi_r of a block of
+snapshots on their live nodes only, for the diagnostics.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ __all__ = [
     "bump_profile",
     "gaussian_profile",
     "initial_state",
+    "block_fields",
     "support_radius",
     "stiffness_cfl",
     "linear_mass",
@@ -231,24 +234,30 @@ def _second_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
 
 
 def _first_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
+    """Radial derivative along the last axis, so a (B, k) block of rows is
+    differentiated row by row."""
     out = np.empty_like(u)
     if order == 2:
-        out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-        out[0] = u[1] / dr
+        out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
+        out[..., 0] = u[..., 1] / dr
     elif order == 4:
-        out[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dr)
-        out[1] = (-u[1] - 8.0 * u[0] + 8.0 * u[2] - u[3]) / (12.0 * dr)
-        out[0] = (16.0 * u[1] - 2.0 * u[2]) / (12.0 * dr)
-        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
+        out[..., 2:-2] = (u[..., :-4] - 8.0 * u[..., 1:-3] + 8.0 * u[..., 3:-1]
+                          - u[..., 4:]) / (12.0 * dr)
+        out[..., 1] = (-u[..., 1] - 8.0 * u[..., 0] + 8.0 * u[..., 2] - u[..., 3]) / (12.0 * dr)
+        out[..., 0] = (16.0 * u[..., 1] - 2.0 * u[..., 2]) / (12.0 * dr)
+        out[..., -2] = (u[..., -1] - u[..., -3]) / (2.0 * dr)
     else:
-        out[3:-3] = (-u[:-6] + 9.0 * u[1:-5] - 45.0 * u[2:-4]
-                     + 45.0 * u[4:-2] - 9.0 * u[5:-1] + u[6:]) / (60.0 * dr)
-        out[1] = (u[2] - 9.0 * u[1] - 45.0 * u[0] + 45.0 * u[2] - 9.0 * u[3] + u[4]) / (60.0 * dr)
-        out[2] = (u[1] + 9.0 * u[0] - 45.0 * u[1] + 45.0 * u[3] - 9.0 * u[4] + u[5]) / (60.0 * dr)
-        out[0] = (90.0 * u[1] - 18.0 * u[2] + 2.0 * u[3]) / (60.0 * dr)
-        out[-3] = (u[-5] - 8.0 * u[-4] + 8.0 * u[-2] - u[-1]) / (12.0 * dr)
-        out[-2] = (u[-1] - u[-3]) / (2.0 * dr)
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
+        out[..., 3:-3] = (-u[..., :-6] + 9.0 * u[..., 1:-5] - 45.0 * u[..., 2:-4]
+                          + 45.0 * u[..., 4:-2] - 9.0 * u[..., 5:-1] + u[..., 6:]) / (60.0 * dr)
+        out[..., 1] = (u[..., 2] - 9.0 * u[..., 1] - 45.0 * u[..., 0] + 45.0 * u[..., 2]
+                       - 9.0 * u[..., 3] + u[..., 4]) / (60.0 * dr)
+        out[..., 2] = (u[..., 1] + 9.0 * u[..., 0] - 45.0 * u[..., 1] + 45.0 * u[..., 3]
+                       - 9.0 * u[..., 4] + u[..., 5]) / (60.0 * dr)
+        out[..., 0] = (90.0 * u[..., 1] - 18.0 * u[..., 2] + 2.0 * u[..., 3]) / (60.0 * dr)
+        out[..., -3] = (u[..., -5] - 8.0 * u[..., -4] + 8.0 * u[..., -2]
+                        - u[..., -1]) / (12.0 * dr)
+        out[..., -2] = (u[..., -1] - u[..., -3]) / (2.0 * dr)
+    out[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dr)
     return out
 
 
@@ -276,28 +285,58 @@ class FieldState:
         if self.u.shape != (self.grid.n_nodes,) or self.u_t.shape != (self.grid.n_nodes,):
             raise ValueError("field arrays must match the grid")
 
-    @staticmethod
-    def _origin(values: np.ndarray) -> float:
-        return 3.0 * values[1] - 3.0 * values[2] + values[3]
-
     @cached_property
     def phi(self) -> np.ndarray:
-        out = self.u * self.grid.r_inv
-        out[0] = self._origin(out)
-        return out
+        return _over_r(self.u, self.grid.r_inv)
 
     @cached_property
     def phi_t(self) -> np.ndarray:
-        out = self.u_t * self.grid.r_inv
-        out[0] = self._origin(out)
-        return out
+        return _over_r(self.u_t, self.grid.r_inv)
 
     @cached_property
     def phi_r(self) -> np.ndarray:
-        u_r = _first_derivative(self.u, self.grid.dr, self.space_order)
-        out = np.zeros_like(self.u)
-        out[1:] = (u_r[1:] - self.phi[1:]) * self.grid.r_inv[1:]
-        return out
+        return _radial_derivative(self.u, self.phi, self.grid, self.space_order)
+
+
+def _over_r(values: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
+    """values / r along the last axis; the point value at r = 0 by quadratic
+    extrapolation."""
+    out = values * r_inv[:values.shape[-1]]
+    nodes = out.T       # the node index first, for one snapshot or a block
+    nodes[0] = 3.0 * nodes[1] - 3.0 * nodes[2] + nodes[3]
+    return out
+
+
+def _radial_derivative(u: np.ndarray, phi: np.ndarray, grid: RadialGrid,
+                       order: int) -> np.ndarray:
+    """phi_r = (u_r - phi) / r along the last axis, 0 at r = 0."""
+    u_r = _first_derivative(u, grid.dr, order)
+    out = np.zeros_like(u)
+    out[..., 1:] = (u_r[..., 1:] - phi[..., 1:]) * grid.r_inv[1:u.shape[-1]]
+    return out
+
+
+def block_fields(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi, phi_t and phi_r of a block of snapshots on one grid and stencil
+    order, as (B, k) arrays on the live nodes [0, k): every row equals the
+    snapshot's own ``phi``, ``phi_t`` and ``phi_r`` on those nodes, and both
+    are 0 beyond them.
+
+    With L the last nonzero node of any u or u_t, k = L + order + 3 (at most
+    n_nodes): the order/2 nodes the derivative reaches past L keep interior
+    stencil rows, which read order/2 nodes further, and the one-sided rows at
+    the end of the prefix, which read at most five nodes back, see only 0.
+    """
+    grid, order = states[0].grid, states[0].space_order
+    if any(s.grid != grid or s.space_order != order for s in states):
+        raise ValueError("a block holds snapshots of one grid and stencil order")
+    u = np.array([s.u for s in states])
+    u_t = np.array([s.u_t for s in states])
+    live = np.flatnonzero((u != 0.0).any(axis=0) | (u_t != 0.0).any(axis=0))
+    k = min(grid.n_nodes, (live[-1] if live.size else -1) + order + 3)
+    u = u[:, :k]
+    phi = _over_r(u, grid.r_inv)
+    return phi, _over_r(u_t[:, :k], grid.r_inv), _radial_derivative(u, phi, grid, order)
 
 
 def support_radius(state: FieldState, threshold: float = SUPPORT_THRESHOLD) -> float:
@@ -526,16 +565,20 @@ def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
            grid: RadialGrid, observer: Callable[[FieldState], None] | None = None,
-           monitor: SupportMonitor | None = None) -> FieldState:
+           monitor: SupportMonitor | None = None, *,
+           dt_max: float | None = None) -> FieldState:
     """Integrate to t0 + t_end, calling ``observer`` on read-only snapshots
     every ``output_every`` steps (always at the start and the final step).
+    ``dt_max`` is ``resolve_dt(grid, cfg, spec, state0)`` when the caller
+    already has it.
 
     Aborts with SupportOverflow once the support comes within 4 dr of
     r_max, with NonFiniteField on NaN/Inf, and (leapfrog, leapfrog4) with
     StiffnessViolation once sup|phi| at a snapshot widens the visited
     window so far that the fixed step exceeds its stability bound.
     """
-    dt_max = resolve_dt(grid, cfg, spec, state0)
+    if dt_max is None:
+        dt_max = resolve_dt(grid, cfg, spec, state0)
     if cfg.t_end == 0.0:
         if monitor is not None:
             monitor.observe(state0)
@@ -569,9 +612,11 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
                 f"window to +-{window:.4g}; there the {cfg.scheme} step dt={dt:.6g} "
                 f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
 
-    def inspect(state: FieldState) -> None:
-        if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.u_t))):
-            raise NonFiniteField(f"non-finite field at t={state.t:.6g}")
+    def inspect(k: int) -> None:
+        # nodes beyond the window are 0: the check reads the window only
+        if not (np.isfinite(fields[0]).all() and np.isfinite(fields[1]).all()):
+            raise NonFiniteField(f"non-finite field at t={t0 + k * dt:.6g}")
+        state = snapshot(k)
         if kdk:
             check_window(state)
         radius = monitor.observe(state) if monitor is not None else support_radius(state)
@@ -582,7 +627,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         if observer is not None:
             observer(state)
 
-    inspect(snapshot(0))
+    inspect(0)
     if kdk:
         subs = _substeps(dt, cfg, linear_mass(spec))
         fields += (_accel(state0.u, None, t0, cfg.hubble, spec, grid, cfg.space_order),)
@@ -599,5 +644,5 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
             fields = _rk4(*fields, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
                           cfg.space_order)
         if k % cfg.output_every == 0 or k == n_steps:
-            inspect(snapshot(k))
+            inspect(k)
     return snapshot(n_steps)

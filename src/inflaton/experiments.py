@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, asdict, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +55,10 @@ __all__ = [
 I_MONOTONE_TOL = 1e-6          # relative to max |I|
 SATURATION_LIMIT = 0.05        # last-quarter share of int W dt
 SUPNORM_GROWTH_LIMIT = 2.0     # small-data guard for the thm2 protocol
+# snapshot nodes per diagnostics block: run_scenario evaluates
+# max(1, BLOCK_NODES // n_nodes) snapshots at a time, 8 at 2,049 nodes, few
+# enough that the block's temporaries stay in cache (BENCH_block_diagnostics.json)
+BLOCK_NODES = 16_400
 
 DEFAULT_THRESHOLDS = {
     "thm1": {"w_ratio": 1e-2},
@@ -73,7 +78,7 @@ class ScenarioClassError(ValueError):
     support."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One reproducible run: potential + background + data + grid + horizon.
 
@@ -81,7 +86,8 @@ class Scenario:
     rule on the fields, the mode's field rules (ScenarioClassError) and the
     step the solver would take from the initial data (``resolve_dt``,
     CflViolation); each message starts with the field's name.  The mode's
-    audit-based class checks run in ``run_scenario``.
+    audit-based class checks run in ``run_scenario``.  A scenario is frozen:
+    ``dataclasses.replace`` makes a changed copy, checked anew.
     """
 
     name: str
@@ -133,10 +139,19 @@ class Scenario:
             raise ValueError(
                 f"r_max: grid too small for the data support plus horizon: "
                 f"{self.r_max} < {needed:.3f}")
-        resolve_dt(grid, cfg, self.spec, self.initial(grid))
+        self.start      # resolves the step from the initial data
 
     def grid(self) -> RadialGrid:
-        return RadialGrid(self.r_max, self.n_cells)
+        """The grid every scenario with this (r_max, n_cells) shares."""
+        return _shared_grid(self.r_max, self.n_cells)
+
+    @cached_property
+    def start(self) -> tuple[FieldState, float]:
+        """The initial state on ``grid()`` and the step ceiling ``resolve_dt``
+        gives for it; built once, when the scenario is."""
+        grid = self.grid()
+        state0 = self.initial(grid)
+        return state0, resolve_dt(grid, self.solver_config(), self.spec, state0)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(t_end=self.t_end, hubble=self.hubble, cfl=self.cfl,
@@ -153,6 +168,11 @@ class Scenario:
         merged = dict(DEFAULT_THRESHOLDS[self.mode])
         merged.update(self.thresholds)
         return merged
+
+
+@lru_cache(maxsize=8)
+def _shared_grid(r_max: float, n_cells: int) -> RadialGrid:
+    return RadialGrid(r_max, n_cells)
 
 
 @dataclass
@@ -272,26 +292,54 @@ def _enforce_mode_preconditions(scn: Scenario) -> str:
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
-    """Evolve one scenario, collect diagnostics, and grade the verdict."""
+    """Evolve one scenario, collect diagnostics, and grade the verdict.
+
+    The snapshots are buffered and their diagnostics evaluated a block at a
+    time (``BLOCK_NODES``); the snapshots buffered when ``evolve`` returns or
+    aborts are evaluated then."""
     theorem_class = _enforce_mode_preconditions(scn)
     grid = scn.grid()
-    state0 = scn.initial(grid)
-    cfg = scn.solver_config()
+    state0, dt_max = scn.start
     monitor = SupportMonitor(grid)
     samples: list[VirialSample] = []
+    pending: list[FieldState] = []
+    block = max(1, BLOCK_NODES // grid.n_nodes)
+
+    def diagnose(states: list[FieldState]) -> list[VirialSample]:
+        return sample_diagnostics(states, scn.hubble, scn.spec, grid, sigma=scn.j_sigma,
+                                  offset=scn.j_offset, ball_radius=scn.decay_radius,
+                                  cone_b=scn.cone_b)
+
+    def flush() -> None:
+        states = pending[:]
+        pending.clear()
+        try:
+            samples.extend(diagnose(states))
+        except DomainViolation:
+            # keep the records of the snapshots before the one that left the
+            # potential's domain, then stop there
+            for state in states:
+                samples.extend(diagnose([state]))
+            raise
 
     def observer(state: FieldState) -> None:
-        samples.append(sample_diagnostics(
-            state, scn.hubble, scn.spec, grid, sigma=scn.j_sigma,
-            offset=scn.j_offset, ball_radius=scn.decay_radius,
-            cone_b=scn.cone_b))
+        pending.append(state)
+        if len(pending) == block:
+            flush()
 
     aborted: str | None = None
     try:
-        evolve(state0, cfg, scn.spec, grid, observer=observer, monitor=monitor)
+        try:
+            evolve(state0, scn.solver_config(), scn.spec, grid, observer=observer,
+                   monitor=monitor, dt_max=dt_max)
+        finally:
+            flush()
     except (SupportOverflow, NonFiniteField, StiffnessViolation,
             DomainViolation) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
+        # a block's diagnostics can stop the run at a snapshot before the one
+        # evolve had reached: drop the support records past it
+        del monitor.records[len(samples) + 1:]
 
     verdict = _grade(scn, samples, monitor, aborted, theorem_class)
     return ScenarioResult(scn, verdict, samples)

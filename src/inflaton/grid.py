@@ -1,8 +1,10 @@
 """Uniform radial mesh, composite-Simpson quadrature, virial weight tables
 and the energies evaluated on field snapshots.
 
-The Simpson node weights and the virial weight tables depend on the grid
-alone and are built once per grid, so every quadrature is a dot product.
+The Simpson node weights and the Simpson-weighted virial weight table
+depend on the grid alone and are built once per grid, so every quadrature
+is a dot product or a small matrix product.  Quadratures take the node
+values of a prefix [0, k) of the grid and read the field as 0 beyond it.
 
 All improper integrals over (0, inf) are truncated at ``r_max``; the solver
 keeps the field supported away from the outer boundary (finite propagation
@@ -27,6 +29,7 @@ __all__ = [
     "WeightTables",
     "integrate",
     "integrate_range",
+    "density_from_squares",
     "energy_density",
     "energy",
     "ball_energy",
@@ -65,6 +68,10 @@ class RadialGrid:
         return np.arange(self.n_nodes) * self.dr
 
     @cached_property
+    def r_sq(self) -> np.ndarray:
+        return self.r * self.r
+
+    @cached_property
     def r_inv(self) -> np.ndarray:
         """1/r with the r=0 slot zeroed; callers never use index 0."""
         out = np.zeros(self.n_nodes)
@@ -80,94 +87,109 @@ class RadialGrid:
 
     @cached_property
     def weights(self) -> "WeightTables":
-        return WeightTables.build(self)
+        return WeightTables(self)
 
 
-@dataclass(frozen=True)
+# the columns of WeightTables.table, in order
+WEIGHT_COLUMNS = ("psi", "psi_p", "w_sob", "r_sq", "i_grad", "i_mass", "rt_mass")
+
+
 class WeightTables:
-    """Per-node closed-form virial weights and rate coefficients.
+    """Closed-form virial weights and rate coefficients, each times the
+    Simpson node weight s_j, as the columns of one (n_nodes, 7) array:
 
     psi      = r^2 / (1+r)              and its derivative psi'
     w_sob    = r^2 / (1+r)^4            (weighted-Sobolev density)
+    r_sq     = r^2
     i_grad   = r^2 / (1+r)^2            phi_r^2 coefficient of I_rate
     i_mass   = r(r+4) / (2(1+r)^4)      phi^2 coefficient of I_rate
     rt_mass  = 2r(3r-2) / (1+r)^6       phi^2 coefficient of Rt_rate
+
+    For node values g (or a prefix of them, zero beyond), ``g @ table[:k]``
+    holds the seven quadratures int c g dr; the named attributes are column
+    views, e.g. ``psi @ g`` = int psi g dr.
     """
 
-    psi: np.ndarray
-    psi_p: np.ndarray
-    w_sob: np.ndarray
-    r_sq: np.ndarray
-    i_grad: np.ndarray
-    i_mass: np.ndarray
-    rt_mass: np.ndarray
-
-    @classmethod
-    def build(cls, grid: RadialGrid) -> "WeightTables":
+    def __init__(self, grid: RadialGrid) -> None:
         r = grid.r
         op = 1.0 + r
-        return cls(
-            psi=r * r / op,
-            psi_p=r * (r + 2.0) / op**2,
-            w_sob=r * r / op**4,
-            r_sq=r * r,
-            i_grad=(r / op) ** 2,
-            i_mass=r * (r + 4.0) / (2.0 * op**4),
-            rt_mass=2.0 * r * (3.0 * r - 2.0) / op**6,
-        )
+        plain = (r * r / op, r * (r + 2.0) / op**2, r * r / op**4, grid.r_sq, (r / op) ** 2,
+                 r * (r + 4.0) / (2.0 * op**4), 2.0 * r * (3.0 * r - 2.0) / op**6)
+        self.table = np.stack(plain, axis=1) * grid.simpson[:, None]
+        for k, name in enumerate(WEIGHT_COLUMNS):
+            setattr(self, name, self.table[:, k])
 
 
-def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
-    """Composite Simpson over [0, r_max]; O(dr^4) for smooth integrands."""
+def _prefix(samples, grid: RadialGrid) -> np.ndarray:
+    """Node values of one prefix of the grid, or a (B, k) block of them."""
     samples = np.asarray(samples)
-    if samples.shape != (grid.n_nodes,):
-        raise ValueError(f"expected {grid.n_nodes} samples, got {samples.shape}")
-    return float(grid.simpson @ samples)
+    if samples.ndim not in (1, 2) or samples.shape[-1] > grid.n_nodes:
+        raise ValueError(f"expected at most {grid.n_nodes} samples per row, "
+                         f"got {samples.shape}")
+    return samples
 
 
-def integrate_range(samples: np.ndarray, grid: RadialGrid, j_lo: int, j_hi: int) -> float:
-    """Quadrature of samples over nodes [j_lo, j_hi].
+def integrate(samples, grid: RadialGrid):
+    """Composite Simpson over [0, r_max]; O(dr^4) for smooth integrands.
+
+    ``samples`` holds the first k node values (zero beyond); a (B, k) array
+    gives B integrals."""
+    samples = _prefix(samples, grid)
+    out = samples @ grid.simpson[:samples.shape[-1]]
+    return float(out) if samples.ndim == 1 else out
+
+
+def integrate_range(samples, grid: RadialGrid, j_lo: int, j_hi: int):
+    """Quadrature of samples over nodes [j_lo, j_hi]; ``samples`` holds the
+    first k node values (zero beyond), and a (B, k) array gives B results.
 
     Simpson when the cell count is even; otherwise one leading trapezoid
     cell plus Simpson on the remainder (local O(dr^2) in that one cell).
     """
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n_nodes,):
-        raise ValueError(f"expected {grid.n_nodes} samples, got {samples.shape}")
+    samples = _prefix(samples, grid)
     j_lo = max(0, j_lo)
     j_hi = min(grid.n_cells, j_hi)
-    if j_hi <= j_lo:
-        return 0.0
     total = 0.0
-    if (j_hi - j_lo) % 2:
-        total += 0.5 * grid.dr * (samples[j_lo] + samples[j_lo + 1])
+    if j_hi > j_lo and (j_hi - j_lo) % 2:
+        total += 0.5 * grid.dr * np.sum(samples[..., j_lo:j_lo + 2], axis=-1)
         j_lo += 1
-        if j_hi == j_lo:
-            return total
-    weights = grid.simpson[:j_hi - j_lo + 1].copy()     # the rule restarted at j_lo
-    weights[-1] = grid.simpson[0]
-    return total + float(weights @ samples[j_lo:j_hi + 1])
+    # Simpson restarted at j_lo, over the nodes of [j_lo, j_hi] in the prefix
+    end = min(j_hi + 1, samples.shape[-1]) if j_hi > j_lo else j_lo
+    weights = grid.simpson[:max(0, end - j_lo)]
+    if j_hi > j_lo and end > j_hi:          # the rule's last node is in the prefix
+        weights = weights.copy()
+        weights[-1] = grid.simpson[0]
+    out = total + samples[..., j_lo:max(j_lo, end)] @ weights
+    return float(out) if samples.ndim == 1 else out
+
+
+def density_from_squares(phi_t_sq, phi_r_sq, potential, half_damp, r_sq):
+    """r^2 (phi_t^2/2 + e^{-2Ht} phi_r^2/2 + F) from the squares of phi_t and
+    phi_r, F(phi) (None without a potential), e^{-2Ht}/2 and r^2."""
+    dens = 0.5 * phi_t_sq + half_damp * phi_r_sq
+    if potential is not None:
+        dens = dens + potential
+    return r_sq * dens
 
 
 def energy_density(state, hubble: float, t: float, grid: RadialGrid,
-                   spec: PotentialSpec | None, *,
-                   potential: np.ndarray | None = None) -> np.ndarray:
+                   spec: PotentialSpec | None) -> np.ndarray:
     """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy
-    integrand; ``potential``, if given, is F(phi) already evaluated."""
-    damp = np.exp(-2.0 * hubble * t)
-    dens = 0.5 * state.phi_t**2 + 0.5 * damp * state.phi_r**2
-    if spec is not None:
-        dens = dens + (eval_F(spec, state.phi) if potential is None else potential)
-    return grid.weights.r_sq * dens
+    integrand."""
+    potential = eval_F(spec, state.phi) if spec is not None else None
+    return density_from_squares(state.phi_t**2, state.phi_r**2, potential,
+                                0.5 * np.exp(-2.0 * hubble * t), grid.r_sq)
 
 
-def energy(density: np.ndarray, grid: RadialGrid) -> float:
-    """Total energy 4*pi * integral of an ``energy_density`` array."""
-    return FOUR_PI * float(grid.simpson @ density)
+def energy(density, grid: RadialGrid):
+    """Total energy 4*pi * integral of an ``energy_density`` array (or of
+    each row of a (B, k) block of them)."""
+    return FOUR_PI * integrate(density, grid)
 
 
-def ball_energy(density: np.ndarray, R: float, grid: RadialGrid) -> float:
-    """Energy restricted to the ball r <= R (nearest node below R)."""
+def ball_energy(density, R: float, grid: RadialGrid):
+    """Energy restricted to the ball r <= R (nearest node below R), of an
+    ``energy_density`` array or of each row of a (B, k) block of them."""
     j_hi = int(np.floor(R / grid.dr + 1e-9))
     return FOUR_PI * integrate_range(density, grid, 0, j_hi)
 

@@ -1,8 +1,13 @@
-"""The diagnostics record of one field snapshot: virial functionals, their
-analytic rates and the energies, all evaluated in one pass by
-``sample_diagnostics``: each field product is formed once, carrying the
-Simpson node weights, and every functional below except J, J_bound and the
-ball and cone energies is a sum of its dot products with the grid's tables.
+"""The diagnostics record of a field snapshot: virial functionals, their
+analytic rates and the energies.  ``sample_diagnostics`` evaluates it for a
+block of snapshots of one run at once, on the block's live nodes
+(``dynamics.block_fields``): every family has F(0) = f(0) = 0, so the
+nodes past the last nonzero one add nothing.  Each field product is formed
+once as a (B, k) array and reduced by one matrix product with the grid's
+Simpson-weighted weight table (``grid.WeightTables``).  E, J and J_bound
+integrate the energy density, formed from the same squares, against the
+Simpson weights; the ball and cone energies keep the odd-cell rule of
+``grid.integrate_range``.  One snapshot is a block of one.
 
 With psi = r^2/(1+r), psi' = r(r+2)/(1+r)^2 and the energy density
 e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) of ``grid.energy_density``:
@@ -39,11 +44,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (RadialGrid, ball_energy, energy, energy_density,
+from .dynamics import block_fields
+from .grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, density_from_squares, energy,
                    exterior_cone_energy, integrate, FOUR_PI)
 from .potentials import PotentialSpec, eval_F, eval_f
 
-__all__ = ["VirialSample", "CSV_COLUMNS", "sample_diagnostics"]
+__all__ = ["VirialSample", "CSV_COLUMNS", "sample_diagnostics", "field_records"]
+
+PSI, PSI_P, W_SOB, R_SQ, I_GRAD, I_MASS, RT_MASS = map(WEIGHT_COLUMNS.index, (
+    "psi", "psi_p", "w_sob", "r_sq", "i_grad", "i_mass", "rt_mass"))
 
 CSV_COLUMNS = ("t", "E", "W", "P", "R", "I", "I_rate", "R_tilde", "Rt_rate",
                "J", "J_bound", "ballE", "coneE", "sup_phi", "h1_norm")
@@ -82,48 +91,75 @@ class VirialSample:
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
 
 
-def sample_diagnostics(state, hubble: float, spec: PotentialSpec | None,
+def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
                        grid: RadialGrid, *, sigma: float = -2.0, offset: float = 0.0,
-                       ball_radius: float = 10.0, cone_b: float = 2.0) -> VirialSample:
-    """Evaluate the full diagnostics record on one snapshot."""
-    t, phi, phi_r, phi_t = state.t, state.phi, state.phi_r, state.phi_t
-    w = grid.weights
-    potential = eval_F(spec, phi) if spec is not None else None
-    dens = energy_density(state, hubble, t, grid, spec, potential=potential)
-    # each product carries the Simpson node weights s, so that for a weight
-    # table c the integral of c g h is the dot product c @ (s g h)
-    phi_s, phi_r_s = grid.simpson * phi, grid.simpson * phi_r
-    pp, rr, tt = phi_s * phi, phi_r_s * phi_r, grid.simpson * phi_t**2
-    rt, pt = phi_r_s * phi_t, phi_s * phi_t
+                       ball_radius: float = 10.0, cone_b: float = 2.0) -> list[VirialSample]:
+    """The diagnostics record of each snapshot of a block (one run's grid and
+    stencil order), evaluated together on the block's live nodes."""
+    if not states:
+        return []
+    return field_records([s.t for s in states], *block_fields(states), hubble, spec,
+                         grid, sigma=sigma, offset=offset, ball_radius=ball_radius,
+                         cone_b=cone_b)
 
-    h1w = w.w_sob @ pp + w.w_sob @ rr
-    l2w = w.w_sob @ tt
-    P, R = w.psi @ rt, w.psi_p @ pt
-    i_rate = w.i_grad @ rr + w.i_mass @ pp
-    rt_rate = l2w - w.w_sob @ rr + w.rt_mass @ pp
+
+def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
+                  hubble: float, spec: PotentialSpec | None, grid: RadialGrid, *,
+                  sigma: float = -2.0, offset: float = 0.0, ball_radius: float = 10.0,
+                  cone_b: float = 2.0) -> list[VirialSample]:
+    """The record of each row of (B, k) node values of phi, phi_t and phi_r on
+    the first k nodes (0 beyond them) at the B times ``t``."""
+    t = np.asarray(t, dtype=float)
+    k = phi.shape[-1]
+    damp = np.exp(-2.0 * hubble * t)
+    sums, dens = _reduce(phi, phi_t, phi_r, spec, 0.5 * damp, grid)
+    PP, RR, TT, RT, PT = sums[:5]
+
+    h1w = PP[:, W_SOB] + RR[:, W_SOB]
+    l2w = TT[:, W_SOB]
+    i_rate = RR[:, I_GRAD] + PP[:, I_MASS]
+    rt_rate = l2w - RR[:, W_SOB] + PP[:, RT_MASS]
     if spec is not None:
-        pf = phi_s * eval_f(spec, phi)
-        i_rate += w.psi_p @ (grid.simpson * potential) - 0.5 * (w.psi_p @ pf)
-        rt_rate -= w.w_sob @ pf
-    r_rr = w.r_sq @ rr
-    e_rate = 0.0
+        F, PF = sums[5:]
+        i_rate += F[:, PSI_P] - 0.5 * PF[:, PSI_P]
+        rt_rate -= PF[:, W_SOB]
+    e_rate = np.zeros_like(t)
     if hubble:
-        e_rate = -hubble * FOUR_PI * (3.0 * (w.r_sq @ tt) + np.exp(-2.0 * hubble * t) * r_rr)
+        e_rate = -hubble * FOUR_PI * (3.0 * TT[:, R_SQ] + damp * RR[:, R_SQ])
 
     # 1 + tanh x = 2/(1+q) (x >= 0) or 2q/(1+q) (x < 0) and sech^2 x =
     # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail
-    cone = grid.r + (sigma * t + offset)
+    cone = grid.r[:k] + (sigma * t + offset)[:, None]
     q = np.exp(-2.0 * np.abs(cone))
     inv = 1.0 / (1.0 + q)
-    flux = float(phi[0] ** 2)
-    return VirialSample(
-        t=t, E=energy(dens, grid), W=h1w + l2w, P=P, R=R, I=P + 0.5 * R,
-        I_rate=i_rate, R_tilde=w.w_sob @ pt, Rt_rate=rt_rate,
-        J=2.0 * integrate(np.where(cone >= 0.0, inv, q * inv) * dens, grid),
-        J_bound=4.0 * (1.0 + sigma) * integrate(q * inv**2 * dens, grid),
-        ballE=ball_energy(dens, ball_radius, grid),
-        coneE=exterior_cone_energy(dens, t, cone_b, grid),
-        sup_phi=float(np.max(np.abs(phi))),
-        h1_norm=float(np.sqrt(FOUR_PI * (w.r_sq @ pp + r_rr))),
-        h1w_sq=h1w, l2w_sq=l2w, origin_flux=flux,
-        I_rate_corrected=i_rate - 0.5 * flux, E_rate=e_rate)
+    flux = phi[:, 0] ** 2
+    P, R = RT[:, PSI], PT[:, PSI_P]
+    columns = (
+        t, energy(dens, grid), h1w + l2w, P, R, P + 0.5 * R, i_rate, PT[:, W_SOB],
+        rt_rate, 2.0 * integrate(np.where(cone >= 0.0, inv, q * inv) * dens, grid),
+        4.0 * (1.0 + sigma) * integrate(q * inv**2 * dens, grid),
+        ball_energy(dens, ball_radius, grid),
+        [exterior_cone_energy(row, ti, cone_b, grid) for row, ti in zip(dens, t)],
+        np.max(np.abs(phi), axis=1), np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])),
+        h1w, l2w, flux, i_rate - 0.5 * flux, e_rate)
+    return [VirialSample(*row) for row in np.column_stack(columns).tolist()]
+
+
+def _reduce(phi, phi_t, phi_r, spec, half_damp, grid):
+    """Each field product of a block (phi^2, phi_r^2, phi_t^2, phi_r phi_t,
+    phi phi_t, then F and phi f) reduced by one small matrix product with the
+    (k, 7) Simpson-weighted table, sums[p][:, c] = int c * product_p dr, and
+    the energy density from the same squares; one product at a time, so the
+    block's temporaries stay few."""
+    k = phi.shape[-1]
+    table = grid.weights.table[:k]
+    tt, rr = phi_t * phi_t, phi_r * phi_r
+    potential = eval_F(spec, phi) if spec is not None else None
+    dens = density_from_squares(tt, rr, potential, half_damp[:, None], grid.r_sq[:k])
+    buf = np.empty_like(phi)
+    sums = [np.multiply(phi, phi, out=buf) @ table, rr @ table, tt @ table,
+            np.multiply(phi_r, phi_t, out=buf) @ table,
+            np.multiply(phi, phi_t, out=buf) @ table]
+    if spec is not None:
+        sums += [potential @ table, np.multiply(phi, eval_f(spec, phi), out=buf) @ table]
+    return sums, dens

@@ -226,7 +226,7 @@ def test_c11_radial_sup_bound():
         for n in (1024, 2048, 4096):
             g = RadialGrid(40.0, n)
             state = initial_state(g, a, c, w, velocity="rest", space_order=2)
-            h1 = sample_diagnostics(state, 0.0, None, g).h1_norm
+            h1 = sample_diagnostics([state], 0.0, None, g)[0].h1_norm
             ratios.append(np.max(np.abs(state.u)) / h1)
         var = (max(ratios) - min(ratios)) / max(ratios)
         worst_var = max(worst_var, var)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
@@ -619,8 +619,16 @@ def _n_steps(scn: Scenario) -> float:
     return scn.t_end / resolve_dt(grid, scn.solver_config(), scn.spec, scn.initial(grid))
 
 
+# accepted mutations that end in exit 2 (a missed threshold) and exit 3 (an
+# abort: dbrane1 data at v = -1 leave the potential's domain)
+_MISSES_THRESHOLD = [("set", ("thresholds", "w_ratio"), 1e-300)]
+_ABORTS = [("set", ("potential",), "dbrane1"), ("set", ("initial", "amplitude"), -1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(mutations=_MUTATIONS)
+@example(mutations=_MISSES_THRESHOLD)
+@example(mutations=_ABORTS)
 def test_accepted_mutated_configs_run_to_a_documented_exit(tmp_path_factory, mutations):
     # every config load_config accepts runs through simulate and sweep and
     # ends in exit 0, 1, 2 or 3, never in a traceback; runs above 1,024 cells
@@ -642,3 +650,11 @@ def test_accepted_mutated_configs_run_to_a_documented_exit(tmp_path_factory, mut
     with mock.patch.dict(os.environ, {"INFLATON_THREADS": "1"}):
         assert main(["simulate", str(path), "--out", str(work / "run")]) in (0, 1, 2, 3)
         assert main(["sweep", str(path), "--out", str(work / "sweep")]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("mutations,code", [(_MISSES_THRESHOLD, 2), (_ABORTS, 3)])
+def test_mutation_examples_reach_exits_2_and_3(tmp_path, monkeypatch, mutations, code):
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    path = write_config(tmp_path, _mutated_config(mutations))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == code
+    assert main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 2

@@ -251,7 +251,7 @@ def test_dissipation_identity_smoke():
     cfg = SolverConfig(t_end=6.0, hubble=1.0, cfl=0.5, space_order=4, output_every=1)
     samples = []
     evolve(state, cfg, spec, g,
-           observer=lambda s: samples.append(sample_diagnostics(s, 1.0, spec, g)))
+           observer=lambda s: samples.extend(sample_diagnostics([s], 1.0, spec, g)))
     t = np.array([s.t for s in samples])
     E = np.array([s.E for s in samples])
     rate = np.array([s.E_rate for s in samples])

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from inflaton import dynamics, experiments
 from inflaton.experiments import (ConvergenceReport, Scenario,
                                   ScenarioClassError, run_convergence_study, run_exploratory_scenario,
                                   run_potential_audit_suite, run_scenario,
@@ -11,7 +13,7 @@ from inflaton.experiments import (ConvergenceReport, Scenario,
                                   thm3_suite, _enforce_mode_preconditions,
                                   _grade, _suite_scenario, _uniform_prefix)
 from inflaton.dynamics import SupportMonitor
-from inflaton.potentials import PotentialSpec
+from inflaton.potentials import DomainViolation, PotentialSpec
 from inflaton.virials import VirialSample
 
 
@@ -263,3 +265,99 @@ def test_w_rate_ratio_diagnostic(virial_run):
     ratios = w_rate_ratio(virial_run.samples)
     assert len(ratios) == len(virial_run.samples) - 2
     assert np.all(np.isfinite(ratios)) and np.all(ratios >= 0.0)
+
+
+# --- diagnostics blocks ------------------------------------------------------
+
+_BLOCK_RUNS = {
+    # sampled every step at H > 0: many full blocks and a partial last one
+    "expanding": dict(hubble=0.5, amplitude=0.5, center=4.0, t_end=5.0),
+    # the outgoing pulse starts near r_max and aborts with SupportOverflow
+    "overflow": dict(amplitude=1.0, center=14.0, t_end=3.5),
+}
+
+
+def _block_scenario(run: str) -> Scenario:
+    return Scenario(name=f"block-{run}", spec=PotentialSpec("T", n=1), width=2.0,
+                    velocity="outgoing", r_max=20.0, n_cells=256, cfl=0.5,
+                    space_order=4, output_every=1, **_BLOCK_RUNS[run])
+
+
+def _assert_same_run(got, want):
+    assert len(got.samples) == len(want.samples)
+    for name in VirialSample.__dataclass_fields__:
+        a = np.array([getattr(s, name) for s in got.samples])
+        b = np.array([getattr(s, name) for s in want.samples])
+        assert np.all(np.abs(a - b) <= 1e-14 * np.max(np.abs(b), initial=0.0)), name
+    for name, value in vars(want.verdict).items():
+        if isinstance(value, (bool, str)) or value is None:
+            assert getattr(got.verdict, name) == value, name
+
+
+@pytest.mark.parametrize("run", list(_BLOCK_RUNS))
+def test_blocks_of_one_snapshot_give_the_same_samples(monkeypatch, run):
+    scn = _block_scenario(run)
+    blocked = run_scenario(scn)
+    monkeypatch.setattr(experiments, "BLOCK_NODES", 1)
+    single = run_scenario(scn)
+    _assert_same_run(blocked, single)
+    assert blocked.verdict.support_excess == single.verdict.support_excess
+    if run == "overflow":
+        # every snapshot observed before the abort keeps its record
+        assert blocked.verdict.aborted.startswith("SupportOverflow")
+        t_abort = float(blocked.verdict.aborted.rsplit("t=", 1)[1].split(";")[0])
+        assert blocked.samples[-1].t < t_abort
+        assert len(blocked.samples) == round(blocked.samples[-1].t / (
+            blocked.samples[1].t - blocked.samples[0].t)) + 1
+    else:
+        assert blocked.verdict.aborted is None
+
+
+def test_a_block_that_leaves_the_domain_stops_the_run_at_its_snapshot(monkeypatch):
+    # the diagnostics of one snapshot leave the potential's domain: blocked,
+    # the run stops at that snapshot as it does sampled one at a time, with
+    # the same records and support records, although evolve stepped on
+    original = experiments.sample_diagnostics
+
+    def leaves_domain_at(states, *args, **kwargs):
+        if any(s.t > 1.0 for s in states):
+            raise DomainViolation("dbrane potential requires v > -1")
+        return original(states, *args, **kwargs)
+
+    monitors = []
+
+    class Monitor(SupportMonitor):
+        def __init__(self, grid):
+            super().__init__(grid)
+            monitors.append(self)
+
+    monkeypatch.setattr(experiments, "sample_diagnostics", leaves_domain_at)
+    monkeypatch.setattr(experiments, "SupportMonitor", Monitor)
+    scn = _block_scenario("expanding")
+    blocked = run_scenario(scn)
+    monkeypatch.setattr(experiments, "BLOCK_NODES", 1)
+    single = run_scenario(scn)
+    _assert_same_run(blocked, single)
+    assert blocked.verdict.aborted == "DomainViolation: dbrane potential requires v > -1"
+    assert blocked.samples[-1].t <= 1.0 < blocked.samples[-1].t + 0.1
+    assert monitors[0].records == monitors[1].records
+    assert len(monitors[0].records) == len(blocked.samples) + 1
+
+
+def test_a_scenario_builds_its_grid_and_initial_state_once(monkeypatch):
+    scn = _block_scenario("expanding")
+    assert scn.grid() is replace(scn, name="other", t_end=1.0).grid()
+    assert "start" not in {f.name for f in fields(Scenario)}
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+        return call
+
+    # run_scenario takes the state and the step the constructor built
+    monkeypatch.setattr(dynamics, "resolve_dt", refuse("resolve_dt"))
+    monkeypatch.setattr(experiments, "initial_state", refuse("initial_state"))
+    result = run_scenario(scn)
+    assert calls == [] and result.verdict.aborted is None
+    assert result.samples[0].t == 0.0 and result.samples[-1].t == pytest.approx(scn.t_end)

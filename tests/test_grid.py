@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from types import SimpleNamespace
 
 from inflaton.dynamics import FieldState, initial_state
-from inflaton.grid import (RadialGrid, ball_energy, energy, energy_density,
+from inflaton.grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, energy, energy_density,
                            exterior_cone_energy, integrate, integrate_range)
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import sample_diagnostics
@@ -82,22 +82,52 @@ def test_integrate_range_against_refined_oracle():
     assert integrate_range(f, g, 30, 10) == 0.0
 
 
+@pytest.mark.parametrize("k", [4, 37, 128, 257])
+def test_quadratures_read_a_prefix_as_zero_extended(small_grid, k):
+    # node values on [0, k), zero beyond: the prefix, and each row of a block
+    # of prefixes, integrates as the zero-extended whole-grid array
+    g = small_grid
+    rows = np.random.default_rng(k).normal(size=(3, g.n_nodes))
+    rows[:, k:] = 0.0
+    prefix = rows[:, :k]
+    assert integrate(prefix, g) == pytest.approx([integrate(f, g) for f in rows],
+                                                 rel=1e-13, abs=1e-13)
+    for j_lo, j_hi in ((0, 256), (0, 7), (3, 200), (36, 37), (36, 38), (127, 256),
+                       (200, 256), (20, 20), (30, 10)):
+        want = [integrate_range(f, g, j_lo, j_hi) for f in rows]
+        assert integrate_range(prefix, g, j_lo, j_hi) == pytest.approx(
+            want, rel=1e-13, abs=1e-13), (j_lo, j_hi)
+        assert integrate_range(prefix[1], g, j_lo, j_hi) == pytest.approx(
+            want[1], rel=1e-13, abs=1e-13), (j_lo, j_hi)
+    with pytest.raises(ValueError):
+        integrate_range(np.ones(g.n_nodes + 1), g, 0, 4)
+
+
+def _unweighted(g):
+    """The weight table without its Simpson node weights."""
+    return {name: g.weights.table[:, k] / g.simpson for k, name in enumerate(WEIGHT_COLUMNS)}
+
+
 def test_weight_tables_consistent_with_finite_differences():
     g = RadialGrid(30.0, 2048)
-    w = g.weights
+    w = _unweighted(g)
     # the tabulated psi' against a centered difference of psi
-    fd_psi = (w.psi[2:] - w.psi[:-2]) / (2 * g.dr)
-    assert np.max(np.abs(fd_psi - w.psi_p[1:-1])) <= 2.0 * g.dr**2
+    fd_psi = (w["psi"][2:] - w["psi"][:-2]) / (2 * g.dr)
+    assert np.max(np.abs(fd_psi - w["psi_p"][1:-1])) <= 2.0 * g.dr**2
 
 
 def test_weight_tables_closed_forms():
     g = RadialGrid(12.0, 256)
     r = g.r
-    w = g.weights
-    assert np.allclose(w.psi_p, r * (r + 2) / (1 + r) ** 2, atol=1e-12)
+    w = _unweighted(g)
+    assert np.allclose(w["psi_p"], r * (r + 2) / (1 + r) ** 2, atol=1e-12)
     # weights are bounded: psi <= r and w_sob <= min(r^2, 1)
-    assert np.all(w.psi <= r + 1e-15)
-    assert np.all(w.w_sob <= np.minimum(r * r, 1.0) + 1e-15)
+    assert np.all(w["psi"] <= r + 1e-15)
+    assert np.all(w["w_sob"] <= np.minimum(r * r, 1.0) + 1e-15)
+    # the named tables are views of the one table's columns
+    for name in WEIGHT_COLUMNS:
+        assert np.shares_memory(getattr(g.weights, name), g.weights.table)
+        assert np.array_equal(getattr(g.weights, name), g.simpson * w[name])
 
 
 def test_weighted_norms_basics(small_grid):
@@ -217,7 +247,7 @@ def test_cone_energy_partial_against_oracle():
 
 def _radial_sup_check(state):
     # both sides of the radial sup bound: sup_j |r_j phi_j| and ||phi||_{H^1(R^3)}
-    h1 = sample_diagnostics(state, 0.0, None, state.grid).h1_norm
+    h1 = sample_diagnostics([state], 0.0, None, state.grid)[0].h1_norm
     return float(np.max(np.abs(state.u))), h1
 
 

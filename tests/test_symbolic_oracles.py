@@ -75,8 +75,8 @@ def test_weight_tables_match_symbolic_derivatives():
     grid = RadialGrid(25.0, 128)
     w = grid.weights
     checks = [
-        (psi, w.psi), (sp.diff(psi, r), w.psi_p),
-        (r**2 / (1 + r) ** 4, w.w_sob),
+        (psi, w.psi / grid.simpson), (sp.diff(psi, r), w.psi_p / grid.simpson),
+        (r**2 / (1 + r) ** 4, w.w_sob / grid.simpson),
     ]
     for expr, table in checks:
         fn = sp.lambdify(r, expr, "numpy")

@@ -5,11 +5,11 @@ from dataclasses import fields, replace
 from types import SimpleNamespace
 
 from inflaton import grid as grid_module, virials
-from inflaton.dynamics import evolve
+from inflaton.dynamics import FieldState, evolve, initial_state
 from inflaton.experiments import thm3_suite, virial_consistency_scenario
 from inflaton.grid import FOUR_PI, RadialGrid, integrate_range
 from inflaton.potentials import PotentialSpec, eval_F
-from inflaton.virials import CSV_COLUMNS, VirialSample, sample_diagnostics
+from inflaton.virials import CSV_COLUMNS, VirialSample, field_records, sample_diagnostics
 
 from conftest import gaussian_state
 from virial_oracles import (p_rate_discrepancy, reference_record, virial_P_rate,
@@ -19,20 +19,26 @@ from virial_oracles import (p_rate_discrepancy, reference_record, virial_P_rate,
 T1 = PotentialSpec("T", n=1)
 
 
+def record(state, hubble, spec, grid, **kw):
+    """The record of one analytic snapshot (phi, phi_t and phi_r given)."""
+    rows = [np.asarray(getattr(state, name))[None] for name in ("phi", "phi_t", "phi_r")]
+    return field_records([state.t], *rows, hubble, spec, grid, **kw)[0]
+
+
 def zero_state(grid):
     z = np.zeros(grid.n_nodes)
     return SimpleNamespace(t=0.0, phi=z, phi_t=z.copy(), phi_r=z.copy())
 
 
 def test_zero_state_functionals_vanish(small_grid):
-    sample = sample_diagnostics(zero_state(small_grid), 1.0, T1, small_grid)
+    sample = record(zero_state(small_grid), 1.0, T1, small_grid)
     for name in ("P", "R", "I", "R_tilde", "W", "I_rate", "Rt_rate", "J"):
         assert getattr(sample, name) == 0.0, name
 
 
 def test_identity_I_equals_P_plus_half_R(small_grid):
     state = gaussian_state(small_grid, amplitude=1.3, width=1.7)
-    s = sample_diagnostics(state, 0.0, T1, small_grid)
+    s = record(state, 0.0, T1, small_grid)
     assert s.I == pytest.approx(s.P + 0.5 * s.R, abs=1e-14 * (1 + abs(s.I)))
 
 
@@ -40,8 +46,8 @@ def test_P_flips_sign_with_velocity(small_grid):
     state = gaussian_state(small_grid)
     flipped = SimpleNamespace(t=0.0, phi=state.phi, phi_t=-state.phi_t,
                               phi_r=state.phi_r)
-    s = sample_diagnostics(state, 0.0, T1, small_grid)
-    s_flipped = sample_diagnostics(flipped, 0.0, T1, small_grid)
+    s = record(state, 0.0, T1, small_grid)
+    s_flipped = record(flipped, 0.0, T1, small_grid)
     assert s_flipped.P == -s.P
     assert s_flipped.R == -s.R
 
@@ -57,7 +63,7 @@ def test_gaussian_quadratures_against_refined_oracle():
     fine = RadialGrid(16.0, 8192)
     s, sf = gaussian_state(g), gaussian_state(fine)
     s.t = 0.3
-    sample = sample_diagnostics(s, 0.5, T1, g, sigma=-2.0, offset=1.0)
+    sample = record(s, 0.5, T1, g, sigma=-2.0, offset=1.0)
 
     got_P = sample.P
     want_P = np.trapezoid(fine.r**2 / (1 + fine.r) * sf.phi_r * sf.phi_t, fine.r)
@@ -87,7 +93,7 @@ def test_static_rate_against_refined_oracle():
     s, sf = gaussian_state(g), gaussian_state(fine)
     s.phi_t = np.zeros_like(s.phi)
     sf.phi_t = np.zeros_like(sf.phi)
-    got = sample_diagnostics(s, 0.0, None, g).Rt_rate
+    got = record(s, 0.0, None, g).Rt_rate
     want = np.trapezoid(
         -fine.r**2 / (1 + fine.r) ** 4 * sf.phi_r**2
         + 2 * fine.r * (3 * fine.r - 2) / (1 + fine.r) ** 6 * sf.phi**2, fine.r)
@@ -98,7 +104,7 @@ def test_static_rate_against_refined_oracle():
 
 def test_weighted_energy_decomposition(small_grid):
     state = gaussian_state(small_grid)
-    sample = sample_diagnostics(state, 0.0, T1, small_grid)
+    sample = record(state, 0.0, T1, small_grid)
     assert sample.W == pytest.approx(sample.h1w_sq + sample.l2w_sq, rel=1e-14)
 
 
@@ -106,7 +112,7 @@ def test_weighted_energy_controls_local_norms():
     # || (phi, phi_t) ||^2_{H1 x L2(B(0,R))} <= 4 pi (1+R)^4 W
     g = RadialGrid(16.0, 1024)
     state = gaussian_state(g, amplitude=2.0, width=1.3)
-    W = sample_diagnostics(state, 0.0, T1, g).W
+    W = record(state, 0.0, T1, g).W
     dens = g.r**2 * (state.phi**2 + state.phi_r**2 + state.phi_t**2)
     for R in (1.0, 5.0, 12.0):
         j = int(R / g.dr)
@@ -116,7 +122,7 @@ def test_weighted_energy_controls_local_norms():
 
 def test_origin_flux_and_corrected_rates(small_grid):
     state = gaussian_state(small_grid)
-    sample = sample_diagnostics(state, 0.0, T1, small_grid)
+    sample = record(state, 0.0, T1, small_grid)
     flux = sample.origin_flux
     assert flux == pytest.approx(state.phi[0] ** 2)
     assert sample.I_rate_corrected == pytest.approx(
@@ -213,7 +219,7 @@ def test_J_saturation_limit():
     # exactly 2 in double precision, so J = 2 * E / (4 pi)
     g = RadialGrid(16.0, 512)
     state = gaussian_state(g, amplitude=0.8, width=1.2)
-    sample = sample_diagnostics(state, 0.0, T1, g, sigma=0.0, offset=30.0)
+    sample = record(state, 0.0, T1, g, sigma=0.0, offset=30.0)
     assert sample.J == pytest.approx(2.0 * sample.E / FOUR_PI, rel=1e-12)
 
 
@@ -223,7 +229,7 @@ def test_J_bound_signs():
     state.t = 0.5
 
     def bound(sigma):
-        return sample_diagnostics(state, 1.0, T1, g, sigma=sigma, offset=0.0).J_bound
+        return record(state, 1.0, T1, g, sigma=sigma, offset=0.0).J_bound
 
     assert bound(-1.0) == 0.0
     assert bound(-2.0) <= 0.0
@@ -244,7 +250,7 @@ def test_J_monotone_and_bounded_along_expanding_run(thm3_run):
 
 def test_sample_diagnostics_csv_contract(small_grid):
     state = gaussian_state(small_grid)
-    sample = sample_diagnostics(state, 0.5, T1, small_grid,
+    sample = record(state, 0.5, T1, small_grid,
                                 sigma=-2.0, offset=0.0, ball_radius=5.0, cone_b=2.0)
     row = sample.csv_row()
     assert len(row) == len(CSV_COLUMNS) == 15
@@ -273,7 +279,7 @@ def test_record_matches_per_functional_reference(snapshot):
     state = evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid)
     kw = dict(sigma=scn.j_sigma, offset=scn.j_offset, ball_radius=scn.decay_radius,
               cone_b=scn.cone_b)
-    got = sample_diagnostics(state, hubble, scn.spec, grid, **kw)
+    got = sample_diagnostics([state], hubble, scn.spec, grid, **kw)[0]
     ref = reference_record(state, hubble, scn.spec, grid, **kw)
     assert list(ref) == [f.name for f in fields(VirialSample)]
     for name, (want, magnitude) in ref.items():
@@ -283,9 +289,44 @@ def test_record_matches_per_functional_reference(snapshot):
         assert 1e-6 < got.J < 1e-4 and got.J < 1e-2 * got.E
 
 
-def test_one_record_makes_one_force_evaluation_and_four_quadratures(monkeypatch):
-    # the record is one weighted reduction: only J, J_bound, ballE and coneE
-    # integrate an array of their own
+def _block(grid, order, size):
+    """``size`` snapshots with different live extents: a field cut off at
+    node 60 (of O(1) right up to the cut), then outgoing bumps and bumps at
+    rest of growing centre and width, at growing times; a block of more than
+    one also holds a gaussian whose u is nonzero at node n - 1."""
+    cut = np.zeros(grid.n_nodes)
+    cut[1:61] = 0.3 * grid.r[1:61] * np.cos(grid.r[1:61])
+    states = [FieldState(0.0, cut, -0.5 * cut, grid, order)]
+    for i in range(1, size):
+        s = initial_state(grid, 0.4 - 0.03 * i, 2.5 + 1.6 * i, 1.0 + 0.2 * i,
+                          velocity="outgoing" if i % 2 == 0 else "rest", space_order=order)
+        states.append(FieldState(0.3 * i, s.u, s.u_t, grid, order))
+    if size > 1:
+        edge = 0.2 * np.exp(-((grid.r - grid.r_max) / 2.0) ** 2)
+        states[size // 2] = FieldState(0.7, grid.r * edge, 0.5 * grid.r * edge, grid, order)
+        assert states[size // 2].u[-1] != 0.0
+    return states
+
+
+@pytest.mark.parametrize("size", [1, 3, 8])
+@pytest.mark.parametrize("spec", [None, T1], ids=["free", "T1"])
+@pytest.mark.parametrize("hubble", [0.0, 0.5])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_block_records_match_per_functional_reference(order, hubble, spec, size):
+    g = RadialGrid(20.0, 256)
+    states = _block(g, order, size)
+    got = sample_diagnostics(states, hubble, spec, g)
+    assert len(got) == size
+    for state, sample in zip(states, got):
+        ref = reference_record(state, hubble, spec, g)
+        for name, (want, magnitude) in ref.items():
+            assert abs(getattr(sample, name) - want) <= 1e-13 * magnitude, name
+
+
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, size):
+    # the block is one weighted reduction: only E, J, J_bound and ballE
+    # integrate the (B, k) block, and coneE each row over its own exterior
     calls = Counter()
 
     def count(module, name):
@@ -301,9 +342,8 @@ def test_one_record_makes_one_force_evaluation_and_four_quadratures(monkeypatch)
                          (grid_module, "integrate_range")):
         count(module, name)
     g = RadialGrid(20.0, 256)
-    state = gaussian_state(g)
-    state.t = 0.5
-    sample_diagnostics(state, 1.0, T1, g)
+    sample_diagnostics(_block(g, 4, size), 1.0, T1, g)
     assert calls["eval_f"] == 1
     assert calls["eval_F"] == 1
-    assert calls["integrate"] + calls["integrate_range"] <= 4
+    assert calls["integrate"] == 3
+    assert calls["integrate_range"] == 1 + size

@@ -7,6 +7,8 @@ weighted reduction of ``sample_diagnostics``.  The dP/dt and dR/dt
 identities at H = 0 and the weighted norms serve as oracles next to it.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from inflaton.grid import (FOUR_PI, ball_energy, energy_density,
@@ -14,14 +16,21 @@ from inflaton.grid import (FOUR_PI, ball_energy, energy_density,
 from inflaton.potentials import eval_F, eval_f
 
 
+def plain_weights(grid) -> SimpleNamespace:
+    """The virial weights at the nodes, from their closed forms."""
+    r = grid.r
+    return SimpleNamespace(psi=r**2 / (1.0 + r), psi_p=r * (r + 2.0) / (1.0 + r) ** 2,
+                           w_sob=r**2 / (1.0 + r) ** 4, r_sq=r**2)
+
+
 def weighted_l2_sq(phi, grid) -> float:
     """Integral of r^2/(1+r)^4 * phi^2 over the grid."""
-    return integrate(grid.weights.w_sob * np.asarray(phi) ** 2, grid)
+    return integrate(plain_weights(grid).w_sob * np.asarray(phi) ** 2, grid)
 
 
 def weighted_h1_sq(phi, phi_r, grid) -> float:
     """Integral of r^2/(1+r)^4 * (phi^2 + phi_r^2) over the grid."""
-    w = grid.weights.w_sob
+    w = plain_weights(grid).w_sob
     return integrate(w * (np.asarray(phi) ** 2 + np.asarray(phi_r) ** 2), grid)
 
 
@@ -45,7 +54,7 @@ def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
     value that cancels is compared against it, not against itself.
     """
     t, phi, phi_r, phi_t = state.t, state.phi, state.phi_r, state.phi_t
-    r, w = grid.r, grid.weights
+    r, w = grid.r, plain_weights(grid)
     dens = energy_density(state, hubble, t, grid, spec)
     fpot = eval_F(spec, phi) if spec is not None else 0.0
     phi_f = phi * eval_f(spec, phi) if spec is not None else 0.0
@@ -94,7 +103,7 @@ def virial_P_rate(state, spec, grid) -> float:
     coordinate quotient evaluated in cancelled form 2r/(1+r).
     """
     r = grid.r
-    w = grid.weights
+    w = plain_weights(grid)
     fpot = eval_F(spec, state.phi) if spec is not None else 0.0
     integrand = (2.0 * r / (1.0 + r)) * state.phi_r**2 \
         - w.psi_p * (0.5 * state.phi_t**2 + 0.5 * state.phi_r**2 - fpot)
@@ -107,7 +116,7 @@ def virial_P_rate_display(state, spec, grid) -> float:
     int r(2+3r)/(2(1+r)^2) phi_r^2 - r(r+2)/(1+r)^2 (phi_t^2/2 - F).
     """
     r = grid.r
-    w = grid.weights
+    w = plain_weights(grid)
     fpot = eval_F(spec, state.phi) if spec is not None else 0.0
     integrand = r * (2.0 + 3.0 * r) / (2.0 * (1.0 + r) ** 2) * state.phi_r**2 \
         - w.psi_p * (0.5 * state.phi_t**2 - fpot)
@@ -128,7 +137,7 @@ def virial_R_rate(state, spec, grid) -> float:
     int psi' (phi_t^2 - phi_r^2 - phi f) + r(r+4)/(1+r)^4 phi^2.
     """
     r = grid.r
-    w = grid.weights
+    w = plain_weights(grid)
     phi = state.phi
     integrand = w.psi_p * (state.phi_t**2 - state.phi_r**2) \
         + r * (r + 4.0) / (1.0 + r) ** 4 * phi**2
