@@ -10,8 +10,8 @@ second derivative ((r phi)_rr / r) and removes the origin singularity:
 Spatial derivatives are centered differences of selectable order (2, 4, 6);
 the substitution u(-r) = -u(r) supplies exact ghost values at the origin.
 The outer Dirichlet row is only valid while the support stays away from
-r_max, which the support monitor enforces (abort, not absorbing layers --
-absorbing boundaries would contaminate the virial diagnostics).
+r_max, which ``evolve`` enforces (abort, not absorbing layers -- absorbing
+boundaries would contaminate the virial diagnostics).
 
 Three time schemes are offered.  ``"rk4"`` (the default) is classical RK4
 on any stencil order and any H >= 0, with four force evaluations per step.
@@ -69,16 +69,19 @@ behind them, so the one-sided outer rows and the Dirichlet zeroing at the
 window's end only ever see zeros, and every nonzero node is computed from
 the same operands as on the whole grid.  The states match the whole-grid
 loop bit for bit, up to the sign of some zeros, and the force is evaluated
-as often.  Once m reaches n_nodes the same loop runs on the whole grid;
-snapshots always span the whole grid, and the finite check reads the
-window.  ``block_fields`` builds phi, phi_t and phi_r of a block of
-snapshots on their live nodes only, for the diagnostics.
+as often.  Once m reaches n_nodes the same loop runs on the whole grid.
+The checks at each snapshot read the window: finiteness and sup|phi| over
+it, and the support overflow over its nodes within 4 dr of r_max, which
+stay 0 until the window reaches them; snapshots, which span the whole
+grid, are built only for an observer.  ``block_fields`` builds phi, phi_t
+and phi_r of a block of snapshots on their live nodes only, and
+``support_radius`` their 1e-13 front, for the diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -94,7 +97,6 @@ __all__ = [
     "StiffnessViolation",
     "SolverConfig",
     "FieldState",
-    "SupportMonitor",
     "bump_profile",
     "gaussian_profile",
     "initial_state",
@@ -339,43 +341,14 @@ def block_fields(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phi, _over_r(u_t[:, :k], grid.r_inv), _radial_derivative(u, phi, grid, order)
 
 
-def support_radius(state: FieldState, threshold: float = SUPPORT_THRESHOLD) -> float:
-    """Largest r_j where |phi| or |phi_t| exceeds the threshold (0 if none)."""
-    mask = (np.abs(state.phi) > threshold) | (np.abs(state.phi_t) > threshold)
-    idx = np.nonzero(mask)[0]
-    return float(state.grid.r[idx[-1]]) if idx.size else 0.0
-
-
-@dataclass
-class SupportMonitor:
-    """Tracks the support front along a run.
-
-    The semigroup propagates at speed <= 1, so up to mesh effects
-    support(t) <= support(t0) + (t - t0).  ``max_excess`` reports how far
-    the measured 1e-13 front ran beyond that bound plus the 2*dr grace.
-    Under RK4 the lattice dispersive precursor makes this positive in
-    practice; leapfrog near dt = dr keeps it at or below zero (see the
-    acceptance notes).  It is recorded rather than assumed.
-    """
-
-    grid: RadialGrid
-    threshold: float = SUPPORT_THRESHOLD
-    records: list[tuple[float, float]] = field(default_factory=list)
-
-    def observe(self, state: FieldState) -> float:
-        radius = support_radius(state, self.threshold)
-        self.records.append((state.t, radius))
-        return radius
-
-    @property
-    def initial(self) -> tuple[float, float]:
-        return self.records[0]
-
-    def max_excess(self) -> float:
-        """max over records of radius - (radius0 + (t - t0) + 2 dr)."""
-        t0, r0 = self.initial
-        bound = 2.0 * self.grid.dr
-        return max(radius - (r0 + (t - t0) + bound) for t, radius in self.records)
+def support_radius(phi: np.ndarray, phi_t: np.ndarray, grid: RadialGrid):
+    """The 1e-13 front: the largest r_j where |phi| or |phi_t| exceeds the
+    threshold (0 if none), of the node values of a prefix of the grid (0
+    beyond it), or of each row of a (B, k) block of them."""
+    mask = (np.abs(phi) > SUPPORT_THRESHOLD) | (np.abs(phi_t) > SUPPORT_THRESHOLD)
+    last = mask.shape[-1] - 1 - np.argmax(mask[..., ::-1], axis=-1)
+    radius = np.where(mask.any(axis=-1), grid.r[last], 0.0)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +537,7 @@ def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
 
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
-           grid: RadialGrid, observer: Callable[[FieldState], None] | None = None,
-           monitor: SupportMonitor | None = None, *,
+           grid: RadialGrid, observer: Callable[[FieldState], None] | None = None, *,
            dt_max: float | None = None) -> FieldState:
     """Integrate to t0 + t_end, calling ``observer`` on read-only snapshots
     every ``output_every`` steps (always at the start and the final step).
@@ -575,32 +547,34 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     Aborts with SupportOverflow once the support comes within 4 dr of
     r_max, with NonFiniteField on NaN/Inf, and (leapfrog, leapfrog4) with
     StiffnessViolation once sup|phi| at a snapshot widens the visited
-    window so far that the fixed step exceeds its stability bound.
+    window so far that the fixed step exceeds its stability bound.  At
+    t_end = 0 the initial state is checked, observed and returned.
     """
     if dt_max is None:
         dt_max = resolve_dt(grid, cfg, spec, state0)
-    if cfg.t_end == 0.0:
-        if monitor is not None:
-            monitor.observe(state0)
-        if observer is not None:
-            observer(state0)
-        return state0
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_max - 1e-12)))
     dt = cfg.t_end / n_steps
+    if cfg.t_end == 0.0:
+        n_steps = 0
     t0 = state0.t
     n = grid.n_nodes
     fields = (state0.u, state0.u_t)     # then the carried acceleration (kdk)
+    # the first node within 4 dr of r_max: the support overflows once a node
+    # from it on lies above the support threshold
+    edge = int(np.searchsorted(grid.r, grid.r_max - 4.0 * grid.dr))
 
     def snapshot(k: int) -> FieldState:
+        if n_steps == 0:
+            return state0
         return FieldState(t0 + k * dt, _fit(fields[0], n), _fit(fields[1], n), grid,
                           cfg.space_order)
 
     kdk = cfg.scheme != "rk4"
     window = 2.0 * _sup_phi(state0)
 
-    def check_window(state: FieldState) -> None:
+    def check_window(t: float, u: np.ndarray) -> None:
         nonlocal window
-        sup = _sup_phi(state)
+        sup = float(np.max(np.abs(_over_r(u, grid.r_inv))))
         if sup <= 0.5 * window:
             return
         window = 2.0 * sup
@@ -608,27 +582,30 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
                               cfg.space_order) * grid.dr
         if dt > bound:
             raise StiffnessViolation(
-                f"sup|phi|={sup:.4g} at t={state.t:.6g} widens the visited "
+                f"sup|phi|={sup:.4g} at t={t:.6g} widens the visited "
                 f"window to +-{window:.4g}; there the {cfg.scheme} step dt={dt:.6g} "
                 f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
 
     def inspect(k: int) -> None:
-        # nodes beyond the window are 0: the check reads the window only
-        if not (np.isfinite(fields[0]).all() and np.isfinite(fields[1]).all()):
-            raise NonFiniteField(f"non-finite field at t={t0 + k * dt:.6g}")
-        state = snapshot(k)
+        # nodes beyond the window are 0: the checks read the window only
+        u, u_t = fields[:2]
+        t = t0 + k * dt
+        if not (np.isfinite(u).all() and np.isfinite(u_t).all()):
+            raise NonFiniteField(f"non-finite field at t={t:.6g}")
         if kdk:
-            check_window(state)
-        radius = monitor.observe(state) if monitor is not None else support_radius(state)
-        if radius >= grid.r_max - 4.0 * grid.dr:
+            check_window(t, u)
+        r_inv = grid.r_inv[edge:u.size]
+        if ((np.abs(u[edge:] * r_inv) > SUPPORT_THRESHOLD).any()
+                or (np.abs(u_t[edge:] * r_inv) > SUPPORT_THRESHOLD).any()):
+            radius = support_radius(_over_r(u, grid.r_inv), _over_r(u_t, grid.r_inv), grid)
             raise SupportOverflow(
                 f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
-                f"at t={state.t:.6g}; enlarge the domain")
+                f"at t={t:.6g}; enlarge the domain")
         if observer is not None:
-            observer(state)
+            observer(snapshot(k))
 
     inspect(0)
-    if kdk:
+    if kdk and n_steps:
         subs = _substeps(dt, cfg, linear_mass(spec))
         fields += (_accel(state0.u, None, t0, cfg.hubble, spec, grid, cfg.space_order),)
     # the active window [0, m), see the module docstring

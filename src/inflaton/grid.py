@@ -22,7 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .potentials import PotentialSpec, eval_F
+# no caller here; benchmark/tracer.py counts potential evaluations through
+# this name
+from .potentials import eval_F  # noqa: F401
 
 __all__ = [
     "RadialGrid",
@@ -30,7 +32,6 @@ __all__ = [
     "integrate",
     "integrate_range",
     "density_from_squares",
-    "energy_density",
     "energy",
     "ball_energy",
     "exterior_cone_energy",
@@ -172,24 +173,15 @@ def density_from_squares(phi_t_sq, phi_r_sq, potential, half_damp, r_sq):
     return r_sq * dens
 
 
-def energy_density(state, hubble: float, t: float, grid: RadialGrid,
-                   spec: PotentialSpec | None) -> np.ndarray:
-    """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy
-    integrand."""
-    potential = eval_F(spec, state.phi) if spec is not None else None
-    return density_from_squares(state.phi_t**2, state.phi_r**2, potential,
-                                0.5 * np.exp(-2.0 * hubble * t), grid.r_sq)
-
-
 def energy(density, grid: RadialGrid):
-    """Total energy 4*pi * integral of an ``energy_density`` array (or of
-    each row of a (B, k) block of them)."""
+    """Total energy 4*pi * integral of an energy-density array (or of each
+    row of a (B, k) block of them)."""
     return FOUR_PI * integrate(density, grid)
 
 
 def ball_energy(density, R: float, grid: RadialGrid):
     """Energy restricted to the ball r <= R (nearest node below R), of an
-    ``energy_density`` array or of each row of a (B, k) block of them."""
+    energy-density array or of each row of a (B, k) block of them."""
     j_hi = int(np.floor(R / grid.dr + 1e-9))
     return FOUR_PI * integrate_range(density, grid, 0, j_hi)
 

@@ -7,10 +7,13 @@ once as a (B, k) array and reduced by one matrix product with the grid's
 Simpson-weighted weight table (``grid.WeightTables``).  E, J and J_bound
 integrate the energy density, formed from the same squares, against the
 Simpson weights; the ball and cone energies keep the odd-cell rule of
-``grid.integrate_range``.  One snapshot is a block of one.
+``grid.integrate_range``.  One snapshot is a block of one.  The record
+also holds the snapshot's support front ``support``, the 1e-13 radius of
+``dynamics.support_radius``, which the verdict compares with the light
+cone; it is not a CSV column.
 
 With psi = r^2/(1+r), psi' = r(r+2)/(1+r)^2 and the energy density
-e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) of ``grid.energy_density``:
+e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) (``grid.density_from_squares``):
 
     P  = int psi phi_r phi_t dr
     R  = int psi' phi phi_t dr
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import block_fields
+from .dynamics import block_fields, support_radius
 from .grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, density_from_squares, energy,
                    exterior_cone_energy, integrate, FOUR_PI)
 from .potentials import PotentialSpec, eval_F, eval_f
@@ -80,6 +83,7 @@ class VirialSample:
     ballE: float
     coneE: float
     sup_phi: float
+    support: float
     h1_norm: float
     h1w_sq: float
     l2w_sq: float
@@ -108,7 +112,9 @@ def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
                   sigma: float = -2.0, offset: float = 0.0, ball_radius: float = 10.0,
                   cone_b: float = 2.0) -> list[VirialSample]:
     """The record of each row of (B, k) node values of phi, phi_t and phi_r on
-    the first k nodes (0 beyond them) at the B times ``t``."""
+    the first k nodes (0 beyond them) at the B times ``t``; nothing beyond
+    them lies above the support threshold, so ``support`` is the front of
+    the whole grid."""
     t = np.asarray(t, dtype=float)
     k = phi.shape[-1]
     damp = np.exp(-2.0 * hubble * t)
@@ -140,8 +146,9 @@ def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
         4.0 * (1.0 + sigma) * integrate(q * inv**2 * dens, grid),
         ball_energy(dens, ball_radius, grid),
         [exterior_cone_energy(row, ti, cone_b, grid) for row, ti in zip(dens, t)],
-        np.max(np.abs(phi), axis=1), np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])),
-        h1w, l2w, flux, i_rate - 0.5 * flux, e_rate)
+        np.max(np.abs(phi), axis=1), support_radius(phi, phi_t, grid),
+        np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])), h1w, l2w, flux,
+        i_rate - 0.5 * flux, e_rate)
     return [VirialSample(*row) for row in np.column_stack(columns).tolist()]
 
 

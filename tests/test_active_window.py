@@ -1,17 +1,20 @@
 """The active window of ``dynamics.evolve``: the reach each scheme's window
-assumes, bit-for-bit agreement with the whole-grid loop it replaces, and a
-timing-free check that the window is in use."""
+assumes, bit-for-bit agreement with the whole-grid loop it replaces (the
+snapshots, their sampled support fronts and the abort), and timing-free
+checks that the window is in use and that the support front is computed
+only to word a SupportOverflow."""
 
 import numpy as np
 import pytest
 
 import inflaton.dynamics as dynamics
-from inflaton.dynamics import (NonFiniteField, SolverConfig, StiffnessViolation,
-                               SupportOverflow, evolve, initial_state)
+from inflaton.dynamics import (FieldState, NonFiniteField, SolverConfig,
+                               StiffnessViolation, SupportOverflow, evolve, initial_state)
 from inflaton.grid import RadialGrid
 from inflaton.potentials import DomainViolation, PotentialSpec
+from inflaton.virials import sample_diagnostics
 
-from full_grid_oracle import full_grid_evolve
+from full_grid_oracle import full_grid_evolve, full_grid_radius
 
 T1 = PotentialSpec("T", n=1)
 CASES = [("rk4", 2, 0.0), ("rk4", 4, 0.0), ("rk4", 6, 0.0),
@@ -84,6 +87,10 @@ def _assert_matches_full_grid(state, cfg, spec, grid, sizes):
         # == compares values, so only the sign of a zero may differ
         assert a.t == b.t
         assert np.array_equal(a.u, b.u) and np.array_equal(a.u_t, b.u_t)
+    # the sampled front, from the block's live nodes, is the whole-grid one
+    with np.errstate(all="ignore"):
+        samples = sample_diagnostics(got[0], 0.0, None, grid)
+    assert [s.support for s in samples] == [full_grid_radius(b) for b in want[0]]
 
 
 @pytest.mark.parametrize("scheme, order, hubble", CASES)
@@ -144,3 +151,70 @@ def test_window_evaluates_the_force_on_fewer_nodes(scheme, r_max, force_sizes):
     evolve(state, cfg, T1, g)
     assert len(force_sizes) == evaluations
     assert np.mean(force_sizes) <= 0.7 * g.n_nodes
+
+
+@pytest.fixture
+def support_calls(monkeypatch):
+    """The arguments of every call of ``dynamics.support_radius``."""
+    calls = []
+    real_support_radius = dynamics.support_radius
+
+    def counting(*args):
+        calls.append(args)
+        return real_support_radius(*args)
+
+    monkeypatch.setattr(dynamics, "support_radius", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "leapfrog"])
+def test_evolve_computes_the_front_only_to_word_an_overflow(scheme, support_calls):
+    g = RadialGrid(20.0, 256)
+    compact = initial_state(g, 0.5, 5.0, 2.0, velocity="outgoing")
+    cfg = SolverConfig(t_end=6.0, cfl=_cfl(scheme), output_every=1, scheme=scheme)
+    snaps = []
+    evolve(compact, cfg, T1, g, observer=snaps.append)
+    assert len(snaps) > 70 and support_calls == []
+    # the front reaches r_max: one call, for the message
+    near_edge = initial_state(g, 1.0, 14.0, 2.0, velocity="outgoing")
+    with pytest.raises(SupportOverflow):
+        evolve(near_edge, cfg, T1, g)
+    assert len(support_calls) == 1
+
+
+@pytest.mark.parametrize("t_end", [0.0, 1.0])
+def test_an_overflow_at_the_first_snapshot_matches_the_full_grid_loop(t_end,
+                                                                       support_calls):
+    # a wide gaussian lies above the threshold at r_max from the start, also
+    # when there is no step to take
+    g = RadialGrid(10.0, 256)
+    state = initial_state(g, 1.0, 5.0, 4.0, kind="gaussian")
+    cfg = SolverConfig(t_end=t_end, cfl=0.5)
+    with pytest.raises(SupportOverflow) as want:
+        full_grid_evolve(state, cfg, T1, g)
+    support_calls.clear()
+    with pytest.raises(SupportOverflow) as got:
+        evolve(state, cfg, T1, g, observer=pytest.fail)
+    assert str(got.value) == str(want.value)
+    assert "at t=0;" in str(got.value) and len(support_calls) == 1
+
+
+@pytest.mark.parametrize("seeded", ["u", "u_t"])
+@pytest.mark.parametrize("offset", [-1, 0, 3])
+@pytest.mark.parametrize("value", [0.5e-13, 2e-13])
+def test_the_edge_check_agrees_with_the_whole_grid_front(seeded, offset, value):
+    # one node below or above the threshold, just outside or within 4 dr of
+    # r_max (node n_cells - 4): only the latter overflows
+    g = RadialGrid(20.0, 256)
+    j = g.n_cells - 4 + offset
+    fields = {"u": np.zeros(g.n_nodes), "u_t": np.zeros(g.n_nodes)}
+    fields[seeded][j] = value * g.r[j]
+    state = FieldState(0.0, fields["u"], fields["u_t"], g)
+    outcomes = []
+    for evolver in (evolve, full_grid_evolve):
+        try:
+            outcomes.append(evolver(state, SolverConfig(t_end=0.0), None, g) is state)
+        except SupportOverflow as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is True) == (offset < 0 or value < 1e-13)

@@ -338,20 +338,26 @@ def test_load_config_rejects_non_finite_numbers(tmp_path):
 
 def test_simulate_abort_at_first_snapshot_exits_3(tmp_path, monkeypatch):
     # a wide gaussian already reaches the outer boundary at t = 0, so the
-    # run aborts before its first sample
+    # run aborts before its first sample, also with no step to take
     cfg = json.loads((REPO / "configs" / "t1_smoke.json").read_text())
     cfg["initial"].update(kind="gaussian", width=4.0)
     cfg["grid"].update(r_max=10.0, n_cells=256)
-    cfg["time"]["t_end"] = 1.0
     cfg["emit_plots"] = True
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "abort0"
-    assert main(["simulate", str(path), "--out", str(out)]) == 3
-    verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["aborted"].startswith("SupportOverflow")
-    assert verdict["passed"] is False
-    assert verdict["w_ratio"] is None and verdict["sup_phi_initial"] is None
-    assert (out / "series.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+    verdicts = []
+    for t_end in (0.0, 1.0):
+        cfg["time"]["t_end"] = t_end
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / f"abort0-{t_end}"
+        assert main(["simulate", str(path), "--out", str(out)]) == 3
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["aborted"].startswith("SupportOverflow")
+        assert " at t=0;" in verdict["aborted"]
+        assert verdict["passed"] is False
+        assert verdict["w_ratio"] is None and verdict["sup_phi_initial"] is None
+        assert verdict["support_excess"] is None
+        assert (out / "series.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+        verdicts.append(verdict["aborted"])
+    assert verdicts[0] == verdicts[1]
     monkeypatch.setenv("INFLATON_THREADS", "1")
     assert main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 2
     row = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()[1]

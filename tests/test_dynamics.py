@@ -5,14 +5,23 @@ import pytest
 
 import inflaton.dynamics as dynamics
 from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
-                               SolverConfig, StiffnessViolation, SupportMonitor,
-                               SupportOverflow, bump_profile, evolve,
-                               gaussian_profile, initial_state, resolve_dt, rhs,
-                               linear_mass, stiffness_cfl, support_radius)
-from inflaton.experiments import energy_conservation_scenario
-from inflaton.grid import RadialGrid, energy, energy_density
+                               SolverConfig, StiffnessViolation, SupportOverflow,
+                               bump_profile, evolve, gaussian_profile, initial_state,
+                               resolve_dt, rhs, linear_mass, stiffness_cfl,
+                               support_radius)
+from inflaton.experiments import _support_excess, energy_conservation_scenario
+from inflaton.grid import RadialGrid, energy
 from inflaton.potentials import PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
+
+from virial_oracles import energy_density
+
+
+def _sampled(state, cfg, spec, grid):
+    """The diagnostics records of a run's snapshots, taken by an observer."""
+    snaps = []
+    evolve(state, cfg, spec, grid, observer=snaps.append)
+    return sample_diagnostics(snaps, cfg.hubble, spec, grid)
 
 
 def _free_dt(grid, cfg):
@@ -86,6 +95,10 @@ def test_evolve_zero_horizon_returns_initial(small_grid):
     cfg = SolverConfig(t_end=0.0)
     out = evolve(state, cfg, None, small_grid)
     assert out is state
+    # the initial state is checked as at any horizon
+    state.u[10] = np.nan
+    with pytest.raises(NonFiniteField, match="at t=0"):
+        evolve(state, cfg, None, small_grid)
 
 
 def test_step_preserves_boundaries_and_advances_time(small_grid):
@@ -145,16 +158,19 @@ def test_energy_monotone_under_expansion():
     assert np.all(diffs <= 1e-12 * energies[0])
 
 
-def test_support_radius_and_monitor(small_grid):
+def test_support_radius_and_sampled_support(small_grid):
     state = initial_state(small_grid, 1.0, 5.0, 2.0)
-    rad = support_radius(state)
+    rad = support_radius(state.phi, state.phi_t, small_grid)
     assert 6.0 < rad <= 7.0 + 2 * small_grid.dr
-    zero = FieldState(0.0, np.zeros(small_grid.n_nodes),
-                      np.zeros(small_grid.n_nodes), small_grid)
-    assert support_radius(zero) == 0.0
-    mon = SupportMonitor(small_grid)
-    mon.observe(state)
-    assert mon.initial == (0.0, rad)
+    assert rad == small_grid.r[np.flatnonzero(np.abs(state.phi) > 1e-13)[-1]]
+    zero = np.zeros(small_grid.n_nodes)
+    assert support_radius(zero, zero, small_grid) == 0.0
+    # a (B, k) block gives the front of each row
+    block = np.stack([state.phi, zero])
+    assert support_radius(block, block, small_grid).tolist() == [rad, 0.0]
+    # the observer of a zero horizon sees the initial record
+    sampled = _sampled(state, SolverConfig(t_end=0.0), None, small_grid)
+    assert [(s.t, s.support) for s in sampled] == [(0.0, rad)]
 
 
 def test_support_growth_bounded_by_wave_speed_plus_precursor():
@@ -165,12 +181,12 @@ def test_support_growth_bounded_by_wave_speed_plus_precursor():
     g = RadialGrid(40.0, 1024)
     state = initial_state(g, 1.0, 5.0, 2.0, velocity="outgoing")
     cfg = SolverConfig(t_end=15.0, cfl=0.5, output_every=32)
-    mon = SupportMonitor(g)
-    evolve(state, cfg, PotentialSpec("T", n=1), g, monitor=mon)
-    t0, r0 = mon.initial
-    for t, rad in mon.records:
-        assert rad <= r0 + (t - t0) + 40.0 * g.dr
-    assert mon.max_excess() > 0.0  # the idealized 2dr grace is indeed exceeded
+    samples = _sampled(state, cfg, PotentialSpec("T", n=1), g)
+    t0, r0 = samples[0].t, samples[0].support
+    for s in samples:
+        assert s.support <= r0 + (s.t - t0) + 40.0 * g.dr
+    # the idealized 2dr grace is indeed exceeded
+    assert _support_excess(samples, g.dr) > 0.0
 
 
 def test_support_overflow_aborts():
@@ -273,10 +289,11 @@ def test_leapfrog_free_bump_stays_inside_light_cone():
     for n in (1024, 2048, 4096):
         g = RadialGrid(40.0, n)
         state = initial_state(g, 1.0, 12.0, 3.0, velocity="outgoing", space_order=2)
-        mon = SupportMonitor(g)
-        final = evolve(state, _leapfrog(5.0, output_every=16), None, g, monitor=mon)
-        assert mon.max_excess() <= 0.0, (n, mon.max_excess() / g.dr)
+        samples = _sampled(state, _leapfrog(5.0, output_every=16), None, g)
+        excess = _support_excess(samples, g.dr)
+        assert excess <= 0.0, (n, excess / g.dr)
         if n == 1024:
+            final = evolve(state, _leapfrog(5.0), None, g)
             shifted = g.r - 5.0
             exact = shifted * bump_profile(shifted, 1.0, 12.0, 3.0)
             err = np.linalg.norm(final.u - exact) / np.linalg.norm(exact)

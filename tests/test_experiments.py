@@ -12,7 +12,6 @@ from inflaton.experiments import (ConvergenceReport, Scenario,
                                   run_thm3_scenario, thm1_suite, thm2_suite,
                                   thm3_suite, _enforce_mode_preconditions,
                                   _grade, _suite_scenario, _uniform_prefix)
-from inflaton.dynamics import SupportMonitor
 from inflaton.potentials import DomainViolation, PotentialSpec
 from inflaton.virials import VirialSample
 
@@ -123,8 +122,8 @@ def test_exploratory_large_tanh_blob_persists():
 def _mk_sample(t, **overrides):
     base = dict(t=t, E=1.0, W=1.0, P=0.0, R=0.0, I=0.1 * t, I_rate=1.0,
                 R_tilde=0.0, Rt_rate=0.0, J=1.0, J_bound=0.0, ballE=1.0,
-                coneE=1.0, sup_phi=1.0, h1_norm=1.0, h1w_sq=0.5, l2w_sq=0.5,
-                origin_flux=0.0, I_rate_corrected=1.0, E_rate=0.0)
+                coneE=1.0, sup_phi=1.0, support=5.0, h1_norm=1.0, h1w_sq=0.5,
+                l2w_sq=0.5, origin_flux=0.0, I_rate_corrected=1.0, E_rate=0.0)
     base.update(overrides)
     return VirialSample(**base)
 
@@ -132,9 +131,7 @@ def _mk_sample(t, **overrides):
 def _grade_with(samples, mode="thm2", **scn_overrides):
     scn = _suite_scenario("synthetic", PotentialSpec("T", n=2), 0.05, 10.0,
                           mode, **scn_overrides)
-    grid = scn.grid()
-    monitor = SupportMonitor(grid)
-    return _grade(scn, samples, monitor, None, _enforce_mode_preconditions(scn))
+    return _grade(scn, samples, None, _enforce_mode_preconditions(scn))
 
 
 def test_grade_flags_supnorm_growth():
@@ -316,7 +313,7 @@ def test_blocks_of_one_snapshot_give_the_same_samples(monkeypatch, run):
 def test_a_block_that_leaves_the_domain_stops_the_run_at_its_snapshot(monkeypatch):
     # the diagnostics of one snapshot leave the potential's domain: blocked,
     # the run stops at that snapshot as it does sampled one at a time, with
-    # the same records and support records, although evolve stepped on
+    # the same records and support excess, although evolve stepped on
     original = experiments.sample_diagnostics
 
     def leaves_domain_at(states, *args, **kwargs):
@@ -324,15 +321,7 @@ def test_a_block_that_leaves_the_domain_stops_the_run_at_its_snapshot(monkeypatc
             raise DomainViolation("dbrane potential requires v > -1")
         return original(states, *args, **kwargs)
 
-    monitors = []
-
-    class Monitor(SupportMonitor):
-        def __init__(self, grid):
-            super().__init__(grid)
-            monitors.append(self)
-
     monkeypatch.setattr(experiments, "sample_diagnostics", leaves_domain_at)
-    monkeypatch.setattr(experiments, "SupportMonitor", Monitor)
     scn = _block_scenario("expanding")
     blocked = run_scenario(scn)
     monkeypatch.setattr(experiments, "BLOCK_NODES", 1)
@@ -340,8 +329,7 @@ def test_a_block_that_leaves_the_domain_stops_the_run_at_its_snapshot(monkeypatc
     _assert_same_run(blocked, single)
     assert blocked.verdict.aborted == "DomainViolation: dbrane potential requires v > -1"
     assert blocked.samples[-1].t <= 1.0 < blocked.samples[-1].t + 0.1
-    assert monitors[0].records == monitors[1].records
-    assert len(monitors[0].records) == len(blocked.samples) + 1
+    assert blocked.verdict.support_excess == single.verdict.support_excess
 
 
 def test_a_scenario_builds_its_grid_and_initial_state_once(monkeypatch):

@@ -4,13 +4,13 @@ from hypothesis import given, strategies as st
 from types import SimpleNamespace
 
 from inflaton.dynamics import FieldState, initial_state
-from inflaton.grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, energy, energy_density,
+from inflaton.grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, energy,
                            exterior_cone_energy, integrate, integrate_range)
 from inflaton.potentials import PotentialSpec
 from inflaton.virials import sample_diagnostics
 
 from conftest import gaussian_state
-from virial_oracles import weighted_h1_sq, weighted_l2_sq
+from virial_oracles import energy_density, weighted_h1_sq, weighted_l2_sq
 
 # sup_r |r phi| / ||phi||_{H^1(R^3)} for phi = exp(-r): 1/(e sqrt(2 pi)),
 # frozen from quadrature of the closed forms

@@ -2,18 +2,28 @@
 displayed form with one ``integrate`` per functional.
 
 ``reference_record`` is the diagnostics record of the ``virials`` module
-docstring, functional by functional; it is the oracle for the single
-weighted reduction of ``sample_diagnostics``.  The dP/dt and dR/dt
-identities at H = 0 and the weighted norms serve as oracles next to it.
+docstring, functional by functional, with the support front taken over the
+whole grid; it is the oracle for the single weighted reduction of
+``sample_diagnostics``.  The energy density, the dP/dt and dR/dt identities
+at H = 0 and the weighted norms serve as oracles next to it.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from inflaton.grid import (FOUR_PI, ball_energy, energy_density,
+from inflaton.dynamics import support_radius
+from inflaton.grid import (FOUR_PI, ball_energy, density_from_squares,
                            exterior_cone_energy, integrate)
 from inflaton.potentials import eval_F, eval_f
+
+
+def energy_density(state, hubble, t, grid, spec) -> np.ndarray:
+    """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy
+    integrand of one snapshot."""
+    potential = eval_F(spec, state.phi) if spec is not None else None
+    return density_from_squares(state.phi_t**2, state.phi_r**2, potential,
+                                0.5 * np.exp(-2.0 * hubble * t), grid.r_sq)
 
 
 def plain_weights(grid) -> SimpleNamespace:
@@ -86,6 +96,7 @@ def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
         "ballE": _exact(ball_energy(dens, ball_radius, grid)),
         "coneE": _exact(exterior_cone_energy(dens, t, cone_b, grid)),
         "sup_phi": _exact(float(np.max(np.abs(phi)))),
+        "support": _exact(support_radius(phi, phi_t, grid)),
         "h1_norm": (np.sqrt(h1[0]), np.sqrt(h1[1])),
         "h1w_sq": quad(w.w_sob * (phi**2 + phi_r**2)),
         "l2w_sq": quad(w.w_sob * phi_t**2),
