@@ -51,9 +51,9 @@ keep the bound at H > 0.  L is taken over +-2 sup|phi(0)|.  The leapfrogs
 step at min(cfl dr, 0.99995 cfl* dr) and abort (StiffnessViolation) once
 sup|phi| at a snapshot widens the window so far that the step exceeds the
 new bound; RK4 steps at cfl dr and refuses (CflViolation) a cfl dr above
-its bound.  ``resolve_dt`` is that one step rule; ``Scenario`` applies it
-to its initial data when it is built, so a run with a step it cannot take
-is refused before anything runs.
+its bound.  ``resolve_dt`` is that one step rule: ``evolve`` takes its
+step from it, and ``Scenario`` applies it to its initial data when it is
+built, so a run with a step it cannot take is refused before anything runs.
 
 ``evolve`` steps only the active window [0, m) of the grid, the nodes the
 field has reached.  Its invariant: every node at or beyond m - pad is
@@ -71,9 +71,10 @@ the same operands as on the whole grid.  The states match the whole-grid
 loop bit for bit, up to the sign of some zeros, and the force is evaluated
 as often.  Once m reaches n_nodes the same loop runs on the whole grid.
 The checks at each snapshot read the window: finiteness and sup|phi| over
-it, and the support overflow over its nodes within 4 dr of r_max, which
-stay 0 until the window reaches them; snapshots, which span the whole
-grid, are built only for an observer.  ``block_fields`` builds phi, phi_t
+it, the support overflow over its nodes within 4 dr of r_max, which stay
+0 until the window reaches them, and, for a potential with a domain edge,
+phi over it against that edge; snapshots, which span the whole grid, are
+built only for an observer.  ``block_fields`` builds phi, phi_t
 and phi_r of a block of snapshots on their live nodes only, and
 ``support_radius`` their 1e-13 front, for the diagnostics.
 """
@@ -88,7 +89,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import RadialGrid
-from .potentials import PotentialSpec, eval_f, eval_fprime
+from .potentials import PotentialSpec, check_domain, eval_f, eval_fprime
 
 __all__ = [
     "CflViolation",
@@ -537,21 +538,23 @@ def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
 
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
-           grid: RadialGrid, observer: Callable[[FieldState], None] | None = None, *,
-           dt_max: float | None = None) -> FieldState:
-    """Integrate to t0 + t_end, calling ``observer`` on read-only snapshots
-    every ``output_every`` steps (always at the start and the final step).
-    ``dt_max`` is ``resolve_dt(grid, cfg, spec, state0)`` when the caller
-    already has it.
+           grid: RadialGrid,
+           observer: Callable[[FieldState], None] | None = None) -> FieldState:
+    """Integrate to t0 + t_end at the step ``resolve_dt`` gives, calling
+    ``observer`` on read-only snapshots every ``output_every`` steps (always
+    at the start and the final step).
 
-    Aborts with SupportOverflow once the support comes within 4 dr of
-    r_max, with NonFiniteField on NaN/Inf, and (leapfrog, leapfrog4) with
-    StiffnessViolation once sup|phi| at a snapshot widens the visited
-    window so far that the fixed step exceeds its stability bound.  At
-    t_end = 0 the initial state is checked, observed and returned.
+    Each snapshot is checked before the observer sees it, in this order: it
+    aborts with NonFiniteField on NaN/Inf, (leapfrog, leapfrog4) with
+    StiffnessViolation once sup|phi| widens the visited window so far that
+    the fixed step exceeds its stability bound, with SupportOverflow once
+    the support comes within 4 dr of r_max, and with DomainViolation once
+    phi, the extrapolated origin value included, reaches the edge of the
+    potential's domain (dbrane: v <= -1; the force raises it too, on the
+    nodes it reads).  At t_end = 0 the initial state is checked, observed
+    and returned.
     """
-    if dt_max is None:
-        dt_max = resolve_dt(grid, cfg, spec, state0)
+    dt_max = resolve_dt(grid, cfg, spec, state0)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_max - 1e-12)))
     dt = cfg.t_end / n_steps
     if cfg.t_end == 0.0:
@@ -570,6 +573,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
                           cfg.space_order)
 
     kdk = cfg.scheme != "rk4"
+    bounded = spec is not None and math.isfinite(spec.domain_lo)
     window = 2.0 * _sup_phi(state0)
 
     def check_window(t: float, u: np.ndarray) -> None:
@@ -601,6 +605,8 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
             raise SupportOverflow(
                 f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
                 f"at t={t:.6g}; enlarge the domain")
+        if bounded:
+            check_domain(spec, _over_r(u, grid.r_inv))
         if observer is not None:
             observer(snapshot(k))
 

@@ -18,8 +18,8 @@ monotonicity regressions are stated for the radiating family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, Solver
                        bump_profile, evolve, initial_state, resolve_dt)
 from .grid import RadialGrid
 from .potentials import (DomainViolation, PotentialSpec, audit_potential,
-                         coarse_class, eval_fprime, parse_family, EXPECTED_CLASS,
-                         SIGN_TOL)
+                         coarse_class, eval_fprime, json_dict, parse_family,
+                         EXPECTED_CLASS, SIGN_TOL)
 from .virials import VirialSample, sample_diagnostics
 
 __all__ = [
@@ -139,19 +139,11 @@ class Scenario:
             raise ValueError(
                 f"r_max: grid too small for the data support plus horizon: "
                 f"{self.r_max} < {needed:.3f}")
-        self.start      # resolves the step from the initial data
+        resolve_dt(grid, cfg, self.spec, self.initial(grid))
 
     def grid(self) -> RadialGrid:
         """The grid every scenario with this (r_max, n_cells) shares."""
         return _shared_grid(self.r_max, self.n_cells)
-
-    @cached_property
-    def start(self) -> tuple[FieldState, float]:
-        """The initial state on ``grid()`` and the step ceiling ``resolve_dt``
-        gives for it; built once, when the scenario is."""
-        grid = self.grid()
-        state0 = self.initial(grid)
-        return state0, resolve_dt(grid, self.solver_config(), self.spec, state0)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(t_end=self.t_end, hubble=self.hubble, cfl=self.cfl,
@@ -208,13 +200,9 @@ class DecayVerdict:
     aborted: str | None = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for key, val in out.items():
-            if isinstance(val, float) and math.isinf(val):
-                out[key] = "unbounded"
-            elif isinstance(val, float) and math.isnan(val):
-                out[key] = None     # nothing was sampled
-        return out
+        """The fields as strict JSON values (``json_dict``); a null quantity
+        was not sampled."""
+        return json_dict(self)
 
 
 @dataclass
@@ -261,15 +249,17 @@ def dissipation_residual(samples: list[VirialSample], hubble: float) -> float | 
 
 
 def _saturation(ts: np.ndarray, w: np.ndarray) -> float:
+    """Share of int W dt on the last quarter of the horizon, from the last
+    sample at or before the cut on; summed directly, because the total less
+    the head cancels to rounding noise once W has decayed."""
     if len(ts) < 4:
         return 0.0
     total = np.trapezoid(w, ts)
     if total <= 0.0:
         return 0.0
     cut = ts[0] + 0.75 * (ts[-1] - ts[0])
-    mask = ts <= cut
-    head = np.trapezoid(w[mask], ts[mask])
-    return float((total - head) / total)
+    i0 = int(np.searchsorted(ts, cut, side="right")) - 1
+    return float(np.trapezoid(w[i0:], ts[i0:]) / total)
 
 
 def _enforce_mode_preconditions(scn: Scenario) -> str:
@@ -294,32 +284,23 @@ def _enforce_mode_preconditions(scn: Scenario) -> str:
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Evolve one scenario, collect diagnostics, and grade the verdict.
 
-    The snapshots are buffered and their diagnostics evaluated a block at a
-    time (``BLOCK_NODES``); the snapshots buffered when ``evolve`` returns or
-    aborts are evaluated then."""
+    The snapshots ``evolve`` observes are buffered and their diagnostics
+    evaluated a block at a time (``BLOCK_NODES``), the last block once
+    ``evolve`` returns or aborts.  Every abort is ``evolve``'s: it checks each
+    snapshot, the potential's domain included, before it is observed, so
+    every buffered snapshot has a record and the run stops at the first one
+    that failed a check."""
     theorem_class = _enforce_mode_preconditions(scn)
     grid = scn.grid()
-    state0, dt_max = scn.start
     samples: list[VirialSample] = []
     pending: list[FieldState] = []
     block = max(1, BLOCK_NODES // grid.n_nodes)
 
-    def diagnose(states: list[FieldState]) -> list[VirialSample]:
-        return sample_diagnostics(states, scn.hubble, scn.spec, grid, sigma=scn.j_sigma,
-                                  offset=scn.j_offset, ball_radius=scn.decay_radius,
-                                  cone_b=scn.cone_b)
-
     def flush() -> None:
-        states = pending[:]
+        samples.extend(sample_diagnostics(
+            pending, scn.hubble, scn.spec, grid, sigma=scn.j_sigma, offset=scn.j_offset,
+            ball_radius=scn.decay_radius, cone_b=scn.cone_b))
         pending.clear()
-        try:
-            samples.extend(diagnose(states))
-        except DomainViolation:
-            # keep the records of the snapshots before the one that left the
-            # potential's domain, then stop there
-            for state in states:
-                samples.extend(diagnose([state]))
-            raise
 
     def observer(state: FieldState) -> None:
         pending.append(state)
@@ -328,14 +309,11 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     aborted: str | None = None
     try:
-        try:
-            evolve(state0, scn.solver_config(), scn.spec, grid, observer=observer,
-                   dt_max=dt_max)
-        finally:
-            flush()
+        evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid, observer=observer)
     except (SupportOverflow, NonFiniteField, StiffnessViolation,
             DomainViolation) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
+    flush()
 
     verdict = _grade(scn, samples, aborted, theorem_class)
     return ScenarioResult(scn, verdict, samples)
@@ -612,31 +590,32 @@ def _fit_order(drs: np.ndarray, errs: np.ndarray) -> float:
     return float(np.polyfit(np.log(drs), np.log(np.maximum(errs, 1e-300)), 1)[0])
 
 
-def _dalembert_error(n_cells: int, r_max: float = 40.0, t_end: float = 5.0,
-                     center: float = 12.0, width: float = 3.0,
-                     space_order: int = 2, cfl: float = 0.5) -> float:
-    """L2 error of the free right-moving pulse against its exact translate."""
-    grid = RadialGrid(r_max, n_cells)
-    state0 = initial_state(grid, 1.0, center, width, velocity="outgoing",
-                           space_order=space_order)
-    cfg = SolverConfig(t_end=t_end, cfl=cfl, output_every=10**9,
-                       space_order=space_order)
-    final = evolve(state0, cfg, None, grid)
-    shifted = grid.r - t_end
-    exact = shifted * bump_profile(shifted, 1.0, center, width)
+def _dalembert_error(n_cells: int) -> float:
+    """L2 error of the free right-moving pulse (centre 12, width 3, order-2
+    stencil at cfl 0.5) against its exact translate at t = 5."""
+    grid = RadialGrid(40.0, n_cells)
+    state0 = initial_state(grid, 1.0, 12.0, 3.0, velocity="outgoing")
+    final = evolve(state0, SolverConfig(t_end=5.0, output_every=10**9), None, grid)
+    shifted = grid.r - 5.0
+    exact = shifted * bump_profile(shifted, 1.0, 12.0, 3.0)
     return float(np.sqrt(grid.dr * np.sum((final.u - exact) ** 2)))
 
 
-def _energy_drift(scn: Scenario) -> float:
-    result = run_scenario(scn)
+def _energy_drift(n_cells: int) -> float:
+    """|E(T) - E(0)| / |E(0)| of an outgoing T1 pulse over T = 10 (order-2
+    stencil, RK4 at cfl 0.5)."""
+    result = run_scenario(Scenario(
+        name=f"convergence-base-n{n_cells}", spec=PotentialSpec("T", n=1), amplitude=1.0,
+        center=6.0, width=2.0, velocity="outgoing", r_max=40.0, n_cells=n_cells,
+        t_end=10.0, cfl=0.5, space_order=2, output_every=10**9, mode="exploratory"))
     e0 = result.samples[0].E
     eT = result.samples[-1].E
     return abs(eT - e0) / abs(e0)
 
 
-def run_convergence_study(scenario: Scenario | None, levels: list[int],
-                          space_order: int = 2) -> ConvergenceReport:
-    """Refinement study at the given n_cells levels (dt scales with dr).
+def run_convergence_study(levels: list[int]) -> ConvergenceReport:
+    """Refinement study at the given n_cells levels of r_max = 40 (dt scales
+    with dr).
 
     Fits the observed order of both the free-translation error and the
     H=0 energy-conservation drift.
@@ -646,27 +625,15 @@ def run_convergence_study(scenario: Scenario | None, levels: list[int],
     if len(set(levels)) != len(levels):
         raise ValueError("refinement levels must be distinct")
     levels = sorted(levels)
-    if scenario is None:
-        scenario = Scenario(name="convergence-base", spec=PotentialSpec("T", n=1),
-                            amplitude=1.0, center=6.0, width=2.0,
-                            velocity="outgoing", r_max=40.0, n_cells=levels[0],
-                            t_end=10.0, cfl=0.5, space_order=space_order,
-                            output_every=10**9, mode="exploratory")
-    dal_errors = [
-        _dalembert_error(n, space_order=space_order, cfl=scenario.cfl)
-        for n in levels
-    ]
-    drifts = [_energy_drift(replace(scenario, n_cells=n, name=f"{scenario.name}-n{n}",
-                                    space_order=space_order))
-              for n in levels]
-    drs = np.array([RadialGrid(40.0, n).dr for n in levels])
-    drs_scn = np.array([RadialGrid(scenario.r_max, n).dr for n in levels])
+    dal_errors = [_dalembert_error(n) for n in levels]
+    drifts = [_energy_drift(n) for n in levels]
+    drs = 40.0 / np.array(levels)
     return ConvergenceReport(
         levels=list(levels),
         dalembert_errors=dal_errors,
         energy_drifts=drifts,
         dalembert_order=_fit_order(drs, np.array(dal_errors)),
-        energy_order=_fit_order(drs_scn, np.array(drifts)),
+        energy_order=_fit_order(drs, np.array(drifts)),
     )
 
 

@@ -28,7 +28,6 @@ from .potentials import eval_F  # noqa: F401
 
 __all__ = [
     "RadialGrid",
-    "WeightTables",
     "integrate",
     "integrate_range",
     "density_from_squares",
@@ -87,38 +86,30 @@ class RadialGrid:
         return out
 
     @cached_property
-    def weights(self) -> "WeightTables":
-        return WeightTables(self)
+    def weights(self) -> np.ndarray:
+        """Closed-form virial weights and rate coefficients, each times the
+        Simpson node weight s_j, as the columns ``WEIGHT_COLUMNS`` of one
+        (n_nodes, 7) array:
 
+        psi      = r^2 / (1+r)              and its derivative psi'
+        w_sob    = r^2 / (1+r)^4            (weighted-Sobolev density)
+        r_sq     = r^2
+        i_grad   = r^2 / (1+r)^2            phi_r^2 coefficient of I_rate
+        i_mass   = r(r+4) / (2(1+r)^4)      phi^2 coefficient of I_rate
+        rt_mass  = 2r(3r-2) / (1+r)^6       phi^2 coefficient of Rt_rate
 
-# the columns of WeightTables.table, in order
-WEIGHT_COLUMNS = ("psi", "psi_p", "w_sob", "r_sq", "i_grad", "i_mass", "rt_mass")
-
-
-class WeightTables:
-    """Closed-form virial weights and rate coefficients, each times the
-    Simpson node weight s_j, as the columns of one (n_nodes, 7) array:
-
-    psi      = r^2 / (1+r)              and its derivative psi'
-    w_sob    = r^2 / (1+r)^4            (weighted-Sobolev density)
-    r_sq     = r^2
-    i_grad   = r^2 / (1+r)^2            phi_r^2 coefficient of I_rate
-    i_mass   = r(r+4) / (2(1+r)^4)      phi^2 coefficient of I_rate
-    rt_mass  = 2r(3r-2) / (1+r)^6       phi^2 coefficient of Rt_rate
-
-    For node values g (or a prefix of them, zero beyond), ``g @ table[:k]``
-    holds the seven quadratures int c g dr; the named attributes are column
-    views, e.g. ``psi @ g`` = int psi g dr.
-    """
-
-    def __init__(self, grid: RadialGrid) -> None:
-        r = grid.r
+        For node values g (or a prefix of them, zero beyond),
+        ``g @ weights[:k]`` holds the seven quadratures int c g dr.
+        """
+        r = self.r
         op = 1.0 + r
-        plain = (r * r / op, r * (r + 2.0) / op**2, r * r / op**4, grid.r_sq, (r / op) ** 2,
+        plain = (r * r / op, r * (r + 2.0) / op**2, r * r / op**4, self.r_sq, (r / op) ** 2,
                  r * (r + 4.0) / (2.0 * op**4), 2.0 * r * (3.0 * r - 2.0) / op**6)
-        self.table = np.stack(plain, axis=1) * grid.simpson[:, None]
-        for k, name in enumerate(WEIGHT_COLUMNS):
-            setattr(self, name, self.table[:, k])
+        return np.stack(plain, axis=1) * self.simpson[:, None]
+
+
+# the columns of RadialGrid.weights, in order
+WEIGHT_COLUMNS = ("psi", "psi_p", "w_sob", "r_sq", "i_grad", "i_mass", "rt_mass")
 
 
 def _prefix(samples, grid: RadialGrid) -> np.ndarray:

@@ -20,7 +20,7 @@ extrema; the sampling resolution is recorded so results are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "PotentialSpec",
     "PotentialAuditReport",
     "parse_family",
+    "check_domain",
     "eval_F",
     "eval_f",
     "eval_fprime",
@@ -119,9 +120,10 @@ def parse_family(name: str) -> PotentialSpec:
     raise ValueError(f"unrecognized potential name {name!r}")
 
 
-def _check_dbrane_domain(v: np.ndarray) -> None:
-    if np.any(v <= -1.0):
-        raise DomainViolation("dbrane potential requires v > -1")
+def check_domain(spec: PotentialSpec, v) -> None:
+    """Refuse arguments at or below the family's domain edge ``domain_lo``."""
+    if np.any(v <= spec.domain_lo):
+        raise DomainViolation(f"{spec.family} potential requires v > {spec.domain_lo:g}")
 
 
 def _omexp(s: np.ndarray) -> np.ndarray:
@@ -160,7 +162,7 @@ def eval_F(spec: PotentialSpec, s) -> float | np.ndarray:
         half = np.sin(0.5 * s)
         out = -2.0 * half * half
     elif fam == "dbrane":
-        _check_dbrane_domain(s)
+        check_domain(spec, s)
         out = 1.0 - 1.0 / _ipow(1.0 + s, 2 * spec.n) - 2.0 * spec.n * s
     elif fam == "hilltop":
         out = -_ipow(s, 2 * spec.n)
@@ -187,7 +189,7 @@ def eval_f(spec: PotentialSpec, s) -> float | np.ndarray:
     elif fam == "axion":
         out = -np.sin(s)
     elif fam == "dbrane":
-        _check_dbrane_domain(s)
+        check_domain(spec, s)
         out = 2.0 * n * (1.0 / _ipow(1.0 + s, 2 * n + 1) - 1.0)
     elif fam == "hilltop":
         out = -2.0 * n * _ipow(s, 2 * n - 1)
@@ -216,7 +218,7 @@ def eval_fprime(spec: PotentialSpec, s) -> float | np.ndarray:
     elif fam == "axion":
         out = -np.cos(s)
     elif fam == "dbrane":
-        _check_dbrane_domain(s)
+        check_domain(spec, s)
         out = -2.0 * n * (2 * n + 1) / _ipow(1.0 + s, 2 * n + 2)
     elif fam == "hilltop":
         out = -2.0 * n * (2 * n - 1) * _ipow(s, 2 * n - 2)
@@ -233,7 +235,7 @@ def dbrane_virial_closed_form(n: int, v) -> float | np.ndarray:
     if n not in (1, 2):
         raise ValueError("dbrane closed form requires n in {1, 2}")
     v = np.asarray(v, dtype=float)
-    _check_dbrane_domain(v)
+    check_domain(PotentialSpec("dbrane", n=n), v)
     if n == 1:
         out = -2.0 * v**3 * (v + 2.0) / (1.0 + v) ** 3
     else:
@@ -315,8 +317,8 @@ class PotentialAuditReport:
     ``interval`` is the wide window used for the global (any data size)
     hypotheses; ``delta`` bounds the local window used for the small-data
     hypotheses. ``quartic_constant`` is ``inf`` when flatness is violated;
-    serialization maps that to an explicit ``"unbounded"`` marker rather
-    than a float infinity.
+    ``to_dict`` writes it, and any value an overflowing wide window leaves
+    infinite or NaN, as strict JSON (``json_dict``).
     """
 
     label: str
@@ -338,22 +340,19 @@ class PotentialAuditReport:
         return math.isfinite(self.quartic_constant)
 
     def to_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "interval": list(self.interval),
-            "delta": self.delta,
-            "n_samples": self.n_samples,
-            "sample_spacing": self.sample_spacing,
-            "local_spacing": self.local_spacing,
-            "virial_sign_min": self.virial_sign_min,
-            "local_sign_min": self.local_sign_min,
-            "potential_min": self.potential_min,
-            "quartic_constant": self.quartic_constant if self.quartic_bounded else "unbounded",
-            "lipschitz_bound": self.lipschitz_bound,
-            "defocusing_min": self.defocusing_min,
-            "theorem_class": self.theorem_class,
-        }
-        return d
+        return json_dict(self)
+
+
+def json_dict(record) -> dict:
+    """``asdict(record)`` with the floats strict JSON has no literal for
+    spelled out: an infinity as ``"unbounded"``, NaN as ``None``."""
+    out = asdict(record)
+    for key, val in out.items():
+        if isinstance(val, float) and math.isinf(val):
+            out[key] = "unbounded"
+        elif isinstance(val, float) and math.isnan(val):
+            out[key] = None
+    return out
 
 
 def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0, 10.0),

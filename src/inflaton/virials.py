@@ -4,7 +4,7 @@ block of snapshots of one run at once, on the block's live nodes
 (``dynamics.block_fields``): every family has F(0) = f(0) = 0, so the
 nodes past the last nonzero one add nothing.  Each field product is formed
 once as a (B, k) array and reduced by one matrix product with the grid's
-Simpson-weighted weight table (``grid.WeightTables``).  E, J and J_bound
+Simpson-weighted weight table (``RadialGrid.weights``).  E, J and J_bound
 integrate the energy density, formed from the same squares, against the
 Simpson weights; the ball and cone energies keep the odd-cell rule of
 ``grid.integrate_range``.  One snapshot is a block of one.  The record
@@ -159,7 +159,7 @@ def _reduce(phi, phi_t, phi_r, spec, half_damp, grid):
     the energy density from the same squares; one product at a time, so the
     block's temporaries stay few."""
     k = phi.shape[-1]
-    table = grid.weights.table[:k]
+    table = grid.weights[:k]
     tt, rr = phi_t * phi_t, phi_r * phi_r
     potential = eval_F(spec, phi) if spec is not None else None
     dens = density_from_squares(tt, rr, potential, half_damp[:, None], grid.r_sq[:k])

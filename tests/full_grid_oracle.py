@@ -4,7 +4,8 @@ an active window: every stencil, force and update spans all n_nodes.
 It is the oracle for the active window: ``evolve`` must give the same
 snapshots, up to the sign of zeros, and the same abort.  Its support check
 takes the 1e-13 front of every snapshot over the whole grid, the reference
-for the edge check of ``evolve`` and for the sampled ``support``.
+for the edge check of ``evolve`` and for the sampled ``support``; its domain
+check reads phi on every node.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from inflaton.dynamics import (FieldState, NonFiniteField, StiffnessViolation,
                                SupportOverflow, _accel, _kdk, _rk4, _substeps,
                                _sup_phi, linear_mass, resolve_dt, stiffness_cfl,
                                support_radius)
+from inflaton.potentials import check_domain
 
 
 def full_grid_radius(state):
@@ -58,6 +60,8 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
             raise SupportOverflow(
                 f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
                 f"at t={state.t:.6g}; enlarge the domain")
+        if spec is not None:
+            check_domain(spec, state.phi)
         if observer is not None:
             observer(state)
 

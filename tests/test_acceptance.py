@@ -95,7 +95,7 @@ def test_c03_quartic_flatness():
 
 def test_c04_linear_solver_order():
     t0 = time.time()
-    report = run_convergence_study(None, [1024, 2048, 4096])
+    report = run_convergence_study([1024, 2048, 4096])
     wall = time.time() - t0
     ok = (report.dalembert_order >= 1.8 and report.energy_order >= 1.8
           and wall < 30.0)

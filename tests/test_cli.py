@@ -194,6 +194,20 @@ def test_audit_exit_codes(capsys):
     assert main(["audit", "T1", "--interval", "3", "-3"]) == 1
 
 
+def test_audit_json_line_is_strict_json(capsys):
+    # exp(-s) overflows on the wide window: sup|f'| is inf and 2F - s f NaN
+    def refuse(literal):
+        raise ValueError(f"non-standard JSON literal {literal}")
+
+    with np.errstate(all="ignore"):
+        assert main(["audit", "E1", "--interval", "-1000", "10"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    report = json.loads(line, parse_constant=refuse)
+    assert report["lipschitz_bound"] == "unbounded"
+    assert report["virial_sign_min"] is None
+    assert report["quartic_constant"] == "unbounded"
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "T1", "--samples", "1"],
     ["audit", "T1", "--samples", "0"],

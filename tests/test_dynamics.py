@@ -11,7 +11,7 @@ from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
                                support_radius)
 from inflaton.experiments import _support_excess, energy_conservation_scenario
 from inflaton.grid import RadialGrid, energy
-from inflaton.potentials import PotentialSpec, eval_f, eval_fprime
+from inflaton.potentials import DomainViolation, PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
 
 from virial_oracles import energy_density
@@ -99,6 +99,21 @@ def test_evolve_zero_horizon_returns_initial(small_grid):
     state.u[10] = np.nan
     with pytest.raises(NonFiniteField, match="at t=0"):
         evolve(state, cfg, None, small_grid)
+
+
+def test_evolve_refuses_a_state_whose_origin_value_leaves_the_domain():
+    # every node value lies inside the dbrane domain v > -1, but the value
+    # extrapolated to the origin, 3 (-0.9) - 3 (-0.5) - 0.4 = -1.6, does not
+    g = RadialGrid(20.0, 256)
+    phi = np.zeros(g.n_nodes)
+    phi[1:4] = (-0.9, -0.5, -0.4)
+    state = FieldState(0.0, g.r * phi, np.zeros(g.n_nodes), g)
+    assert state.phi[0] == pytest.approx(-1.6) and state.phi[1:].min() > -1.0
+    observed = []
+    with pytest.raises(DomainViolation, match="^dbrane potential requires v > -1$"):
+        evolve(state, SolverConfig(t_end=0.0), PotentialSpec("dbrane", n=1), g,
+               observer=observed.append)
+    assert observed == []
 
 
 def test_step_preserves_boundaries_and_advances_time(small_grid):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +168,19 @@ def test_grade_passes_clean_decay():
     assert verdict.integrability_saturation <= 0.05
 
 
+def test_saturation_sums_the_last_quarter_directly():
+    # W = e^{-t} on [0, 40]: the last quarter holds about 9.4e-14 of int W dt,
+    # far below the rounding of the total
+    ts = np.linspace(0.0, 40.0, 4001)
+    w = np.exp(-ts)
+    assert ts[3000] == 30.0
+    share = np.trapezoid(w[3000:], ts[3000:]) / np.trapezoid(w, ts)
+    # the trapezoid sums of an exponential share one factor: the closed form
+    assert share == pytest.approx((np.exp(-30.0) - np.exp(-40.0)) / (1.0 - np.exp(-40.0)),
+                                  rel=1e-12, abs=0.0)
+    assert experiments._saturation(ts, w) == pytest.approx(share, rel=1e-12, abs=0.0)
+
+
 def test_verdict_serializes_infinities():
     samples = [_mk_sample(0.0), _mk_sample(1.0, W=0.001)]
     verdict = _grade_with(samples)
@@ -183,16 +196,16 @@ def test_verdict_serializes_infinities():
 
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
-        run_convergence_study(None, [512])
+        run_convergence_study([512])
     with pytest.raises(ValueError):
-        run_convergence_study(None, [512, 512])
+        run_convergence_study([512, 512])
 
 
 def test_convergence_study_small():
     # cheap smoke levels; the energy drift is still leaving its coarse-grid
     # transient here, so only the translation order is held to its
     # asymptotic value (the acceptance suite fits both at the pinned levels)
-    report = run_convergence_study(None, [512, 1024, 2048])
+    report = run_convergence_study([512, 1024, 2048])
     assert isinstance(report, ConvergenceReport)
     assert report.dalembert_order >= 1.8
     assert report.energy_order >= 1.5
@@ -310,42 +323,33 @@ def test_blocks_of_one_snapshot_give_the_same_samples(monkeypatch, run):
         assert blocked.verdict.aborted is None
 
 
-def test_a_block_that_leaves_the_domain_stops_the_run_at_its_snapshot(monkeypatch):
-    # the diagnostics of one snapshot leave the potential's domain: blocked,
-    # the run stops at that snapshot as it does sampled one at a time, with
-    # the same records and support excess, although evolve stepped on
-    original = experiments.sample_diagnostics
+def test_a_run_the_domain_check_stops_gives_the_same_samples_in_blocks(monkeypatch):
+    # data at rest focus through the origin and drive v to -1: evolve's
+    # snapshot check stops the run there, before the force reads the value
+    original = dynamics.check_domain
+    refusals = []
 
-    def leaves_domain_at(states, *args, **kwargs):
-        if any(s.t > 1.0 for s in states):
-            raise DomainViolation("dbrane potential requires v > -1")
-        return original(states, *args, **kwargs)
+    def check_domain(spec, v):
+        try:
+            original(spec, v)
+        except DomainViolation:
+            refusals.append(spec.label)
+            raise
 
-    monkeypatch.setattr(experiments, "sample_diagnostics", leaves_domain_at)
-    scn = _block_scenario("expanding")
+    monkeypatch.setattr(dynamics, "check_domain", check_domain)
+    scn = Scenario(name="block-domain", spec=PotentialSpec("dbrane", n=2), amplitude=-0.6,
+                   center=4.0, width=1.5, velocity="rest", r_max=20.0, n_cells=256,
+                   t_end=8.0, cfl=0.5, space_order=4, output_every=1)
     blocked = run_scenario(scn)
     monkeypatch.setattr(experiments, "BLOCK_NODES", 1)
     single = run_scenario(scn)
     _assert_same_run(blocked, single)
+    assert refusals == ["dbrane2", "dbrane2"]
     assert blocked.verdict.aborted == "DomainViolation: dbrane potential requires v > -1"
-    assert blocked.samples[-1].t <= 1.0 < blocked.samples[-1].t + 0.1
+    assert 0 < len(blocked.samples) and blocked.samples[-1].t < scn.t_end
     assert blocked.verdict.support_excess == single.verdict.support_excess
 
 
-def test_a_scenario_builds_its_grid_and_initial_state_once(monkeypatch):
+def test_scenarios_on_one_grid_share_it():
     scn = _block_scenario("expanding")
     assert scn.grid() is replace(scn, name="other", t_end=1.0).grid()
-    assert "start" not in {f.name for f in fields(Scenario)}
-    calls = []
-
-    def refuse(name):
-        def call(*args, **kwargs):
-            calls.append(name)
-        return call
-
-    # run_scenario takes the state and the step the constructor built
-    monkeypatch.setattr(dynamics, "resolve_dt", refuse("resolve_dt"))
-    monkeypatch.setattr(experiments, "initial_state", refuse("initial_state"))
-    result = run_scenario(scn)
-    assert calls == [] and result.verdict.aborted is None
-    assert result.samples[0].t == 0.0 and result.samples[-1].t == pytest.approx(scn.t_end)

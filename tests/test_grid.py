@@ -105,7 +105,7 @@ def test_quadratures_read_a_prefix_as_zero_extended(small_grid, k):
 
 def _unweighted(g):
     """The weight table without its Simpson node weights."""
-    return {name: g.weights.table[:, k] / g.simpson for k, name in enumerate(WEIGHT_COLUMNS)}
+    return {name: g.weights[:, k] / g.simpson for k, name in enumerate(WEIGHT_COLUMNS)}
 
 
 def test_weight_tables_consistent_with_finite_differences():
@@ -124,10 +124,7 @@ def test_weight_tables_closed_forms():
     # weights are bounded: psi <= r and w_sob <= min(r^2, 1)
     assert np.all(w["psi"] <= r + 1e-15)
     assert np.all(w["w_sob"] <= np.minimum(r * r, 1.0) + 1e-15)
-    # the named tables are views of the one table's columns
-    for name in WEIGHT_COLUMNS:
-        assert np.shares_memory(getattr(g.weights, name), g.weights.table)
-        assert np.array_equal(getattr(g.weights, name), g.simpson * w[name])
+    assert g.weights.shape == (g.n_nodes, len(WEIGHT_COLUMNS))
 
 
 def test_weighted_norms_basics(small_grid):
