@@ -7,9 +7,11 @@ types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
 Exit codes for ``simulate`` and ``sweep``: 0 verdict passed, 1 malformed
 config (also a potential whose audit does not support the mode), 2 verdict
 failed, 3 run aborted (support overflow / non-finite field / potential
-domain violation / field range outgrowing the leapfrog step); ``audit`` and
-``audit-suite``: 1 on a bad family, interval or sample count, 2 on an
-expected-class mismatch.  ``Scenario`` checks the mode's field rules and the
+domain violation / field range outgrowing the leapfrog step); 1 also when an
+output cannot be written (``error: cannot write output: ...``; ``plot`` as
+well), after the run.  ``audit`` and ``audit-suite``: 1 on a bad family,
+interval (also one on which the potential overflows) or sample count, 2 on
+an expected-class mismatch.  ``Scenario`` checks the mode's field rules and the
 step from its initial data when it is built: an unstable step is refused at
 load, and ``sweep`` builds every job's ``Scenario`` before it writes anything.
 
@@ -309,6 +311,11 @@ def emit_plots(series: dict[str, np.ndarray], out_dir: Path, stem: str) -> list[
 # subcommands
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
 def _write_outputs(result: ScenarioResult, out_dir: Path, emit: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(out_dir / "series.csv", result.samples)
@@ -326,7 +333,10 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else Path(cfg["name"])
-    _write_outputs(result, out_dir, cfg["emit_plots"])
+    try:
+        _write_outputs(result, out_dir, cfg["emit_plots"])
+    except OSError as exc:
+        return _cannot_write(exc)
     verdict = result.verdict
     print(f"{verdict.name}: {'PASS' if verdict.passed else 'FAIL'}"
           f"{'  [' + verdict.diagnosis + ']' if verdict.diagnosis else ''}")
@@ -431,6 +441,8 @@ def cmd_sweep(args) -> int:
     except ScenarioClassError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:      # a job's output directory or files
+        return _cannot_write(exc)
     results.sort(key=lambda kv: kv[0])
 
     def num(value) -> str:      # null (nothing sampled) stays an empty cell
@@ -448,7 +460,10 @@ def cmd_sweep(args) -> int:
             num(verdict["cone_energy_ratio"]),
             verdict["aborted"] or "",
         ]))
-    (out_root / "summary.csv").write_text("\n".join(lines) + "\n")
+    try:
+        (out_root / "summary.csv").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        return _cannot_write(exc)
     print(f"swept {len(jobs)} runs -> {out_root}/summary.csv")
     return 0 if all(v["passed"] for _, v in results) else 2
 
@@ -461,8 +476,11 @@ def cmd_plot(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = emit_plots(series, out_dir, path.stem)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written = emit_plots(series, out_dir, path.stem)
+    except OSError as exc:
+        return _cannot_write(exc)
     for p in written:
         print(p)
     return 0

@@ -317,8 +317,8 @@ class PotentialAuditReport:
     ``interval`` is the wide window used for the global (any data size)
     hypotheses; ``delta`` bounds the local window used for the small-data
     hypotheses. ``quartic_constant`` is ``inf`` when flatness is violated;
-    ``to_dict`` writes it, and any value an overflowing wide window leaves
-    infinite or NaN, as strict JSON (``json_dict``).
+    ``to_dict`` writes it as strict JSON (``json_dict``).  A wide window on
+    which the potential overflows is refused, so every other field is finite.
     """
 
     label: str
@@ -357,10 +357,22 @@ def json_dict(record) -> dict:
 
 def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0, 10.0),
                     delta: float = 1.0, n_samples: int = 10_000) -> PotentialAuditReport:
-    """Run every audit and classify which decay theorem the family satisfies."""
+    """Run every audit and classify which decay theorem the family satisfies.
+
+    Refuses (ValueError) a wide window on which F, f or f' overflows: one
+    non-finite sample would decide every sampled extremum."""
     lo, hi = _clip_interval(spec, interval[0], interval[1])
     llo, lhi = _clip_interval(spec, -delta, delta)
     s_glob = _sample(spec, lo, hi, n_samples)     # refuses n_samples < 2
+    with np.errstate(all="ignore"):
+        values = {"F": eval_F(spec, s_glob), "f": eval_f(spec, s_glob),
+                  "f'": eval_fprime(spec, s_glob)}
+    bad = ~np.logical_and.reduce([np.isfinite(v) for v in values.values()])
+    if bad.any():
+        i = int(np.argmax(bad))
+        names = ", ".join(name for name, v in values.items() if not np.isfinite(v[i]))
+        raise ValueError(f"{spec.label}: {names} not finite at s = {s_glob[i]:g} "
+                         f"on the audit interval [{lo:g}, {hi:g}]")
     report = PotentialAuditReport(
         label=spec.label,
         interval=(lo, hi),
@@ -370,7 +382,7 @@ def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0,
         local_spacing=(lhi - llo) / (n_samples - 1),
         virial_sign_min=virial_sign_margin(spec, (lo, hi), n_samples),
         local_sign_min=virial_sign_margin(spec, (llo, lhi), n_samples),
-        potential_min=float(np.min(eval_F(spec, s_glob))),
+        potential_min=float(np.min(values["F"])),
         quartic_constant=quartic_flatness_constant(spec, delta, n_samples),
         lipschitz_bound=lipschitz_bound(spec, (lo, hi), n_samples),
         defocusing_min=defocusing_min(spec, delta, n_samples),

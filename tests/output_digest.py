@@ -11,7 +11,7 @@ the virial-consistency run at 1,024 cells (C07), dbrane runs that leave
 the potential's domain (at the first snapshot, in the stepping's force or
 at a later snapshot), and ``inflaton simulate`` on configs/t1_smoke.json
 and configs/t1_baseline.json and ``inflaton sweep`` on
-configs/thm3_h1.json, one worker.  It takes about 12 s on one core of a
+configs/thm3_h1.json, one worker.  It takes about 10 s on one core of a
 2-core x86-64 machine.  Not a test module: pytest does not collect it.
 """
 

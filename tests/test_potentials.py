@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,19 @@ def test_parse_family_round_trip():
         parse_family("frobnicate")
 
 
+def test_audit_refuses_a_window_where_the_potential_overflows():
+    # e^{-s} overflows below s = -709.8: F, f and f' are not finite there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^E1: F, f, f' not finite at s = -1000 "
+                                             r"on the audit interval \[-1000, 10\]$"):
+            audit_potential(PotentialSpec("E", n=1), interval=(-1000.0, 10.0))
+        # -s^4 overflows from the second sample on; s^3 and s^2 stay finite
+        with pytest.raises(ValueError, match=r"^hilltop2: F not finite at s = 1e\+79 "):
+            audit_potential(PotentialSpec("hilltop", n=2), interval=(0.0, 1e80),
+                            n_samples=11)
+
+
 def test_audit_empty_interval_rejected():
     with pytest.raises(ValueError):
         virial_sign_margin(PotentialSpec("T", n=1), (2.0, -2.0), 100)
@@ -249,8 +263,12 @@ CLASS_TABLE = {
 
 @pytest.mark.parametrize("label,expected", sorted(CLASS_TABLE.items()))
 def test_classification_table(label, expected):
-    report = audit_potential(parse_family(label))
+    with warnings.catch_warnings():     # the default window is finite for every family
+        warnings.simplefilter("error")
+        report = audit_potential(parse_family(label))
     assert report.theorem_class == expected
+    assert all(math.isfinite(v) for k, v in report.to_dict().items()
+               if isinstance(v, float) and k != "quartic_constant")
     assert coarse_class(report.theorem_class) == EXPECTED_CLASS[label]
 
 
