@@ -5,7 +5,7 @@ A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``); the
 types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
 
 Exit codes for ``simulate`` and ``sweep``: 0 verdict passed, 1 malformed
-config (also a potential whose audit does not support the mode), 2 verdict
+config (also a potential whose audit refuses the mode or window), 2 verdict
 failed, 3 run aborted (support overflow / non-finite field / potential
 domain violation / field range outgrowing the leapfrog step); 1 also when an
 output cannot be written (``error: cannot write output: ...``; ``plot`` as

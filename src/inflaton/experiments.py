@@ -38,10 +38,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioClassError",
     "run_scenario",
-    "run_thm1_scenario",
-    "run_thm2_scenario",
-    "run_thm3_scenario",
-    "run_exploratory_scenario",
     "run_convergence_study",
     "ConvergenceReport",
     "run_potential_audit_suite",
@@ -66,6 +62,9 @@ DEFAULT_THRESHOLDS = {
     "thm3": {"cone_ratio": 1e-3, "local_ratio": 1e-2},
     "exploratory": {},
 }
+# the audited theorem classes a mode admits; thm3 checks F >= 0 on the
+# visited window instead, and exploratory admits any potential
+_ADMITTED = {"thm1": ("Thm1",), "thm2": ("Thm2-flatness", "Thm2-sign")}
 # the names _grade reads; a threshold is one of these or a typo
 THRESHOLD_NAMES = tuple(dict.fromkeys(k for t in DEFAULT_THRESHOLDS.values() for k in t))
 # allowed values of the choice fields (SolverConfig checks the last two)
@@ -264,21 +263,26 @@ def _saturation(ts: np.ndarray, w: np.ndarray) -> float:
 
 def _enforce_mode_preconditions(scn: Scenario) -> str:
     """Check the mode's audited hypotheses (the field rules are Scenario's);
-    return the audited theorem class or "free"."""
+    return the audited theorem class or "free".  An audit that refuses its
+    window (the potential overflows on it) refuses the run with its message."""
     if scn.spec is None:        # exploratory: Scenario refuses the other modes
         return "free"
-    if scn.mode == "thm1":
-        return _require_class(scn.spec, ("Thm1",), "thm1")
-    if scn.mode == "thm2":
-        return _require_class(scn.spec, ("Thm2-flatness", "Thm2-sign"), "thm2")
-    if scn.mode == "thm3":
-        window = max(1.0, 2.0 * abs(scn.amplitude))
-        report = audit_potential(scn.spec, interval=(-window, window))
-        if report.potential_min < -SIGN_TOL:
-            raise ScenarioClassError(
-                f"{scn.spec.label} has F < 0 on the visited window; "
-                "thm3 needs F >= 0")
-    return audit_potential(scn.spec).theorem_class
+    label = scn.spec.label
+    try:
+        if scn.mode == "thm3":
+            window = max(1.0, 2.0 * abs(scn.amplitude))
+            visited = audit_potential(scn.spec, interval=(-window, window))
+            if visited.potential_min < -SIGN_TOL:
+                raise ScenarioClassError(
+                    f"{label} has F < 0 on the visited window; thm3 needs F >= 0")
+        theorem_class = audit_potential(scn.spec).theorem_class
+    except ScenarioClassError:
+        raise
+    except ValueError as exc:
+        raise ScenarioClassError(str(exc)) from None
+    if scn.mode in _ADMITTED and theorem_class not in _ADMITTED[scn.mode]:
+        raise ScenarioClassError(f"{label} audits as {theorem_class}, cannot run as {scn.mode}")
+    return theorem_class
 
 
 def run_scenario(scn: Scenario) -> ScenarioResult:
@@ -430,52 +434,7 @@ def _fprime_quadratic_bound(spec: PotentialSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# theorem-labelled runners
-
-
-def _require_class(spec: PotentialSpec, wanted: tuple[str, ...], label: str) -> str:
-    report = audit_potential(spec)
-    if report.theorem_class not in wanted:
-        raise ScenarioClassError(
-            f"{spec.label} audits as {report.theorem_class}, cannot run as {label}")
-    return report.theorem_class
-
-
-def run_thm1_scenario(spec: PotentialSpec, amplitude: float = 1.0,
-                      t_end: float = 100.0, **overrides) -> ScenarioResult:
-    """Large-data local-decay run (H = 0); potential must audit as Thm1."""
-    scn = _suite_scenario(f"thm1-{spec.label}", spec, amplitude, t_end,
-                          mode="thm1", **overrides)
-    return run_scenario(scn)
-
-
-def run_thm2_scenario(spec: PotentialSpec, amplitude: float = 0.05,
-                      t_end: float = 100.0, **overrides) -> ScenarioResult:
-    """Small-data local-decay run (H = 0); potential must audit as Thm2."""
-    scn = _suite_scenario(f"thm2-{spec.label}", spec, amplitude, t_end,
-                          mode="thm2", **overrides)
-    return run_scenario(scn)
-
-
-def run_thm3_scenario(spec: PotentialSpec, hubble: float = 1.0,
-                      amplitude: float = 0.1, cone_b: float = 2.0,
-                      t_end: float = 20.0, **overrides) -> ScenarioResult:
-    """Expanding-background run (H > 0): light-cone exterior and local decay.
-
-    Requires F >= 0 on the window the data can visit; the quadratic bound
-    on f' near zero is recorded in the verdict rather than required.
-    """
-    scn = _suite_scenario(f"thm3-{spec.label}", spec, amplitude, t_end,
-                          mode="thm3", hubble=hubble, cone_b=cone_b, **overrides)
-    return run_scenario(scn)
-
-
-def run_exploratory_scenario(spec: PotentialSpec, amplitude: float = 0.05,
-                             t_end: float = 50.0, **overrides) -> ScenarioResult:
-    """Outside-theorem families: execute and record, assert nothing."""
-    scn = _suite_scenario(f"exploratory-{spec.label}", spec, amplitude, t_end,
-                          mode="exploratory", **overrides)
-    return run_scenario(scn)
+# committed suites
 
 
 def _suite_scenario(name: str, spec: PotentialSpec | None, amplitude: float,
@@ -514,7 +473,7 @@ def thm1_suite(t_end: float = 100.0) -> list[Scenario]:
     mass gap, so nothing lingers at the origin and I stays monotone.  Wide
     large-amplitude T1 data instead trap a long-lived origin oscillon (the
     tanh^2 plateau self-traps); that regime is reachable through the
-    exploratory runner and documented in the README, but it does not decay
+    exploratory config and documented in the README, but it does not decay
     on a T=100 horizon and is not a regression baseline.
     """
     specs = [PotentialSpec("T", n=1),

@@ -35,8 +35,6 @@ __all__ = [
     "eval_fprime",
     "virial_sign_margin",
     "quartic_flatness_constant",
-    "lipschitz_bound",
-    "defocusing_min",
     "dbrane_virial_closed_form",
     "audit_potential",
     "classify_theorem",
@@ -269,14 +267,6 @@ def virial_sign_margin(spec: PotentialSpec, interval: tuple[float, float],
     return float(np.min(2.0 * eval_F(spec, s) - s * eval_f(spec, s)))
 
 
-def defocusing_min(spec: PotentialSpec, delta: float, n_samples: int = 10_000) -> float:
-    """min over (-delta, delta) samples of s f(s); >= 0 rules out focusing."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    s = _sample(spec, -delta, delta, n_samples)
-    return float(np.min(s * eval_f(spec, s)))
-
-
 def quartic_flatness_constant(spec: PotentialSpec, delta: float,
                               n_samples: int = 10_000) -> float:
     """sup over (-delta, delta) \\ {0} of s f(s) / s^4.
@@ -301,13 +291,6 @@ def quartic_flatness_constant(spec: PotentialSpec, delta: float,
     if np.any(near) and np.max(ratio[near]) > _DIVERGENCE_CAP:
         return math.inf
     return float(np.max(ratio))
-
-
-def lipschitz_bound(spec: PotentialSpec, interval: tuple[float, float],
-                    n_samples: int = 10_000) -> float:
-    """sup of |f'| over samples; a lower estimate of the Lipschitz constant."""
-    s = _sample(spec, interval[0], interval[1], n_samples)
-    return float(np.max(np.abs(eval_fprime(spec, s))))
 
 
 @dataclass(frozen=True)
@@ -359,8 +342,10 @@ def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0,
                     delta: float = 1.0, n_samples: int = 10_000) -> PotentialAuditReport:
     """Run every audit and classify which decay theorem the family satisfies.
 
-    Refuses (ValueError) a wide window on which F, f or f' overflows: one
-    non-finite sample would decide every sampled extremum."""
+    F, f and f' are evaluated once on the wide window and F and f once on the
+    local one; every extremum is read from those samples.  Refuses
+    (ValueError) a wide window on which F, f or f' overflows: one non-finite
+    sample would decide every sampled extremum."""
     lo, hi = _clip_interval(spec, interval[0], interval[1])
     llo, lhi = _clip_interval(spec, -delta, delta)
     s_glob = _sample(spec, lo, hi, n_samples)     # refuses n_samples < 2
@@ -373,6 +358,8 @@ def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0,
         names = ", ".join(name for name, v in values.items() if not np.isfinite(v[i]))
         raise ValueError(f"{spec.label}: {names} not finite at s = {s_glob[i]:g} "
                          f"on the audit interval [{lo:g}, {hi:g}]")
+    s_loc = np.linspace(llo, lhi, n_samples)
+    sf_loc = s_loc * eval_f(spec, s_loc)
     report = PotentialAuditReport(
         label=spec.label,
         interval=(lo, hi),
@@ -380,24 +367,23 @@ def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0,
         n_samples=n_samples,
         sample_spacing=(hi - lo) / (n_samples - 1),
         local_spacing=(lhi - llo) / (n_samples - 1),
-        virial_sign_min=virial_sign_margin(spec, (lo, hi), n_samples),
-        local_sign_min=virial_sign_margin(spec, (llo, lhi), n_samples),
+        virial_sign_min=float(np.min(2.0 * values["F"] - s_glob * values["f"])),
+        local_sign_min=float(np.min(2.0 * eval_F(spec, s_loc) - sf_loc)),
         potential_min=float(np.min(values["F"])),
         quartic_constant=quartic_flatness_constant(spec, delta, n_samples),
-        lipschitz_bound=lipschitz_bound(spec, (lo, hi), n_samples),
-        defocusing_min=defocusing_min(spec, delta, n_samples),
+        lipschitz_bound=float(np.max(np.abs(values["f'"]))),
+        defocusing_min=float(np.min(sf_loc)),
     )
-    return replace(report, theorem_class=classify_theorem(spec, report))
+    return replace(report, theorem_class=classify_theorem(report))
 
 
-def classify_theorem(spec: PotentialSpec, report: PotentialAuditReport) -> str:
+def classify_theorem(report: PotentialAuditReport) -> str:
     """Map audit results to the decay-theorem hypothesis table.
 
     Thm1 (any data size): F >= 0, 2F - sf >= 0 on the wide window, f' bounded.
     Thm2-flatness (small data): 0 <= s f(s) <= C s^4 near the origin.
     Thm2-sign (small data): 2F - sf >= 0 near the origin.
     """
-    del spec  # classification is a pure function of the sampled report
     if (report.virial_sign_min >= -SIGN_TOL
             and report.potential_min >= -SIGN_TOL
             and math.isfinite(report.lipschitz_bound)):

@@ -1,8 +1,9 @@
 """Byte-identity check of the program's outputs.
 
 Prints one JSON object of sha256 digests: one per ``VirialSample`` field
-and one per verdict field of each run, and one per file the command line
-writes.  To compare two checkouts, run it in each and diff the outputs:
+and one per verdict field of each run, one per file the command line
+writes, one per potential audit report and one per audit command's
+output.  To compare two checkouts, run it in each and diff the outputs:
 
     python tests/output_digest.py > digests.json
 
@@ -11,8 +12,11 @@ the virial-consistency run at 1,024 cells (C07), dbrane runs that leave
 the potential's domain (at the first snapshot, in the stepping's force or
 at a later snapshot), and ``inflaton simulate`` on configs/t1_smoke.json
 and configs/t1_baseline.json and ``inflaton sweep`` on
-configs/thm3_h1.json, one worker.  It takes about 10 s on one core of a
-2-core x86-64 machine.  Not a test module: pytest does not collect it.
+configs/thm3_h1.json, one worker.  The audits: the ``to_dict()`` of the
+default audit of every ``EXPECTED_CLASS`` family and of T3, E4 and
+monodromy:q=0.3, and the stdout of ``inflaton audit T1`` and ``inflaton
+audit-suite``.  It takes about 10 s on one core of a 2-core x86-64
+machine.  Not a test module: pytest does not collect it.
 """
 
 import contextlib
@@ -34,7 +38,8 @@ from inflaton import cli  # noqa: E402
 from inflaton.experiments import (Scenario, energy_conservation_scenario,  # noqa: E402
                                   run_scenario, thm1_suite, thm2_suite, thm3_suite,
                                   virial_consistency_scenario)
-from inflaton.potentials import PotentialSpec  # noqa: E402
+from inflaton.potentials import (EXPECTED_CLASS, PotentialSpec,  # noqa: E402
+                                 audit_potential, parse_family)
 from inflaton.virials import VirialSample  # noqa: E402
 
 
@@ -75,6 +80,19 @@ def file_digests(root: Path) -> dict[str, str]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def audit_digests() -> dict[str, str]:
+    out = {}
+    for label in [*EXPECTED_CLASS, "T3", "E4", "monodromy:q=0.3"]:
+        report = audit_potential(parse_family(label)).to_dict()
+        out[f"audit/{label}"] = _sha(json.dumps(report, sort_keys=True).encode())
+    for argv in (["audit", "T1"], ["audit-suite"]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            cli.main(argv)
+        out[f"stdout/{' '.join(argv)}"] = _sha(stdout.getvalue().encode())
+    return out
+
+
 def main() -> None:
     os.environ["INFLATON_THREADS"] = "1"
     scenarios = (thm1_suite() + thm2_suite() + thm3_suite()
@@ -91,6 +109,7 @@ def main() -> None:
         cli.main(["sweep", str(REPO / "configs" / "thm3_h1.json"),
                   "--out", str(root / "thm3_h1-sweep")])
         digests.update(file_digests(root))
+    digests.update(audit_digests())
     print(json.dumps(digests, indent=1, sort_keys=True))
 
 

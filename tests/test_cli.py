@@ -178,6 +178,32 @@ def test_simulate_refuses_unsupported_theorem_label(tmp_path):
     assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 1
 
 
+# potentials on which the gate's audit overflows: E200 on the default window
+# [-10, 10], in any mode, and hilltop2 on the thm3 window an amplitude of
+# 1e80 visits
+_AUDIT_REFUSALS = [
+    ({"potential": "E200"}, 0.05, "E200: F, f, f' not finite at s = -10"),
+    ({"mode": "thm3", "hubble": 1.0, "potential": "hilltop2"}, 1e80,
+     "hilltop2: F not finite at s = -2e+80"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("edit,amplitude,message", _AUDIT_REFUSALS)
+def test_audit_refusal_exits_1_without_output(tmp_path, monkeypatch, capfd, command,
+                                              edit, amplitude, message):
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    cfg = tiny_config(**edit)
+    cfg["initial"]["amplitude"] = amplitude
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    stdout, err = capfd.readouterr()
+    assert err.startswith(f"config error: {message} on the audit interval")
+    assert "Traceback" not in stdout + err
+    assert not out.exists()
+
+
 def test_simulate_domain_violation_exits_3(tmp_path):
     # dbrane data dipping to v <= -1 leave the potential's domain at once
     cfg = tiny_config(potential="dbrane1")

@@ -6,10 +6,9 @@ import pytest
 
 from inflaton import dynamics, experiments
 from inflaton.experiments import (ConvergenceReport, Scenario,
-                                  ScenarioClassError, run_convergence_study, run_exploratory_scenario,
+                                  ScenarioClassError, run_convergence_study,
                                   run_potential_audit_suite, run_scenario,
-                                  run_thm1_scenario, run_thm2_scenario,
-                                  run_thm3_scenario, thm1_suite, thm2_suite,
+                                  thm1_suite, thm2_suite,
                                   thm3_suite, _enforce_mode_preconditions,
                                   _grade, _suite_scenario, _uniform_prefix)
 from inflaton.potentials import DomainViolation, PotentialSpec
@@ -35,24 +34,29 @@ def test_scenario_unknown_mode_rejected():
 
 
 def test_thm1_runner_refuses_wrong_class():
-    with pytest.raises(ScenarioClassError):
-        run_thm1_scenario(PotentialSpec("T", n=2), t_end=5.0)
-    with pytest.raises(ScenarioClassError):
-        run_thm1_scenario(PotentialSpec("axion"), t_end=5.0)
+    with pytest.raises(ScenarioClassError,
+                       match="^T2 audits as Thm2-flatness, cannot run as thm1$"):
+        run_scenario(_suite_scenario("thm1-T2", PotentialSpec("T", n=2), 1.0, 5.0, "thm1"))
+    with pytest.raises(ScenarioClassError, match="^axion audits as None, cannot run as thm1$"):
+        run_scenario(_suite_scenario("thm1-axion", PotentialSpec("axion"), 1.0, 5.0, "thm1"))
 
 
 def test_thm2_runner_refuses_wrong_class():
-    with pytest.raises(ScenarioClassError):
-        run_thm2_scenario(PotentialSpec("T", n=1), t_end=5.0)
+    with pytest.raises(ScenarioClassError, match="^T1 audits as Thm1, cannot run as thm2$"):
+        run_scenario(_suite_scenario("thm2-T1", PotentialSpec("T", n=1), 0.05, 5.0, "thm2"))
 
 
 def test_thm3_runner_guards():
     with pytest.raises(ValueError):
-        run_thm3_scenario(PotentialSpec("T", n=1), hubble=0.0, t_end=5.0)
+        run_scenario(_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, 5.0, "thm3",
+                                     hubble=0.0))
     with pytest.raises(ValueError):
-        run_thm3_scenario(PotentialSpec("T", n=1), cone_b=1.0, t_end=5.0)
-    with pytest.raises(ScenarioClassError):
-        run_thm3_scenario(PotentialSpec("hilltop", n=2), t_end=5.0)
+        run_scenario(_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, 5.0, "thm3",
+                                     hubble=1.0, cone_b=1.0))
+    with pytest.raises(ScenarioClassError, match="^hilltop2 has F < 0 on the visited window; "
+                                                 "thm3 needs F >= 0$"):
+        run_scenario(_suite_scenario("thm3-hilltop2", PotentialSpec("hilltop", n=2), 0.1,
+                                     5.0, "thm3", hubble=1.0))
 
 
 def test_zero_data_passes_trivially():
@@ -66,8 +70,8 @@ def test_zero_data_passes_trivially():
 
 
 def test_short_thm1_run_mechanics():
-    result = run_thm1_scenario(PotentialSpec("T", n=1), amplitude=1.0, t_end=30.0,
-                               width=1.0, thresholds={"w_ratio": 0.2})
+    result = run_scenario(_suite_scenario("thm1-T1", PotentialSpec("T", n=1), 1.0, 30.0,
+                                          "thm1", width=1.0, thresholds={"w_ratio": 0.2}))
     v = result.verdict
     assert v.passed, v.diagnosis
     assert v.monotone_I
@@ -79,7 +83,8 @@ def test_short_thm1_run_mechanics():
 
 
 def test_short_thm2_run_records_sup_norms():
-    result = run_thm2_scenario(PotentialSpec("natural"), amplitude=0.05)
+    result = run_scenario(_suite_scenario("thm2-natural", PotentialSpec("natural"), 0.05,
+                                          100.0, "thm2"))
     v = result.verdict
     assert v.passed, v.diagnosis
     assert v.sup_phi_initial == pytest.approx(0.05, rel=0.05)
@@ -100,7 +105,8 @@ def test_thm3_run_verdict(thm3_run):
 
 def test_exploratory_runs_execute_without_asserting():
     for spec in (PotentialSpec("axion"), PotentialSpec("E", n=1)):
-        result = run_exploratory_scenario(spec, amplitude=0.05, t_end=10.0)
+        result = run_scenario(_suite_scenario(f"exploratory-{spec.label}", spec, 0.05,
+                                              10.0, "exploratory"))
         v = result.verdict
         assert v.scope == "outside-theorems"
         assert v.passed  # no thresholds configured in exploratory mode
@@ -109,9 +115,9 @@ def test_exploratory_runs_execute_without_asserting():
 
 def test_exploratory_large_tanh_blob_persists():
     # wide large-amplitude tanh-model data trap a long-lived origin blob:
-    # no decay on this horizon, recorded honestly by the exploratory runner
-    result = run_exploratory_scenario(PotentialSpec("T", n=1), amplitude=2.0,
-                                      t_end=60.0, width=2.0)
+    # no decay on this horizon, recorded honestly by exploratory mode
+    result = run_scenario(_suite_scenario("exploratory-T1", PotentialSpec("T", n=1), 2.0,
+                                          60.0, "exploratory", width=2.0))
     assert result.verdict.w_ratio > 1e-2
     assert result.verdict.passed  # exploratory mode records, never gates
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from inflaton import potentials
 from inflaton.potentials import (DomainViolation, PotentialSpec, audit_potential,
                                  classify_theorem, coarse_class,
-                                 dbrane_virial_closed_form, defocusing_min,
-                                 eval_F, eval_f, eval_fprime, lipschitz_bound,
-                                 parse_family, quartic_flatness_constant,
+                                 dbrane_virial_closed_form, eval_F, eval_f,
+                                 eval_fprime, parse_family, quartic_flatness_constant,
                                  virial_sign_margin, EXPECTED_CLASS)
 
 ALL_SPECS = [
@@ -150,15 +150,36 @@ def test_quartic_constant_flags_negative_sf():
     assert math.isinf(quartic_flatness_constant(PotentialSpec("hilltop", n=2), 1.0, 1000))
 
 
+def _lipschitz_bound(spec, interval, n_samples):
+    return audit_potential(spec, interval=interval, n_samples=n_samples).lipschitz_bound
+
+
 def test_lipschitz_bounds():
-    assert lipschitz_bound(PotentialSpec("T", n=1), (-20, 20), 10_000) <= 2.0 + 1e-9
-    assert lipschitz_bound(PotentialSpec("log"), (-1e3, 1e3), 10_000) <= 1.0 + 1e-9
-    assert lipschitz_bound(PotentialSpec("hilltop", n=2), (-1, 1), 1000) == pytest.approx(12.0)
+    assert _lipschitz_bound(PotentialSpec("T", n=1), (-20, 20), 10_000) <= 2.0 + 1e-9
+    assert _lipschitz_bound(PotentialSpec("log"), (-1e3, 1e3), 10_000) <= 1.0 + 1e-9
+    assert _lipschitz_bound(PotentialSpec("hilltop", n=2), (-1, 1), 1000) == pytest.approx(12.0)
 
 
 def test_defocusing_min_signs():
-    assert defocusing_min(PotentialSpec("T", n=2), 1.0, 10_000) >= -1e-12
-    assert defocusing_min(PotentialSpec("axion"), 1.0, 10_000) < 0
+    assert audit_potential(PotentialSpec("T", n=2), delta=1.0,
+                           n_samples=10_000).defocusing_min >= -1e-12
+    assert audit_potential(PotentialSpec("axion"), delta=1.0,
+                           n_samples=10_000).defocusing_min < 0
+
+
+def test_audit_evaluates_each_window_once(monkeypatch):
+    # F, f and f' once on the wide window, F and f once on the local one,
+    # and f once more for the flatness probe
+    calls = {"eval_F": 0, "eval_f": 0, "eval_fprime": 0}
+    for name in calls:
+        real = getattr(potentials, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(potentials, name, counting)
+    audit_potential(PotentialSpec("T", n=1))
+    assert calls == {"eval_F": 2, "eval_f": 3, "eval_fprime": 1}
 
 
 # --- dbrane ----------------------------------------------------------------
@@ -275,7 +296,7 @@ def test_classification_table(label, expected):
 def test_classify_is_pure_function_of_report():
     spec = PotentialSpec("T", n=1)
     report = audit_potential(spec)
-    assert classify_theorem(spec, report) == report.theorem_class
+    assert classify_theorem(report) == report.theorem_class
 
 
 def test_report_serializable_with_unbounded_marker():
