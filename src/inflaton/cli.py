@@ -4,16 +4,19 @@ machine-readable verdicts.
 A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``); the
 types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
 
-Exit codes for ``simulate`` and ``sweep``: 0 verdict passed, 1 malformed
-config (also a potential whose audit refuses the mode or window), 2 verdict
-failed, 3 run aborted (support overflow / non-finite field / potential
-domain violation / field range outgrowing the leapfrog step); 1 also when an
-output cannot be written (``error: cannot write output: ...``; ``plot`` as
-well), after the run.  ``audit`` and ``audit-suite``: 1 on a bad family,
-interval (also one on which the potential overflows) or sample count, 2 on
-an expected-class mismatch.  ``Scenario`` checks the mode's field rules and the
-step from its initial data when it is built: an unstable step is refused at
-load, and ``sweep`` builds every job's ``Scenario`` before it writes anything.
+Exit codes for ``simulate``: 0 verdict passed, 1 malformed config (also a
+potential whose audit refuses the mode or window), 2 verdict failed, 3 run
+aborted (support overflow / non-finite field / potential domain violation /
+field range outgrowing the leapfrog step).  ``sweep``: 0 every job passed, 1
+as ``simulate``, 2 some job failed or aborted; an aborted job is a failed
+row of ``summary.csv`` with the abort in its ``aborted`` column.  Both, and
+``plot``, exit 1 also when an output cannot be written (``error: cannot
+write output: ...``), after the run.  ``audit`` and ``audit-suite``: 1 on a
+bad family, interval (also one on which the potential overflows) or sample
+count, 2 on an expected-class mismatch.  ``Scenario`` checks the mode's
+field rules and the step from its initial data when it is built: an
+unstable step is refused at load, and ``sweep`` builds every job's
+``Scenario`` before it writes anything.
 
 ``time.scheme`` picks the time integrator: ``"rk4"`` (the default, any
 ``time.space_order``), ``"leapfrog"`` (``space_order`` 2 only, any
@@ -40,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (CHOICES, Scenario, ScenarioClassError, ScenarioResult,
-                          run_potential_audit_suite, run_scenario)
+from .experiments import (_GRADED_RATIOS, CHOICES, Scenario, ScenarioClassError,
+                          ScenarioResult, run_potential_audit_suite, run_scenario)
 from .potentials import (EXPECTED_CLASS, audit_potential, coarse_class,
                          parse_family)
 from .virials import CSV_COLUMNS
@@ -233,9 +236,9 @@ def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_line_plot(title: str, t: np.ndarray, series: list[tuple[str, np.ndarray]],
-                     width: int = 720, height: int = 440) -> str:
-    """Standalone SVG line plot (no plotting dependency on the verdict path)."""
+def render_line_plot(title: str, t: np.ndarray, series: list[tuple[str, np.ndarray]]) -> str:
+    """Standalone 720 x 440 SVG line plot (no plotting dependency on the verdict path)."""
+    width, height = 720, 440
     ml, mr, mt, mb = 70, 20, 40, 45
     pw, ph = width - ml - mr, height - mt - mb
     t = np.asarray(t, dtype=float)
@@ -402,13 +405,18 @@ def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
     return jobs
 
 
-def _sweep_job(job: tuple) -> tuple[str, dict]:
+def _sweep_job(job: tuple) -> tuple[str, bool, str]:
+    """Run one job and write its outputs; return its name, whether it passed
+    and its summary.csv row, where a NaN (nothing sampled) is an empty cell."""
     scenario, name, out_dir, emit = job
     result = run_scenario(scenario)
     _write_outputs(result, Path(out_dir), emit)
-    verdict = result.verdict.to_dict()
-    verdict["_amplitude"] = scenario.amplitude
-    return name, verdict
+    verdict = result.verdict
+    ratios = [getattr(verdict, verdict_field) for verdict_field, _ in _GRADED_RATIOS.values()]
+    cells = ["" if math.isnan(x) else repr(float(x))
+             for x in (scenario.amplitude, verdict.hubble, *ratios)]
+    row = [name, *cells[:2], str(verdict.passed), *cells[2:], verdict.aborted or ""]
+    return name, verdict.passed, ",".join(row)
 
 
 def cmd_sweep(args) -> int:
@@ -443,29 +451,15 @@ def cmd_sweep(args) -> int:
         return 1
     except OSError as exc:      # a job's output directory or files
         return _cannot_write(exc)
-    results.sort(key=lambda kv: kv[0])
-
-    def num(value) -> str:      # null (nothing sampled) stays an empty cell
-        return "" if value is None else repr(float(value))
-
-    lines = ["run,amplitude,hubble,passed,w_ratio,local_ratio,cone_ratio,aborted"]
-    for name, verdict in results:
-        lines.append(",".join([
-            name,
-            num(verdict["_amplitude"]),
-            num(verdict["hubble"]),
-            str(verdict["passed"]),
-            num(verdict["w_ratio"]),
-            num(verdict["local_energy_ratio"]),
-            num(verdict["cone_energy_ratio"]),
-            verdict["aborted"] or "",
-        ]))
+    results.sort(key=lambda job: job[0])
+    lines = [",".join(["run", "amplitude", "hubble", "passed", *_GRADED_RATIOS, "aborted"]),
+             *(row for _, _, row in results)]
     try:
         (out_root / "summary.csv").write_text("\n".join(lines) + "\n")
     except OSError as exc:
         return _cannot_write(exc)
     print(f"swept {len(jobs)} runs -> {out_root}/summary.csv")
-    return 0 if all(v["passed"] for _, v in results) else 2
+    return 0 if all(passed for _, passed, _ in results) else 2
 
 
 def cmd_plot(args) -> int:

@@ -65,8 +65,13 @@ DEFAULT_THRESHOLDS = {
 # the audited theorem classes a mode admits; thm3 checks F >= 0 on the
 # visited window instead, and exploratory admits any potential
 _ADMITTED = {"thm1": ("Thm1",), "thm2": ("Thm2-flatness", "Thm2-sign")}
-# the names _grade reads; a threshold is one of these or a typo
-THRESHOLD_NAMES = tuple(dict.fromkeys(k for t in DEFAULT_THRESHOLDS.values() for k in t))
+# threshold name -> (the DecayVerdict field it bounds, its failure message),
+# in the order of the sweep summary's ratio columns
+_GRADED_RATIOS = {"w_ratio": ("w_ratio", "w_ratio {:.3e} > {:.1e}"),
+                  "local_ratio": ("local_energy_ratio", "local ratio {:.3e}"),
+                  "cone_ratio": ("cone_energy_ratio", "cone ratio {:.3e}")}
+# a threshold is one of these or a typo
+THRESHOLD_NAMES = tuple(_GRADED_RATIOS)
 # allowed values of the choice fields (SolverConfig checks the last two)
 CHOICES = {"mode": tuple(DEFAULT_THRESHOLDS), "kind": ("bump", "gaussian"),
            "velocity": ("rest", "outgoing"), "space_order": SPACE_ORDERS, "scheme": SCHEMES}
@@ -226,20 +231,18 @@ def _uniform_prefix(ts: np.ndarray) -> int:
     return len(ts) if bad.size == 0 else int(bad[0]) + 1
 
 
-def dissipation_residual(samples: list[VirialSample], hubble: float) -> float | None:
-    """max over interior output times of |FD(E) - dE/dt formula| / |formula|.
+def dissipation_residual(ts: np.ndarray, E: np.ndarray, rate: np.ndarray,
+                         hubble: float) -> float | None:
+    """max over interior output times of |FD(E) - dE/dt formula| / |formula|,
+    from the sampled times, energies and formula rates ``E_rate``.
 
     The H > 0 balance is dE/dt = -H * 4 pi int r^2 (3 phi_t^2 +
     phi_r^2 / e^{2Ht}); for H = 0 there is nothing to check.
     """
-    if hubble == 0.0 or len(samples) < 3:
-        return None
-    ts = np.array([s.t for s in samples])
     m = _uniform_prefix(ts)
-    if m < 3:
+    if hubble == 0.0 or m < 3:
         return None
-    E = np.array([s.E for s in samples[:m]])
-    rate = np.array([s.E_rate for s in samples[:m]])
+    E, rate = E[:m], rate[:m]
     dt = ts[1] - ts[0]
     fd = (E[2:] - E[:-2]) / (2.0 * dt)
     denom = np.abs(rate[1:-1])
@@ -323,8 +326,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     return ScenarioResult(scn, verdict, samples)
 
 
-def _support_excess(samples: list[VirialSample], dr: float) -> float:
-    """max over samples of support - (support0 + (t - t0) + 2 dr).
+def _support_excess(ts: np.ndarray, radius: np.ndarray, dr: float) -> float:
+    """max over the sampled support fronts of radius - (radius0 + (t - t0) + 2 dr).
 
     The semigroup propagates at speed <= 1, so up to mesh effects
     support(t) <= support(t0) + (t - t0); this is how far the sampled 1e-13
@@ -333,8 +336,6 @@ def _support_excess(samples: list[VirialSample], dr: float) -> float:
     dt = dr keeps it at or below zero (see the acceptance notes).  It is
     recorded rather than assumed.
     """
-    ts = np.array([s.t for s in samples])
-    radius = np.array([s.support for s in samples])
     return float(np.max(radius - (radius[0] + (ts - ts[0]) + 2.0 * dr)))
 
 
@@ -345,27 +346,10 @@ def _grade(scn: Scenario, samples: list[VirialSample], aborted: str | None,
     # all-NaN record, so every sampled quantity reads as undefined
     graded = samples or [VirialSample(*[math.nan] * len(fields(VirialSample)))]
     first, last = graded[0], graded[-1]
-    ts = np.array([s.t for s in graded])
-    I = np.array([s.I for s in graded])
-    W = np.array([s.W for s in graded])
-    E = np.array([s.E for s in graded])
-    J = np.array([s.J for s in graded])
-
-    i_scale = np.max(np.abs(I))
-    i_steps = np.diff(I)
-    min_i_step = float(i_steps.min()) if i_steps.size else 0.0
-    monotone_i = bool(i_steps.size == 0 or min_i_step >= -I_MONOTONE_TOL * max(i_scale, 1e-300))
-
-    e_steps = np.diff(E)
-    e_scale = np.max(np.abs(E))
-    energy_nonincreasing = bool(e_steps.size == 0
-                                or e_steps.max() <= 1e-9 * max(e_scale, 1e-300))
-    j_steps = np.diff(J)
-    j_scale = np.max(np.abs(J))
-    j_monotone = bool(j_steps.size == 0 or j_steps.max() <= 1e-9 * max(j_scale, 1e-300))
-
-    sup_phi = np.array([s.sup_phi for s in graded])
-    h1 = np.array([s.h1_norm for s in graded])
+    ts, I, W, E, J, sup_phi, h1, support, e_rate = (
+        np.array([getattr(s, name) for s in graded])
+        for name in ("t", "I", "W", "E", "J", "sup_phi", "h1_norm", "support", "E_rate"))
+    min_i_step = float(np.diff(I).min()) if len(I) > 1 else 0.0
     growth = max(_ratio(sup_phi.max(), sup_phi[0]), _ratio(h1.max(), h1[0]))
 
     fprime_bound = None
@@ -382,7 +366,7 @@ def _grade(scn: Scenario, samples: list[VirialSample], aborted: str | None,
         local_energy_ratio=_ratio(last.ballE, first.ballE),
         cone_energy_ratio=_ratio(last.coneE, first.coneE),
         energy_ratio=_ratio(last.E, first.E),
-        monotone_I=monotone_i,
+        monotone_I=_never_rises(-I, I_MONOTONE_TOL),
         min_I_step=min_i_step,
         integrability_saturation=_saturation(ts, W),
         sup_phi_initial=float(sup_phi[0]),
@@ -390,10 +374,10 @@ def _grade(scn: Scenario, samples: list[VirialSample], aborted: str | None,
         h1_initial=float(h1[0]),
         h1_max=float(h1.max()),
         supnorm_growth=float(growth),
-        support_excess=_support_excess(graded, scn.grid().dr),
-        energy_nonincreasing=energy_nonincreasing,
-        j_monotone=j_monotone,
-        dissipation_residual_max=dissipation_residual(samples, scn.hubble),
+        support_excess=_support_excess(ts, support, scn.grid().dr),
+        energy_nonincreasing=_never_rises(E, 1e-9),
+        j_monotone=_never_rises(J, 1e-9),
+        dissipation_residual_max=dissipation_residual(ts, E, e_rate, scn.hubble),
         fprime_quadratic_bound=fprime_bound,
         scope="outside-theorems" if scn.mode == "exploratory" else "theorem",
         thresholds=thresholds,
@@ -401,27 +385,29 @@ def _grade(scn: Scenario, samples: list[VirialSample], aborted: str | None,
         aborted=aborted,
     )
 
-    failures: list[str] = []
-    if aborted:
-        failures.append(aborted)
-    if "w_ratio" in thresholds and verdict.w_ratio > thresholds["w_ratio"]:
-        failures.append(f"w_ratio {verdict.w_ratio:.3e} > {thresholds['w_ratio']:.1e}")
-    if "cone_ratio" in thresholds and verdict.cone_energy_ratio > thresholds["cone_ratio"]:
-        failures.append(f"cone ratio {verdict.cone_energy_ratio:.3e}")
-    if "local_ratio" in thresholds and verdict.local_energy_ratio > thresholds["local_ratio"]:
-        failures.append(f"local ratio {verdict.local_energy_ratio:.3e}")
-    if scn.mode in ("thm1", "thm2") and not monotone_i:
+    failures = [aborted] if aborted else []
+    for name, (verdict_field, message) in _GRADED_RATIOS.items():
+        value = getattr(verdict, verdict_field)
+        if name in thresholds and value > thresholds[name]:
+            failures.append(message.format(value, thresholds[name]))
+    if scn.mode in ("thm1", "thm2") and not verdict.monotone_I:
         failures.append(f"I not monotone (min step {min_i_step:.3e})")
     if scn.mode in ("thm1", "thm2") and verdict.integrability_saturation > SATURATION_LIMIT:
         failures.append(f"int W dt not saturated ({verdict.integrability_saturation:.3f})")
     if scn.mode == "thm2" and growth > SUPNORM_GROWTH_LIMIT:
         failures.append(f"smallness hypothesis violated: sup norms grew {growth:.2f}x")
-    if scn.mode == "thm3" and not energy_nonincreasing:
+    if scn.mode == "thm3" and not verdict.energy_nonincreasing:
         failures.append("energy increased along an H>0 run")
 
     verdict.passed = not failures
     verdict.diagnosis = "; ".join(failures)
     return verdict
+
+
+def _never_rises(x: np.ndarray, rtol: float) -> bool:
+    """No step of x rises by more than rtol times max |x|."""
+    steps = np.diff(x)
+    return bool(steps.size == 0 or steps.max() <= rtol * max(np.max(np.abs(x)), 1e-300))
 
 
 def _fprime_quadratic_bound(spec: PotentialSpec) -> float:
@@ -489,12 +475,12 @@ def thm1_suite(t_end: float = 100.0) -> list[Scenario]:
             for s in specs]
 
 
-def thm2_suite(t_end: float = 100.0, amplitude: float = 0.05) -> list[Scenario]:
-    """Committed small-data suite: E2, E3, T2, natural, hilltop2."""
+def thm2_suite(t_end: float = 100.0) -> list[Scenario]:
+    """Committed small-data suite: E2, E3, T2, natural, hilltop2 at amplitude 0.05."""
     specs = [PotentialSpec("E", n=2), PotentialSpec("E", n=3),
              PotentialSpec("T", n=2), PotentialSpec("natural"),
              PotentialSpec("hilltop", n=2)]
-    return [_suite_scenario(f"thm2-{s.label}", s, amplitude, t_end, "thm2")
+    return [_suite_scenario(f"thm2-{s.label}", s, 0.05, t_end, "thm2")
             for s in specs]
 
 

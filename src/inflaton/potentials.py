@@ -253,18 +253,13 @@ def _clip_interval(spec: PotentialSpec, lo: float, hi: float) -> tuple[float, fl
     return lo_eff, hi
 
 
-def _sample(spec: PotentialSpec, lo: float, hi: float, n_samples: int) -> np.ndarray:
-    if n_samples < 2:
-        raise ValueError("need n_samples >= 2")
-    lo, hi = _clip_interval(spec, lo, hi)
-    return np.linspace(lo, hi, n_samples)
-
-
 def virial_sign_margin(spec: PotentialSpec, interval: tuple[float, float],
                        n_samples: int = 10_000) -> float:
-    """min over samples of 2 F(s) - s f(s); >= 0 is the defocusing virial sign."""
-    s = _sample(spec, interval[0], interval[1], n_samples)
-    return float(np.min(2.0 * eval_F(spec, s) - s * eval_f(spec, s)))
+    """min over samples of 2 F(s) - s f(s); >= 0 is the defocusing virial sign.
+
+    It is the audit's ``virial_sign_min``, so a window on which the potential
+    overflows is refused (ValueError) as the audit refuses it."""
+    return audit_potential(spec, interval, n_samples=n_samples).virial_sign_min
 
 
 def quartic_flatness_constant(spec: PotentialSpec, delta: float,
@@ -339,16 +334,19 @@ def json_dict(record) -> dict:
 
 
 def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0, 10.0),
-                    delta: float = 1.0, n_samples: int = 10_000) -> PotentialAuditReport:
+                    n_samples: int = 10_000) -> PotentialAuditReport:
     """Run every audit and classify which decay theorem the family satisfies.
 
     F, f and f' are evaluated once on the wide window and F and f once on the
-    local one; every extremum is read from those samples.  Refuses
+    local one (-1, 1); every extremum is read from those samples.  Refuses
     (ValueError) a wide window on which F, f or f' overflows: one non-finite
     sample would decide every sampled extremum."""
+    delta = 1.0     # the local window (-delta, delta) of the small-data hypotheses
     lo, hi = _clip_interval(spec, interval[0], interval[1])
     llo, lhi = _clip_interval(spec, -delta, delta)
-    s_glob = _sample(spec, lo, hi, n_samples)     # refuses n_samples < 2
+    if n_samples < 2:
+        raise ValueError("need n_samples >= 2")
+    s_glob = np.linspace(lo, hi, n_samples)
     with np.errstate(all="ignore"):
         values = {"F": eval_F(spec, s_glob), "f": eval_f(spec, s_glob),
                   "f'": eval_fprime(spec, s_glob)}

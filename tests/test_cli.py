@@ -15,7 +15,7 @@ from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
                           render_line_plot, scenario_from_config, sweep_scenarios)
 from inflaton.dynamics import CflViolation, resolve_dt
 from inflaton.experiments import DEFAULT_THRESHOLDS, Scenario, run_scenario
-from inflaton.potentials import PotentialSpec
+from inflaton.potentials import EXPECTED_CLASS, PotentialSpec
 from inflaton.virials import CSV_COLUMNS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -102,6 +102,27 @@ def test_load_config_rejects_bad_monodromy(tmp_path):
     path = write_config(tmp_path, tiny_config(potential="monodromy:q=0"))
     with pytest.raises(ConfigError, match="monodromy"):
         load_config(path)
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([tiny_config()]))
+    with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+        load_config(path)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert "config root must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_rejects_negative_jitter(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["sweep"] = {"amplitudes": [0.3], "jitter_pct": -1}
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match=r"^sweep\.jitter_pct: must be >= 0\.0$"):
+        load_config(path)
+    assert main(["sweep", str(path), "--out", str(tmp_path / "sweep")]) == 1
+    assert "sweep.jitter_pct: must be >= 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_load_config_rejects_cfl_violating_dt(tmp_path):
@@ -257,6 +278,14 @@ def test_audit_suite_command(capsys):
     assert "T1" in out and "expected" in out
 
 
+def test_audit_suite_mismatch_exits_2(monkeypatch, capsys):
+    monkeypatch.setitem(EXPECTED_CLASS, "T1", "Thm2")
+    assert main(["audit-suite", "--samples", "2000"]) == 2
+    out, err = capsys.readouterr()
+    assert "expected Thm2" in out
+    assert err == "MISMATCH T1: expected Thm2, audited Thm1\n"
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
@@ -280,6 +309,16 @@ def test_plot_emits_svg(tmp_path):
 
 def test_plot_missing_file_exits_1(tmp_path):
     assert main(["plot", str(tmp_path / "missing.csv")]) == 1
+
+
+def test_plot_header_only_series_exits_1(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # numpy notes that the file holds no data
+        assert main(["plot", str(path)]) == 1
+    assert "empty series" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_emit_plots_flag(tmp_path):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -113,6 +113,25 @@ def test_exploratory_runs_execute_without_asserting():
         assert v.w_ratio >= 0.0
 
 
+def test_free_field_exploratory_run_is_graded_free():
+    result = run_scenario(Scenario(name="free", spec=None, amplitude=0.5, center=4.0,
+                                   width=1.5, r_max=20.0, n_cells=256, t_end=5.0,
+                                   space_order=2))
+    v = result.verdict
+    assert v.theorem_class == "free" and v.potential == "free"
+    assert v.scope == "outside-theorems"
+    assert v.passed and not v.aborted
+    assert v.fprime_quadratic_bound is None
+    assert len(result.samples) > 1
+
+
+def test_theorem_modes_need_a_potential():
+    for mode in ("thm1", "thm2", "thm3"):
+        with pytest.raises(ScenarioClassError, match=f"^spec: mode {mode} needs a potential$"):
+            Scenario(name="free", spec=None, hubble=1.0, t_end=1.0, r_max=40.0,
+                     n_cells=512, mode=mode)
+
+
 def test_exploratory_large_tanh_blob_persists():
     # wide large-amplitude tanh-model data trap a long-lived origin blob:
     # no decay on this horizon, recorded honestly by exploratory mode
@@ -172,6 +191,42 @@ def test_grade_passes_clean_decay():
     assert verdict.passed, verdict.diagnosis
     assert verdict.monotone_I
     assert verdict.integrability_saturation <= 0.05
+
+
+def _thm3_samples(**last):
+    # ballE and coneE decay inside the thm3 thresholds unless overridden
+    end = dict(W=0.001, ballE=1e-4, coneE=1e-5)
+    end.update(last)
+    return [_mk_sample(0.0), _mk_sample(10.0, **end)]
+
+
+@pytest.mark.parametrize("last,diagnosis", [
+    ({"ballE": 0.5}, "local ratio 5.000e-01"),
+    ({"coneE": 0.25}, "cone ratio 2.500e-01"),
+    ({"E": 1.5}, "energy increased along an H>0 run"),
+])
+def test_grade_flags_thm3_failures(last, diagnosis):
+    verdict = _grade_with(_thm3_samples(**last), mode="thm3", hubble=1.0)
+    assert not verdict.passed
+    assert verdict.diagnosis == diagnosis
+
+
+def test_grade_thm3_reports_both_energy_ratios():
+    # the order of the two messages is not part of the contract
+    verdict = _grade_with(_thm3_samples(ballE=0.5, coneE=0.25), mode="thm3", hubble=1.0)
+    assert not verdict.passed
+    assert set(verdict.diagnosis.split("; ")) == {"local ratio 5.000e-01",
+                                                  "cone ratio 2.500e-01"}
+    assert _grade_with(_thm3_samples(), mode="thm3", hubble=1.0).passed
+
+
+def test_every_default_threshold_is_a_graded_ratio():
+    for defaults in experiments.DEFAULT_THRESHOLDS.values():
+        assert set(defaults) <= set(experiments._GRADED_RATIOS)
+    assert experiments.THRESHOLD_NAMES == tuple(experiments._GRADED_RATIOS)
+    verdict_fields = {f.name for f in fields(experiments.DecayVerdict)}
+    for verdict_field, _ in experiments._GRADED_RATIOS.values():
+        assert verdict_field in verdict_fields
 
 
 def test_saturation_sums_the_last_quarter_directly():

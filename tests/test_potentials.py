@@ -161,9 +161,9 @@ def test_lipschitz_bounds():
 
 
 def test_defocusing_min_signs():
-    assert audit_potential(PotentialSpec("T", n=2), delta=1.0,
+    assert audit_potential(PotentialSpec("T", n=2),
                            n_samples=10_000).defocusing_min >= -1e-12
-    assert audit_potential(PotentialSpec("axion"), delta=1.0,
+    assert audit_potential(PotentialSpec("axion"),
                            n_samples=10_000).defocusing_min < 0
 
 
@@ -253,6 +253,9 @@ def test_audit_refuses_a_window_where_the_potential_overflows():
         with pytest.raises(ValueError, match=r"^E1: F, f, f' not finite at s = -1000 "
                                              r"on the audit interval \[-1000, 10\]$"):
             audit_potential(PotentialSpec("E", n=1), interval=(-1000.0, 10.0))
+        # the virial margin is the audit's, refused on the same window
+        with pytest.raises(ValueError, match=r"^E1: F, f, f' not finite at s = -1000 "):
+            virial_sign_margin(PotentialSpec("E", n=1), (-1000.0, 10.0), 10_000)
         # -s^4 overflows from the second sample on; s^3 and s^2 stay finite
         with pytest.raises(ValueError, match=r"^hilltop2: F not finite at s = 1e\+79 "):
             audit_potential(PotentialSpec("hilltop", n=2), interval=(0.0, 1e80),
