@@ -9,6 +9,11 @@ second derivative ((r phi)_rr / r) and removes the origin singularity:
 
 Spatial derivatives are centered differences of selectable order (2, 4, 6);
 the substitution u(-r) = -u(r) supplies exact ghost values at the origin.
+The interior rows of the order-4 and order-6 second derivative are one
+``np.convolve`` pass, which adds the taps from the first input node to the
+last: on u at order 6 and on u reversed at order 4, each the direction of its
+written sum, so the rows are those sums bit for bit (``tests/stencil_oracle.py``).
+It would swap its arguments on fewer nodes than taps; no input has under 17.
 The outer Dirichlet row is only valid while the support stays away from
 r_max, which ``evolve`` enforces (abort, not absorbing layers -- absorbing
 boundaries would contaminate the virial diagnostics).
@@ -210,6 +215,8 @@ def stiffness_cfl(spec: PotentialSpec | None, half_width: float, dr: float,
 
 # ---------------------------------------------------------------------------
 # stencils (u odd about r=0: ghost u[-k] = -u[k])
+_D2_TAPS4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+_D2_TAPS6 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
 
 
 def _second_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
@@ -219,19 +226,15 @@ def _second_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
         out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
         return out
     if order == 4:
-        out[2:-2] = (-u[4:] + 16.0 * u[3:-1] - 30.0 * u[2:-2]
-                     + 16.0 * u[1:-3] - u[:-4]) / (12.0 * h2)
+        out[2:-2] = np.convolve(u[::-1], _D2_TAPS4, "valid")[::-1] / (12.0 * h2)
         out[1] = (-u[3] + 16.0 * u[2] - 29.0 * u[1] + 16.0 * u[0]) / (12.0 * h2)
-        out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / h2
-        return out
-    # order 6
-    out[3:-3] = (2.0 * u[:-6] - 27.0 * u[1:-5] + 270.0 * u[2:-4] - 490.0 * u[3:-3]
-                 + 270.0 * u[4:-2] - 27.0 * u[5:-1] + 2.0 * u[6:]) / (180.0 * h2)
-    out[1] = (-2.0 * u[2] + 27.0 * u[1] + 270.0 * u[0] - 490.0 * u[1]
-              + 270.0 * u[2] - 27.0 * u[3] + 2.0 * u[4]) / (180.0 * h2)
-    out[2] = (-2.0 * u[1] - 27.0 * u[0] + 270.0 * u[1] - 490.0 * u[2]
-              + 270.0 * u[3] - 27.0 * u[4] + 2.0 * u[5]) / (180.0 * h2)
-    out[-3] = (-u[-1] + 16.0 * u[-2] - 30.0 * u[-3] + 16.0 * u[-4] - u[-5]) / (12.0 * h2)
+    else:
+        out[3:-3] = np.convolve(u, _D2_TAPS6, "valid") / (180.0 * h2)
+        out[1] = (-2.0 * u[2] + 27.0 * u[1] + 270.0 * u[0] - 490.0 * u[1]
+                  + 270.0 * u[2] - 27.0 * u[3] + 2.0 * u[4]) / (180.0 * h2)
+        out[2] = (-2.0 * u[1] - 27.0 * u[0] + 270.0 * u[1] - 490.0 * u[2]
+                  + 270.0 * u[3] - 27.0 * u[4] + 2.0 * u[5]) / (180.0 * h2)
+        out[-3] = (-u[-1] + 16.0 * u[-2] - 30.0 * u[-3] + 16.0 * u[-4] - u[-5]) / (12.0 * h2)
     out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / h2
     return out
 

@@ -352,10 +352,6 @@ def _grade(scn: Scenario, samples: list[VirialSample], aborted: str | None,
     min_i_step = float(np.diff(I).min()) if len(I) > 1 else 0.0
     growth = max(_ratio(sup_phi.max(), sup_phi[0]), _ratio(h1.max(), h1[0]))
 
-    fprime_bound = None
-    if scn.mode == "thm3" and scn.spec is not None:
-        fprime_bound = _fprime_quadratic_bound(scn.spec)
-
     verdict = DecayVerdict(
         name=scn.name,
         mode=scn.mode,
@@ -378,7 +374,8 @@ def _grade(scn: Scenario, samples: list[VirialSample], aborted: str | None,
         energy_nonincreasing=_never_rises(E, 1e-9),
         j_monotone=_never_rises(J, 1e-9),
         dissipation_residual_max=dissipation_residual(ts, E, e_rate, scn.hubble),
-        fprime_quadratic_bound=fprime_bound,
+        fprime_quadratic_bound=(_fprime_quadratic_bound(scn.spec)
+                                if scn.mode == "thm3" else None),
         scope="outside-theorems" if scn.mode == "exploratory" else "theorem",
         thresholds=thresholds,
         passed=False,

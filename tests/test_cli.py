@@ -375,6 +375,23 @@ def test_sweep(tmp_path, monkeypatch):
         assert (out / name / "verdict.json").exists()
 
 
+def test_sweep_summary_write_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a directory named summary.csv blocks the summary after every job wrote
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    cfg = tiny_config()
+    cfg["time"]["t_end"] = 1.0
+    cfg["sweep"] = {"amplitudes": [0.2], "hubbles": [0.0]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep"
+    (out / "summary.csv").mkdir(parents=True)
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1 and "swept" not in captured.out
+    assert (out / "a0.2_H0" / "verdict.json").exists()
+    assert not any((out / "summary.csv").iterdir())
+
+
 def test_committed_sweep_config_runs_on_leapfrog(monkeypatch):
     # configs/thm3_h1.json at its largest amplitude, both hubbles: one force
     # evaluation per step plus the initial acceleration, the support front

@@ -6,14 +6,15 @@ import pytest
 import inflaton.dynamics as dynamics
 from inflaton.dynamics import (CflViolation, FieldState, NonFiniteField,
                                SolverConfig, StiffnessViolation, SupportOverflow,
-                               bump_profile, evolve, gaussian_profile, initial_state,
-                               resolve_dt, rhs, linear_mass, stiffness_cfl,
-                               support_radius)
+                               block_fields, bump_profile, evolve, gaussian_profile,
+                               initial_state, resolve_dt, rhs, linear_mass,
+                               stiffness_cfl, support_radius)
 from inflaton.experiments import _support_excess, energy_conservation_scenario
 from inflaton.grid import RadialGrid, energy
 from inflaton.potentials import DomainViolation, PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
 
+from stencil_oracle import second_derivative
 from virial_oracles import energy_density
 
 
@@ -84,6 +85,31 @@ def test_sine_mode_is_exact_eigenvector_of_second_difference():
     assert abs(lam + k * k) <= k**4 * g.dr**2  # consistent with -k^2 to O(dr^2)
 
 
+# from the smallest grid (n_cells 16) through the convolve's small inputs to
+# the committed grids
+_STENCIL_LENGTHS = (17, 18, 19, 33, 66, 67, 1025, 2049, 4097)
+
+
+@pytest.mark.parametrize("order", (2, 4, 6))
+@pytest.mark.parametrize("n", _STENCIL_LENGTHS)
+def test_second_derivative_equals_the_written_sums(order, n):
+    # exact equality pins the summation order of the convolve pass, so that
+    # every output stays bit-identical to the slice sums
+    rng = np.random.default_rng(n * 10 + order)
+    dr = 40.0 / (n - 1)
+    for _ in range(4):      # magnitudes from 1e-20 to 1e5, both signs
+        u = rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 5.0, n)
+        assert np.array_equal(dynamics._second_derivative(u, dr, order),
+                              second_derivative(u, dr, order))
+    # r * bump, cut off mid-array: its tail at the edge of its support (down
+    # to 1e-190 at 4,097 nodes), its smooth rise and the exact zeros past the cut
+    r = np.arange(n) * dr
+    u = r * bump_profile(r, 1.7, 0.4 * r[-1], 0.3 * r[-1])
+    u[n // 2:] = 0.0
+    assert np.array_equal(dynamics._second_derivative(u, dr, order),
+                          second_derivative(u, dr, order))
+
+
 def test_rhs_damping_term():
     g = RadialGrid(10.0, 256)
     state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing")
@@ -93,6 +119,33 @@ def test_rhs_damping_term():
     expected = dut0 - 3.0 * 2.0 * state.u_t
     expected[0] = expected[-1] = 0.0
     assert np.allclose(dut1, expected, atol=1e-12)
+
+
+def test_field_state_refuses_arrays_off_the_grid(small_grid):
+    n = small_grid.n_nodes
+    for u, u_t in ((np.zeros(n - 1), np.zeros(n)), (np.zeros(n), np.zeros((1, n)))):
+        with pytest.raises(ValueError, match="field arrays must match the grid"):
+            FieldState(0.0, u, u_t, small_grid)
+
+
+def test_block_fields_refuses_mixed_grids_and_orders(small_grid):
+    state = initial_state(small_grid, 1.0, 5.0, 2.0)
+    other_grid = initial_state(RadialGrid(20.0, 128), 1.0, 5.0, 2.0)
+    other_order = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=4)
+    for other in (other_grid, other_order):
+        with pytest.raises(ValueError, match="one grid and stencil order"):
+            block_fields([state, other])
+
+
+@pytest.mark.parametrize("scheme", ("rk4", "leapfrog"))
+def test_resolve_dt_refuses_a_window_where_f_prime_overflows(small_grid, scheme):
+    # E1's f' grows like e^{-2s}: on +-2 sup|phi| = +-1000 it overflows, so
+    # the stability bound is 0 and no step exists
+    state = initial_state(small_grid, 500.0, 5.0, 2.0)
+    cfg = SolverConfig(t_end=1.0, space_order=2, scheme=scheme)
+    with np.errstate(over="ignore"), pytest.raises(
+            CflViolation, match=f"^cfl: .* admits no positive {scheme} step$"):
+        resolve_dt(small_grid, cfg, PotentialSpec("E", n=1), state)
 
 
 def test_evolve_zero_horizon_returns_initial(small_grid):
