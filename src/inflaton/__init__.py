@@ -14,7 +14,7 @@ Layout:
 
 from .potentials import (PotentialSpec, PotentialAuditReport, parse_family,
                          eval_F, eval_f, eval_fprime, audit_potential,
-                         classify_theorem, dbrane_virial_closed_form)
+                         classify_theorem)
 from .grid import (RadialGrid, integrate, energy, ball_energy, exterior_cone_energy)
 from .dynamics import (FieldState, SolverConfig, bump_profile, gaussian_profile,
                        initial_state, rhs, evolve, resolve_dt, support_radius)

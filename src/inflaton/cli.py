@@ -1,4 +1,4 @@
-"""Command-line front end: JSON scenario configs, CSV/JSON/SVG emission,
+"""Command-line front end: JSON scenario configs, CSV/JSON emission,
 machine-readable verdicts.
 
 A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``); the
@@ -9,13 +9,14 @@ potential whose audit refuses the mode or window), 2 verdict failed, 3 run
 aborted (support overflow / non-finite field / potential domain violation /
 field range outgrowing the leapfrog step).  ``sweep``: 0 every job passed, 1
 as ``simulate``, 2 some job failed or aborted; an aborted job is a failed
-row of ``summary.csv`` with the abort in its ``aborted`` column.  Both, and
-``plot``, exit 1 also when an output cannot be written (``error: cannot
-write output: ...``), after the run.  ``audit`` and ``audit-suite``: 1 on a
-bad family, interval (also one on which the potential overflows) or sample
-count, 2 on an expected-class mismatch.  ``Scenario`` checks the mode's
-field rules and the step from its initial data when it is built: an
-unstable step is refused at load, and ``sweep`` builds every job's
+row of ``summary.csv`` with the abort in its ``aborted`` column.  Both
+exit 1 also when an output cannot be written (``error: cannot write output:
+...``), after the run.  ``audit`` and ``audit-suite``: 1 on a bad family,
+interval (also one on which the potential overflows) or sample count, 2 on
+an expected-class mismatch.  A usage error (unknown command, missing or
+malformed argument) exits 1, with argparse's message.  ``Scenario`` checks
+the mode's field rules and the step from its initial data when it is built:
+an unstable step is refused at load, and ``sweep`` builds every job's
 ``Scenario`` before it writes anything.
 
 ``time.scheme`` picks the time integrator: ``"rk4"`` (the default, any
@@ -49,8 +50,7 @@ from .potentials import (EXPECTED_CLASS, audit_potential, coarse_class,
                          parse_family)
 from .virials import CSV_COLUMNS
 
-__all__ = ["main", "load_config", "ConfigError", "write_series_csv",
-           "render_line_plot"]
+__all__ = ["main", "load_config", "ConfigError", "write_series_csv"]
 
 
 class ConfigError(ValueError):
@@ -74,7 +74,6 @@ REQUIRED = ("name", "mode", "amplitude", "center", "width", "r_max", "n_cells", 
 # front-end keys, not Scenario fields: key -> (type or block, default)
 FRONT_END = {
     "seed": (int, 0),
-    "emit_plots": (bool, False),
     "sweep": ({"amplitudes": (list, None), "hubbles": (list, None),
                "jitter_pct": (float, 0.0)}, None),
 }
@@ -232,84 +231,6 @@ def read_series_csv(path: Path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def _svg_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def render_line_plot(title: str, t: np.ndarray, series: list[tuple[str, np.ndarray]]) -> str:
-    """Standalone 720 x 440 SVG line plot (no plotting dependency on the verdict path)."""
-    width, height = 720, 440
-    ml, mr, mt, mb = 70, 20, 40, 45
-    pw, ph = width - ml - mr, height - mt - mb
-    t = np.asarray(t, dtype=float)
-    ys = np.concatenate([np.asarray(v, dtype=float) for _, v in series])
-    t_lo, t_hi = float(t.min()), float(t.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if t_hi == t_lo:
-        t_hi = t_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    def sx(x):
-        return ml + (x - t_lo) / (t_hi - t_lo) * pw
-
-    def sy(y):
-        return mt + ph - (y - y_lo) / (y_hi - y_lo) * ph
-
-    colors = ("#1f6fb2", "#c44e52", "#2a9d5c", "#8172b2")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_svg_escape(title)}</text>',
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#444" stroke-width="1"/>',
-    ]
-    for k in range(5):
-        xv = t_lo + k * (t_hi - t_lo) / 4
-        yv = y_lo + k * (y_hi - y_lo) / 4
-        parts.append(f'<line x1="{sx(xv):.1f}" y1="{mt + ph}" x2="{sx(xv):.1f}" '
-                     f'y2="{mt + ph + 5}" stroke="#444"/>')
-        parts.append(f'<text x="{sx(xv):.1f}" y="{mt + ph + 20}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{xv:.4g}</text>')
-        parts.append(f'<line x1="{ml - 5}" y1="{sy(yv):.1f}" x2="{ml}" '
-                     f'y2="{sy(yv):.1f}" stroke="#444"/>')
-        parts.append(f'<text x="{ml - 8}" y="{sy(yv) + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{yv:.4g}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">t</text>')
-    for i, (label, values) in enumerate(series):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(t, values))
-        color = colors[i % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        parts.append(f'<text x="{ml + 10}" y="{mt + 18 + 16 * i}" fill="{color}" '
-                     f'font-family="sans-serif" font-size="12">{_svg_escape(label)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def emit_plots(series: dict[str, np.ndarray], out_dir: Path, stem: str) -> list[Path]:
-    t = series["t"]
-    written = []
-    singles = [("E", "total energy"), ("W", "weighted norm W"), ("I", "virial I")]
-    for col, title in singles:
-        path = out_dir / f"{stem}_{col}.svg"
-        path.write_text(render_line_plot(f"{title} vs t", t, [(col, series[col])]))
-        written.append(path)
-    if len(t) >= 3:
-        fd = (series["I"][2:] - series["I"][:-2]) / (t[2:] - t[:-2])
-        path = out_dir / f"{stem}_I_rate_check.svg"
-        path.write_text(render_line_plot(
-            "analytic I_rate vs centered difference of I", t[1:-1],
-            [("I_rate", series["I_rate"][1:-1]), ("FD(I)", fd)]))
-        written.append(path)
-    return written
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -319,13 +240,11 @@ def _cannot_write(exc: OSError) -> int:
     return 1
 
 
-def _write_outputs(result: ScenarioResult, out_dir: Path, emit: bool) -> None:
+def _write_outputs(result: ScenarioResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_series_csv(out_dir / "series.csv", result.samples)
     (out_dir / "verdict.json").write_text(
         json.dumps(result.verdict.to_dict(), indent=2, sort_keys=True) + "\n")
-    if emit and result.samples:
-        emit_plots(read_series_csv(out_dir / "series.csv"), out_dir, "series")
 
 
 def cmd_simulate(args) -> int:
@@ -337,7 +256,7 @@ def cmd_simulate(args) -> int:
         return 1
     out_dir = Path(args.out) if args.out else Path(cfg["name"])
     try:
-        _write_outputs(result, out_dir, cfg["emit_plots"])
+        _write_outputs(result, out_dir)
     except OSError as exc:
         return _cannot_write(exc)
     verdict = result.verdict
@@ -408,9 +327,9 @@ def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
 def _sweep_job(job: tuple) -> tuple[str, bool, str]:
     """Run one job and write its outputs; return its name, whether it passed
     and its summary.csv row, where a NaN (nothing sampled) is an empty cell."""
-    scenario, name, out_dir, emit = job
+    scenario, name, out_dir = job
     result = run_scenario(scenario)
-    _write_outputs(result, Path(out_dir), emit)
+    _write_outputs(result, Path(out_dir))
     verdict = result.verdict
     ratios = [getattr(verdict, verdict_field) for verdict_field, _ in _GRADED_RATIOS.values()]
     cells = ["" if math.isnan(x) else repr(float(x))
@@ -434,8 +353,7 @@ def cmd_sweep(args) -> int:
         return 1
     out_root = Path(args.out) if args.out else Path(cfg["name"] + "-sweep")
     try:    # every job is checked before any output exists
-        jobs = [(scn, name, str(out_root / name), cfg["emit_plots"])
-                for name, scn in sweep_scenarios(cfg)]
+        jobs = [(scn, name, str(out_root / name)) for name, scn in sweep_scenarios(cfg)]
     except ValueError as exc:
         print(f"config error: {_keyed(exc, _SWEEP_PATHS)}", file=sys.stderr)
         return 1
@@ -460,24 +378,6 @@ def cmd_sweep(args) -> int:
         return _cannot_write(exc)
     print(f"swept {len(jobs)} runs -> {out_root}/summary.csv")
     return 0 if all(passed for _, passed, _ in results) else 2
-
-
-def cmd_plot(args) -> int:
-    path = Path(args.series)
-    try:
-        series = read_series_csv(path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out) if args.out else path.parent
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written = emit_plots(series, out_dir, path.stem)
-    except OSError as exc:
-        return _cannot_write(exc)
-    for p in written:
-        print(p)
-    return 0
 
 
 def _schema(keys: dict) -> dict:
@@ -547,15 +447,15 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="output root directory")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("plot", help="render SVG plots from a series.csv")
-    p.add_argument("series")
-    p.add_argument("--out", help="output directory (default: alongside input)")
-    p.set_defaults(func=cmd_plot)
-
     p = sub.add_parser("schema", help="print the config schema")
     p.set_defaults(func=cmd_schema)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the help or the usage error
+        if exc.code == 0:
+            raise
+        return 1
     return args.func(args)
 
 

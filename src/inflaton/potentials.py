@@ -33,9 +33,7 @@ __all__ = [
     "eval_F",
     "eval_f",
     "eval_fprime",
-    "virial_sign_margin",
     "quartic_flatness_constant",
-    "dbrane_virial_closed_form",
     "audit_potential",
     "classify_theorem",
     "EXPECTED_CLASS",
@@ -228,19 +226,6 @@ def eval_fprime(spec: PotentialSpec, s) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def dbrane_virial_closed_form(n: int, v) -> float | np.ndarray:
-    """Closed form of 2F - v f for the renormalized dbrane family."""
-    if n not in (1, 2):
-        raise ValueError("dbrane closed form requires n in {1, 2}")
-    v = np.asarray(v, dtype=float)
-    check_domain(PotentialSpec("dbrane", n=n), v)
-    if n == 1:
-        out = -2.0 * v**3 * (v + 2.0) / (1.0 + v) ** 3
-    else:
-        out = -2.0 * v**3 * (10.0 + 15.0 * v + 9.0 * v * v + 2.0 * v**3) / (1.0 + v) ** 5
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # audits
 
@@ -251,15 +236,6 @@ def _clip_interval(spec: PotentialSpec, lo: float, hi: float) -> tuple[float, fl
     if not -math.inf < lo_eff < hi < math.inf:
         raise ValueError(f"empty or unbounded audit interval [{lo}, {hi}] for {spec.label}")
     return lo_eff, hi
-
-
-def virial_sign_margin(spec: PotentialSpec, interval: tuple[float, float],
-                       n_samples: int = 10_000) -> float:
-    """min over samples of 2 F(s) - s f(s); >= 0 is the defocusing virial sign.
-
-    It is the audit's ``virial_sign_min``, so a window on which the potential
-    overflows is refused (ValueError) as the audit refuses it."""
-    return audit_potential(spec, interval, n_samples=n_samples).virial_sign_min
 
 
 def quartic_flatness_constant(spec: PotentialSpec, delta: float,

@@ -26,8 +26,8 @@ from inflaton.experiments import (energy_conservation_scenario,
                                   virial_consistency_scenario)
 from inflaton.grid import RadialGrid
 from inflaton.dynamics import initial_state
-from inflaton.potentials import (eval_F, eval_f, parse_family,
-                                 quartic_flatness_constant, virial_sign_margin)
+from inflaton.potentials import (audit_potential, eval_F, eval_f, parse_family,
+                                 quartic_flatness_constant)
 from inflaton.virials import sample_diagnostics
 
 REPO = Path(__file__).resolve().parent.parent
@@ -68,11 +68,11 @@ def test_c02_sign_margins():
     ok = True
     for name in ("T1", "monodromy:q=-1", "monodromy:q=-0.5", "monodromy:q=0.5",
                  "monodromy:q=1", "log"):
-        margin = virial_sign_margin(parse_family(name), (-10, 10), 10_000)
+        margin = audit_potential(parse_family(name), (-10, 10), n_samples=10_000).virial_sign_min
         ok &= margin >= -1e-12
         details.append(f"{name}:{margin:.1e}")
     axion = parse_family("axion")
-    margin = virial_sign_margin(axion, (-0.5, 0.5), 10_000)
+    margin = audit_potential(axion, (-0.5, 0.5), n_samples=10_000).virial_sign_min
     ok &= margin < 0
     s = 0.1
     ratio = (2 * eval_F(axion, s) - s * eval_f(axion, s)) / (-(s**4) / 12.0)

@@ -1,18 +1,19 @@
 import json
 import math
 import os
+import runpy
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inflaton import dynamics
 from inflaton.cli import (ConfigError, load_config, main, read_series_csv,
-                          render_line_plot, scenario_from_config, sweep_scenarios)
+                          scenario_from_config, sweep_scenarios)
 from inflaton.dynamics import CflViolation, resolve_dt
 from inflaton.experiments import DEFAULT_THRESHOLDS, Scenario, run_scenario
 from inflaton.potentials import EXPECTED_CLASS, PotentialSpec
@@ -69,11 +70,14 @@ def test_load_config_missing_and_typed(tmp_path):
     cfg = tiny_config()
     del cfg["potential"]
     cfg["time"]["t_end"] = "soon"
+    cfg["thresholds"] = [0.01]
+    cfg["diagnostics"] = 5.0
     path = write_config(tmp_path, cfg)
     with pytest.raises(ConfigError) as err:
         load_config(path)
     msg = str(err.value)
     assert "potential" in msg and "time.t_end" in msg
+    assert "thresholds: expected object" in msg and "diagnostics: expected object" in msg
 
 
 def test_load_config_rejects_bools_for_numbers(tmp_path):
@@ -272,6 +276,36 @@ def test_audit_bad_arguments_exit_1(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["plot", "x"],                          # an unknown command
+    ["simulate"],                           # a missing argument
+    ["audit", "T1", "--samples", "abc"],    # a malformed argument
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse's own status, 2, would read as a failed verdict
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: inflaton")
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["schema"], 0), (["--help"], 0), (["simulate", "malformed.json"], 1)])
+def test_module_entry_point_exits_with_main_status(tmp_path, monkeypatch, capsys,
+                                                   argv, code):
+    # python -m inflaton.cli: the entry point of a checkout that is not installed
+    (tmp_path / "malformed.json").write_text("[]")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["inflaton", *argv])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # cli is imported already
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("inflaton.cli", run_name="__main__")
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert ("config root must be a JSON object" in err) == (code == 1)
+
+
 def test_audit_suite_command(capsys):
     assert main(["audit-suite", "--samples", "2000"]) == 0
     out = capsys.readouterr().out
@@ -293,50 +327,17 @@ def test_schema_command(capsys):
     assert "fields" in schema["grid"]
 
 
-def test_plot_emits_svg(tmp_path):
-    path = write_config(tmp_path, tiny_config())
-    out = tmp_path / "out"
-    assert main(["simulate", str(path), "--out", str(out)]) == 0
-    assert main(["plot", str(out / "series.csv"), "--out", str(out)]) == 0
-    svgs = sorted(out.glob("*.svg"))
-    assert len(svgs) == 4
-    for svg in svgs:
-        text = svg.read_text()
-        assert text.startswith("<svg") and "<polyline" in text and "</svg>" in text
-    names = {p.name for p in svgs}
-    assert "series_I_rate_check.svg" in names
-
-
-def test_plot_missing_file_exits_1(tmp_path):
-    assert main(["plot", str(tmp_path / "missing.csv")]) == 1
-
-
-def test_plot_header_only_series_exits_1(tmp_path, capsys):
+def test_read_series_csv_refuses_a_header_only_series(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # numpy notes that the file holds no data
-        assert main(["plot", str(path)]) == 1
-    assert "empty series" in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.svg"))
-
-
-def test_emit_plots_flag(tmp_path):
-    cfg = tiny_config(emit_plots=True)
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "plots"
-    assert main(["simulate", str(path), "--out", str(out)]) == 0
-    assert len(list(out.glob("*.svg"))) == 4
-
-
-def test_render_line_plot_handles_flat_series():
-    svg = render_line_plot("flat", np.array([0.0, 1.0]),
-                           [("x", np.array([2.0, 2.0]))])
-    assert "<svg" in svg and "polyline" in svg
+        with pytest.raises(ValueError, match="empty series"):
+            read_series_csv(path)
 
 
 @pytest.mark.parametrize("command,threads", [
-    ("simulate", "1"), ("sweep", "1"), ("sweep", "2"), ("plot", "1")])
+    ("simulate", "1"), ("sweep", "1"), ("sweep", "2")])
 def test_unwritable_output_exits_1_without_traceback(tmp_path, monkeypatch, capfd,
                                                      command, threads):
     # --out below a regular file: the run completes, then writing fails
@@ -347,10 +348,6 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path, monkeypatch, capf
     path = write_config(tmp_path, cfg)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    if command == "plot":
-        assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 0
-        path = tmp_path / "run" / "series.csv"
-    capfd.readouterr()
     assert main([command, str(path), "--out", str(blocker / "sub")]) == 1
     out, err = capfd.readouterr()
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
@@ -476,6 +473,7 @@ def test_load_config_rejects_non_finite_numbers(tmp_path):
     cfg["initial"]["amplitude"] = float("nan")
     cfg["sweep"] = {"amplitudes": [0.1, float("inf")], "hubbles": [0.0]}
     cfg["thresholds"] = {"w_ratio": float("-inf")}
+    cfg["seed"] = 10**400       # an integer literal beyond the float range
     path = write_config(tmp_path, cfg)
     assert "NaN" in path.read_text() and "Infinity" in path.read_text()
     with pytest.raises(ConfigError) as err:
@@ -484,6 +482,7 @@ def test_load_config_rejects_non_finite_numbers(tmp_path):
     assert "initial.amplitude: must be a finite number" in msg
     assert "sweep.amplitudes: expected non-empty list of finite numbers" in msg
     assert "thresholds.w_ratio: expected finite number" in msg
+    assert "seed: must be a finite number" in msg
     assert main(["simulate", str(path), "--out", str(tmp_path / "nan")]) == 1
     overflow = tmp_path / "overflow.json"
     overflow.write_text(json.dumps(tiny_config()).replace('"hubble": 0.0', '"hubble": 1e999'))
@@ -497,7 +496,6 @@ def test_simulate_abort_at_first_snapshot_exits_3(tmp_path, monkeypatch):
     cfg = json.loads((REPO / "configs" / "t1_smoke.json").read_text())
     cfg["initial"].update(kind="gaussian", width=4.0)
     cfg["grid"].update(r_max=10.0, n_cells=256)
-    cfg["emit_plots"] = True
     verdicts = []
     for t_end in (0.0, 1.0):
         cfg["time"]["t_end"] = t_end
@@ -696,6 +694,7 @@ _REFUSED_JOB = {
     ({"sweep": {"amplitudes": [0.1], "hubbles": [0.0, -1.0]}},
      "sweep.hubbles: must be nonnegative"),
     ({"seed": -1, "sweep": {"amplitudes": [0.1], "jitter_pct": 5.0}}, "seed: must be >= 0"),
+    ({"emit_plots": False}, "emit_plots: unknown key"),     # a key of older configs
     # the second job's step: E3 at amplitude -3 admits only dt <= 7.2e-9
     ({"potential": "E3", "sweep": {"amplitudes": [0.1, -3.0]}},
      "time.cfl: the rk4 step cfl*dr = 0.0390625 exceeds its stability bound"),
@@ -719,7 +718,7 @@ def test_sweep_bad_job_inputs_exit_1_before_any_output(tmp_path, monkeypatch, ca
 
 
 _MUTABLE_PATHS = [
-    ("name",), ("mode",), ("potential",), ("hubble",), ("seed",), ("emit_plots",),
+    ("name",), ("mode",), ("potential",), ("hubble",), ("seed",),
     ("thresholds",), ("thresholds", "w_ratio"), ("initial",), ("initial", "kind"),
     ("initial", "amplitude"), ("initial", "center"), ("initial", "width"),
     ("initial", "steepness"), ("initial", "velocity"), ("grid",), ("grid", "r_max"),

@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from inflaton import potentials
 from inflaton.potentials import (DomainViolation, PotentialSpec, audit_potential,
-                                 classify_theorem, coarse_class,
-                                 dbrane_virial_closed_form, eval_F, eval_f,
+                                 classify_theorem, coarse_class, eval_F, eval_f,
                                  eval_fprime, parse_family, quartic_flatness_constant,
-                                 virial_sign_margin, EXPECTED_CLASS)
+                                 EXPECTED_CLASS)
+from virial_oracles import dbrane_virial_closed_form
 
 ALL_SPECS = [
     PotentialSpec("E", n=1), PotentialSpec("E", n=2), PotentialSpec("E", n=3),
@@ -77,24 +77,27 @@ def test_derivative_consistency(spec):
 
 
 def test_sign_margin_tanh_model():
-    assert virial_sign_margin(PotentialSpec("T", n=1), (-10, 10), 10_000) >= -1e-12
+    report = audit_potential(PotentialSpec("T", n=1), (-10, 10), n_samples=10_000)
+    assert report.virial_sign_min >= -1e-12
 
 
 @pytest.mark.parametrize("q", [-1.0, -0.5, 0.5, 1.0])
 def test_sign_margin_monodromy(q):
-    assert virial_sign_margin(PotentialSpec("monodromy", q=q), (-10, 10), 10_000) >= -1e-12
+    report = audit_potential(PotentialSpec("monodromy", q=q), (-10, 10), n_samples=10_000)
+    assert report.virial_sign_min >= -1e-12
 
 
 def test_sign_margin_hilltop_is_min_of_2s4():
     spec = PotentialSpec("hilltop", n=2)
     s = np.linspace(-2.0, 2.0, 1000)
     expected = float(np.min(2.0 * s**4))
-    assert virial_sign_margin(spec, (-2.0, 2.0), 1000) == pytest.approx(expected, abs=1e-13)
+    margin = audit_potential(spec, (-2.0, 2.0), n_samples=1000).virial_sign_min
+    assert margin == pytest.approx(expected, abs=1e-13)
 
 
 def test_sign_margin_axion_negative_with_quartic_ratio():
     spec = PotentialSpec("axion")
-    assert virial_sign_margin(spec, (-0.5, 0.5), 10_000) < 0.0
+    assert audit_potential(spec, (-0.5, 0.5), n_samples=10_000).virial_sign_min < 0.0
     s = 0.1
     ratio = (2 * eval_F(spec, s) - s * eval_f(spec, s)) / (-(s**4) / 12.0)
     assert abs(ratio - 1.0) <= 0.05
@@ -253,9 +256,6 @@ def test_audit_refuses_a_window_where_the_potential_overflows():
         with pytest.raises(ValueError, match=r"^E1: F, f, f' not finite at s = -1000 "
                                              r"on the audit interval \[-1000, 10\]$"):
             audit_potential(PotentialSpec("E", n=1), interval=(-1000.0, 10.0))
-        # the virial margin is the audit's, refused on the same window
-        with pytest.raises(ValueError, match=r"^E1: F, f, f' not finite at s = -1000 "):
-            virial_sign_margin(PotentialSpec("E", n=1), (-1000.0, 10.0), 10_000)
         # -s^4 overflows from the second sample on; s^3 and s^2 stay finite
         with pytest.raises(ValueError, match=r"^hilltop2: F not finite at s = 1e\+79 "):
             audit_potential(PotentialSpec("hilltop", n=2), interval=(0.0, 1e80),
@@ -264,9 +264,9 @@ def test_audit_refuses_a_window_where_the_potential_overflows():
 
 def test_audit_empty_interval_rejected():
     with pytest.raises(ValueError):
-        virial_sign_margin(PotentialSpec("T", n=1), (2.0, -2.0), 100)
+        audit_potential(PotentialSpec("T", n=1), (2.0, -2.0), n_samples=100)
     with pytest.raises(ValueError):
-        virial_sign_margin(PotentialSpec("T", n=1), (0.0, 1.0), 1)
+        audit_potential(PotentialSpec("T", n=1), (0.0, 1.0), n_samples=1)
     with pytest.raises(ValueError):
         quartic_flatness_constant(PotentialSpec("T", n=1), -1.0, 100)
 

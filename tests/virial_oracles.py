@@ -5,7 +5,9 @@ displayed form with one ``integrate`` per functional.
 docstring, functional by functional, with the support front taken over the
 whole grid; it is the oracle for the single weighted reduction of
 ``sample_diagnostics``.  The energy density, the dP/dt and dR/dt identities
-at H = 0 and the weighted norms serve as oracles next to it.
+at H = 0 and the weighted norms serve as oracles next to it, and
+``dbrane_virial_closed_form`` is the oracle for the dbrane family's sign
+margin 2F - v f.
 """
 
 from types import SimpleNamespace
@@ -15,7 +17,7 @@ import numpy as np
 from inflaton.dynamics import support_radius
 from inflaton.grid import (FOUR_PI, ball_energy, density_from_squares,
                            exterior_cone_energy, integrate)
-from inflaton.potentials import eval_F, eval_f
+from inflaton.potentials import PotentialSpec, check_domain, eval_F, eval_f
 
 
 def energy_density(state, hubble, t, grid, spec) -> np.ndarray:
@@ -161,3 +163,15 @@ def virial_R_rate_corrected(state, spec, grid) -> float:
     """dR/dt including the origin flux -phi(0,t)^2; matches centered
     differences of R."""
     return virial_R_rate(state, spec, grid) - float(state.phi[0] ** 2)
+
+
+def dbrane_virial_closed_form(n: int, v) -> float | np.ndarray:
+    """Closed form of 2F - v f for the renormalized dbrane family, n in {1, 2};
+    DomainViolation for v <= -1."""
+    v = np.asarray(v, dtype=float)
+    check_domain(PotentialSpec("dbrane", n=n), v)
+    if n == 1:
+        out = -2.0 * v**3 * (v + 2.0) / (1.0 + v) ** 3
+    else:
+        out = -2.0 * v**3 * (10.0 + 15.0 * v + 9.0 * v * v + 2.0 * v**3) / (1.0 + v) ** 5
+    return float(out) if out.ndim == 0 else out
