@@ -7,11 +7,11 @@ types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
 Exit codes for ``simulate``: 0 verdict passed, 1 malformed config (also a
 potential whose audit refuses the mode or window), 2 verdict failed, 3 run
 aborted (support overflow / non-finite field / potential domain violation /
-field range outgrowing the leapfrog step).  ``sweep``: 0 every job passed, 1
-as ``simulate``, 2 some job failed or aborted; an aborted job is a failed
-row of ``summary.csv`` with the abort in its ``aborted`` column.  Both
-exit 1 also when an output cannot be written (``error: cannot write output:
-...``), after the run.  ``audit`` and ``audit-suite``: 1 on a bad family,
+field range outgrowing the step, under every scheme).  ``sweep``: 0 every
+job passed, 1 as ``simulate``, 2 some job failed or aborted; an aborted job
+is a failed row of ``summary.csv`` with the abort in its ``aborted`` column.
+Both exit 1 also when an output cannot be written (``error: cannot write
+output: ...``), after the run.  ``audit`` and ``audit-suite``: 1 on a bad family,
 interval (also one on which the potential overflows) or sample count, 2 on
 an expected-class mismatch.  A usage error (unknown command, missing or
 malformed argument) exits 1, with argparse's message.  ``Scenario`` checks
@@ -65,8 +65,8 @@ class ConfigError(ValueError):
 BLOCKS = {
     "initial": ("kind", "amplitude", "center", "width", "steepness", "velocity"),
     "grid": ("r_max", "n_cells"),
-    "time": ("t_end", "cfl", "output_every", "space_order", "dt", "scheme"),
-    "diagnostics": ("decay_radius", "cone_b", "j_sigma", "j_offset"),
+    "time": ("t_end", "cfl", "output_every", "space_order", "scheme"),
+    "diagnostics": ("decay_radius",),
 }
 # Scenario fields a config must give (and ``potential``); the others take
 # Scenario's defaults
@@ -87,13 +87,12 @@ _SWEEP_PATHS = {**_PATHS, "amplitude": "sweep.amplitudes", "hubble": "sweep.hubb
 
 def _config_keys() -> dict:
     """key -> (type or block of keys, default), from Scenario's fields and type
-    hints (``float | None`` reads as float); MISSING marks a required key."""
+    hints; MISSING marks a required key."""
     hints = typing.get_type_hints(Scenario)
     keys = {}
     for f in fields(Scenario):
-        kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        keys[f.name] = (kind, MISSING if f.name in REQUIRED else default)
+        keys[f.name] = (hints[f.name], MISSING if f.name in REQUIRED else default)
     del keys["spec"]
     keys["potential"] = (str, MISSING)      # the family name spec is parsed from
     for block, names in BLOCKS.items():
@@ -220,15 +219,6 @@ def write_series_csv(path: Path, samples) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for sample in samples:
             fh.write(",".join(repr(float(v)) for v in sample.csv_row()) + "\n")
-
-
-def read_series_csv(path: Path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ValueError(f"{path}: empty series")
-    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,13 @@ stencil and beta = 2 (leapfrog), 1.5734 (leapfrog4), 2 sqrt 2 (RK4) the
 scheme's stability interval; leapfrog at order 2 has cfl* =
 1 / sqrt(1 + L dr^2 / 4).  The wave speed e^{-Ht} <= 1 and the friction
 keep the bound at H > 0.  L is taken over +-2 sup|phi(0)|.  The leapfrogs
-step at min(cfl dr, 0.99995 cfl* dr) and abort (StiffnessViolation) once
-sup|phi| at a snapshot widens the window so far that the step exceeds the
-new bound; RK4 steps at cfl dr and refuses (CflViolation) a cfl dr above
-its bound.  ``resolve_dt`` is that one step rule: ``evolve`` takes its
-step from it, and ``Scenario`` applies it to its initial data when it is
-built, so a run with a step it cannot take is refused before anything runs.
+step at min(cfl dr, 0.99995 cfl* dr); RK4 steps at cfl dr and refuses
+(CflViolation) a cfl dr above its bound.  ``resolve_dt`` is that one step
+rule: ``evolve`` takes its step from it, and ``Scenario`` applies it to its
+initial data when it is built, so a run with a step it cannot take is
+refused before anything runs.  Every scheme aborts (StiffnessViolation)
+once sup|phi| at a snapshot widens the window so far that the step exceeds
+the new bound.
 
 ``evolve`` steps only the active window [0, m) of the grid, the nodes the
 field has reached.  Its invariant: every node at or beyond m - pad is
@@ -134,7 +135,8 @@ RECHECK = 16
 
 
 class CflViolation(ValueError):
-    """Requested time step exceeds the CFL bound; the run is refused."""
+    """The step rule admits no stable step for the initial data; the run is
+    refused."""
 
 
 class SupportOverflow(RuntimeError):
@@ -146,8 +148,8 @@ class NonFiniteField(RuntimeError):
 
 
 class StiffnessViolation(RuntimeError):
-    """The field left the range its leapfrog(4) step was sized for, and the
-    fixed step now exceeds the stability bound cfl* dr of the wider range."""
+    """The field left the range its step was sized for, and the fixed step
+    now exceeds the stability bound cfl* dr of the wider range."""
 
 
 @dataclass
@@ -157,7 +159,8 @@ class SolverConfig:
     ``scheme`` is ``"rk4"`` (any stencil order, any H >= 0), ``"leapfrog"``
     (the order-2 stencil only, any H >= 0) or ``"leapfrog4"`` (any stencil
     order, H = 0 only); see the module docstring.  Every step satisfies
-    dt <= cfl * dr and the scheme's stability bound dt <= cfl* dr.
+    dt <= cfl * dr and the scheme's stability bound dt <= cfl* dr
+    (``resolve_dt``).
     """
 
     t_end: float
@@ -165,7 +168,6 @@ class SolverConfig:
     cfl: float = 0.5
     output_every: int = 1
     space_order: int = 2
-    dt: float | None = None
     scheme: str = "rk4"
 
     def __post_init__(self) -> None:
@@ -186,8 +188,6 @@ class SolverConfig:
             raise ValueError("space_order: leapfrog needs space_order 2")
         if self.scheme == "leapfrog4" and self.hubble != 0:
             raise ValueError(f"hubble: leapfrog4 needs hubble 0, got {self.hubble}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt: must be > 0, got {self.dt}")
 
 
 def linear_mass(spec: PotentialSpec | None) -> float:
@@ -438,20 +438,12 @@ def _sup_phi(state: FieldState) -> float:
 
 def resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
                state: FieldState) -> float:
-    """Time-step ceiling of a run from ``state``; refuses an explicit dt above
-    cfl * dr or the stability bound, and an RK4 cfl * dr above the bound.
-    Each message starts with the field it is about."""
+    """Time-step ceiling of a run from ``state``: cfl * dr, for the leapfrogs
+    at most 0.99995 of the stability bound; refuses an RK4 cfl * dr above
+    the bound.  Each message starts with the field it is about."""
     limit = cfg.cfl * grid.dr
     stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr, cfg.scheme,
                            cfg.space_order) * grid.dr
-    if cfg.dt is not None:
-        if cfg.dt > limit * (1.0 + 1e-12):
-            raise CflViolation(f"dt: {cfg.dt} exceeds cfl*dr = {limit:.6g}")
-        if cfg.dt > stable:
-            raise CflViolation(
-                f"dt: {cfg.dt} exceeds the {cfg.scheme} stability bound cfl* dr = "
-                f"{stable:.6g}; admissible dt <= {min(limit, stable):.6g}")
-        return cfg.dt
     if not stable > 0.0:
         raise CflViolation("cfl: the potential's stiffness on the visited window "
                            f"admits no positive {cfg.scheme} step")
@@ -548,13 +540,12 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     at the start and the final step).
 
     Each snapshot is checked before the observer sees it, in this order: it
-    aborts with NonFiniteField on NaN/Inf, (leapfrog, leapfrog4) with
-    StiffnessViolation once sup|phi| widens the visited window so far that
-    the fixed step exceeds its stability bound, with SupportOverflow once
-    the support comes within 4 dr of r_max, and with DomainViolation once
-    phi, the extrapolated origin value included, reaches the edge of the
-    potential's domain (dbrane: v <= -1; the force raises it too, on the
-    nodes it reads).  At t_end = 0 the initial state is checked, observed
+    aborts with NonFiniteField on NaN/Inf, with StiffnessViolation once
+    sup|phi| widens the visited window so far that the fixed step exceeds
+    its stability bound, with SupportOverflow once the support comes within
+    4 dr of r_max, and with DomainViolation once phi, the extrapolated
+    origin value included, reaches the edge of the potential's domain
+    (dbrane: v <= -1; the force raises it too, on the nodes it reads).  At t_end = 0 the initial state is checked, observed
     and returned.
     """
     dt_max = resolve_dt(grid, cfg, spec, state0)
@@ -599,8 +590,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         t = t0 + k * dt
         if not (np.isfinite(u).all() and np.isfinite(u_t).all()):
             raise NonFiniteField(f"non-finite field at t={t:.6g}")
-        if kdk:
-            check_window(t, u)
+        check_window(t, u)
         r_inv = grid.r_inv[edge:u.size]
         if ((np.abs(u[edge:] * r_inv) > SUPPORT_THRESHOLD).any()
                 or (np.abs(u_t[edge:] * r_inv) > SUPPORT_THRESHOLD).any()):

@@ -91,7 +91,9 @@ class Scenario:
     step the solver would take from the initial data (``resolve_dt``,
     CflViolation); each message starts with the field's name.  The mode's
     audit-based class checks run in ``run_scenario``.  A scenario is frozen:
-    ``dataclasses.replace`` makes a changed copy, checked anew.
+    ``dataclasses.replace`` makes a changed copy, checked anew.  Of the
+    diagnostics only the ball radius is a field: J's selector 1 + tanh(r - 2t)
+    and the exterior cone r > 3t are fixed (``virials.field_records``).
     """
 
     name: str
@@ -109,12 +111,8 @@ class Scenario:
     cfl: float = 0.5
     space_order: int = 4
     output_every: int = 16
-    dt: float | None = None
     scheme: str = "rk4"
     decay_radius: float = 10.0
-    cone_b: float = 2.0
-    j_sigma: float = -2.0
-    j_offset: float = 0.0
     mode: str = "exploratory"
     thresholds: dict = field(default_factory=dict)
 
@@ -136,8 +134,6 @@ class Scenario:
             raise ScenarioClassError(f"spec: mode {self.mode} needs a potential")
         if self.mode == "thm3" and not self.hubble > 0:
             raise ScenarioClassError(f"hubble: thm3 needs hubble > 0, got {self.hubble}")
-        if self.mode == "thm3" and not self.cone_b > 1:
-            raise ScenarioClassError(f"cone_b: thm3 needs cone_b > 1, got {self.cone_b}")
         needed = self.center + self.width + self.t_end + 5.0 * grid.dr
         if self.r_max < needed:
             raise ValueError(
@@ -152,8 +148,7 @@ class Scenario:
     def solver_config(self) -> SolverConfig:
         return SolverConfig(t_end=self.t_end, hubble=self.hubble, cfl=self.cfl,
                             output_every=self.output_every,
-                            space_order=self.space_order, dt=self.dt,
-                            scheme=self.scheme)
+                            space_order=self.space_order, scheme=self.scheme)
 
     def initial(self, grid: RadialGrid) -> FieldState:
         return initial_state(grid, self.amplitude, self.center, self.width,
@@ -304,9 +299,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     block = max(1, BLOCK_NODES // grid.n_nodes)
 
     def flush() -> None:
-        samples.extend(sample_diagnostics(
-            pending, scn.hubble, scn.spec, grid, sigma=scn.j_sigma, offset=scn.j_offset,
-            ball_radius=scn.decay_radius, cone_b=scn.cone_b))
+        samples.extend(sample_diagnostics(pending, scn.hubble, scn.spec, grid,
+                                          ball_radius=scn.decay_radius))
         pending.clear()
 
     def observer(state: FieldState) -> None:

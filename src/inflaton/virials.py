@@ -20,14 +20,14 @@ e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) (``grid.density_from_squares``):
     I  = P + R/2
     Rt = int r^2/(1+r)^4 phi phi_t dr          (heavily origin-damped variant)
     W  = int r^2/(1+r)^4 (phi^2 + phi_r^2 + phi_t^2) dr
-    J  = int (1 + tanh(r + sigma t + b)) e dr
+    J  = int (1 + tanh(r + sigma t + offset)) e dr
     E  = 4 pi int e dr; ballE and coneE restrict it to r <= R and r > (1+b) t
 
 Rates, in the displayed forms (H = 0 for I and Rt):
 
     I_rate  = int r^2/(1+r)^2 phi_r^2 + r(r+4)/(2(1+r)^4) phi^2 + psi'/2 (2F - phi f)
     Rt_rate = int r^2/(1+r)^4 (phi_t^2 - phi_r^2 - phi f) + 2r(3r-2)/(1+r)^6 phi^2
-    J_bound = (1 + sigma) int sech^2(r + sigma t + b) e dr
+    J_bound = (1 + sigma) int sech^2(r + sigma t + offset) e dr
     E_rate  = -H 4 pi int r^2 (3 phi_t^2 + phi_r^2 / e^{2Ht}) dr
 
 I_rate is bounded below by the weighted H^1 norm when 2F - s f >= 0.
@@ -37,8 +37,10 @@ through r = 0, so this is the generic case); ``I_rate_corrected`` adds it
 and matches centered differences of I.  Rt has no origin flux: its weight
 kills every boundary term at r = 0.  J_bound bounds dJ/dt when F >= 0 and
 is nonpositive for sigma <= -1, which makes J a decreasing light-cone
-selector.  Near-origin integrands are written in cancelled polynomial
-form, never as 1/r quotients.
+selector.  Every run takes sigma = -2, offset 0 and b = 2, the defaults of
+``field_records``: the selector 1 + tanh(r - 2t) and the cone r > 3t; only
+the tests vary sigma and the offset.  Near-origin integrands are written in
+cancelled polynomial form, never as 1/r quotients.
 """
 
 from __future__ import annotations
@@ -96,15 +98,14 @@ class VirialSample:
 
 
 def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
-                       grid: RadialGrid, *, sigma: float = -2.0, offset: float = 0.0,
-                       ball_radius: float = 10.0, cone_b: float = 2.0) -> list[VirialSample]:
+                       grid: RadialGrid, **options) -> list[VirialSample]:
     """The diagnostics record of each snapshot of a block (one run's grid and
-    stencil order), evaluated together on the block's live nodes."""
+    stencil order), evaluated together on the block's live nodes; ``options``
+    are ``field_records``' keywords."""
     if not states:
         return []
     return field_records([s.t for s in states], *block_fields(states), hubble, spec,
-                         grid, sigma=sigma, offset=offset, ball_radius=ball_radius,
-                         cone_b=cone_b)
+                         grid, **options)
 
 
 def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,

@@ -53,8 +53,7 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
     def inspect(state):
         if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.u_t))):
             raise NonFiniteField(f"non-finite field at t={state.t:.6g}")
-        if kdk:
-            check_window(state)
+        check_window(state)
         radius = full_grid_radius(state)
         if radius >= grid.r_max - 4.0 * grid.dr:
             raise SupportOverflow(

@@ -13,12 +13,13 @@ tests/test_dynamics.py.
 """
 
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from inflaton.cli import main, read_series_csv
+from inflaton.cli import main
 from inflaton.experiments import (energy_conservation_scenario,
                                   run_convergence_study,
                                   run_potential_audit_suite, run_scenario,
@@ -28,7 +29,7 @@ from inflaton.grid import RadialGrid
 from inflaton.dynamics import initial_state
 from inflaton.potentials import (audit_potential, eval_F, eval_f, parse_family,
                                  quartic_flatness_constant)
-from inflaton.virials import sample_diagnostics
+from inflaton.virials import CSV_COLUMNS, sample_diagnostics
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -235,6 +236,25 @@ def test_c11_radial_sup_bound():
     ok &= worst_ratio <= 0.2  # single calibrated constant across all profiles
     assert _report(11, "radial sup bound", ok,
                    f"max ratio={worst_ratio:.4f} worst refinement variation={worst_var:.2%}")
+
+
+def read_series_csv(path: Path) -> dict[str, np.ndarray]:
+    """The columns of a series.csv by name; refuses a file without rows."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path}: empty series")
+    return {name: data[:, i] for i, name in enumerate(header)}
+
+
+def test_read_series_csv_refuses_a_header_only_series(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # numpy notes that the file holds no data
+        with pytest.raises(ValueError, match="empty series"):
+            read_series_csv(path)
 
 
 def test_c12_determinism(tmp_path):

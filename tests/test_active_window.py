@@ -127,6 +127,18 @@ def test_window_matches_the_full_grid_loop_when_it_fills_the_grid(scheme, force_
         evolve(state, cfg, T1, g)
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "leapfrog"])
+def test_window_matches_the_full_grid_loop_at_a_stiffness_abort(scheme, force_sizes):
+    # E1 data at rest focus into the stiff side of the potential: under
+    # either scheme the run stops once the visited window outgrows the step
+    g = RadialGrid(50.0, 256)
+    state = initial_state(g, -0.2, 10.0, 2.0, velocity="rest")
+    cfg = SolverConfig(t_end=30.0, cfl=1.0, output_every=8, scheme=scheme)
+    _assert_matches_full_grid(state, cfg, PotentialSpec("E", n=1), g, force_sizes)
+    with pytest.raises(StiffnessViolation, match=f"the {scheme} step"):
+        evolve(state, cfg, PotentialSpec("E", n=1), g)
+
+
 def test_window_matches_the_full_grid_loop_on_a_blowup(force_sizes):
     g = RadialGrid(20.0, 256)
     state = initial_state(g, 10.0, 4.0, 2.0)

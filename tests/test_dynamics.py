@@ -184,13 +184,6 @@ def test_step_preserves_boundaries_and_advances_time(small_grid):
     assert new.u_t[0] == 0.0 and new.u_t[-1] == 0.0
 
 
-def test_explicit_dt_must_respect_cfl(small_grid):
-    state = initial_state(small_grid, 1.0, 5.0, 2.0)
-    cfg = SolverConfig(t_end=1.0, cfl=0.5, dt=small_grid.dr)
-    with pytest.raises(CflViolation, match="^dt: "):
-        evolve(state, cfg, None, small_grid)
-
-
 def test_dalembert_translation_and_refinement_factor():
     errors = []
     for n in (1024, 2048):
@@ -350,8 +343,8 @@ def test_dissipation_identity_smoke():
     assert resid.max() <= 2e-3
 
 
-def _leapfrog(t_end, output_every=10**9, **kw):
-    return SolverConfig(t_end=t_end, cfl=1.0, space_order=2,
+def _leapfrog(t_end, output_every=10**9, cfl=1.0, **kw):
+    return SolverConfig(t_end=t_end, cfl=cfl, space_order=2,
                         output_every=output_every, scheme="leapfrog", **kw)
 
 
@@ -373,7 +366,7 @@ def test_leapfrog_free_bump_stays_inside_light_cone():
             assert err <= 1e-4   # measured 3.0e-5
 
 
-def test_leapfrog_stiffness_bound_refuses_explicit_dt(small_grid):
+def test_leapfrog_stiffness_bound(small_grid):
     dr = small_grid.dr
     # T1: sup f' = f'(0) = 2 is all linear mass, which the leapfrog weights
     # over three time levels, so no stiffness is left: the bound is dr
@@ -386,10 +379,10 @@ def test_leapfrog_stiffness_bound_refuses_explicit_dt(small_grid):
     bound = stiffness_cfl(spec, 2.0, dr) * dr
     assert bound == pytest.approx(dr / np.sqrt(1.0 + 0.25 * stiff * dr * dr))
     state = initial_state(small_grid, 1.0, 5.0, 2.0)   # sup|phi| = 1
-    too_big = _leapfrog(1.0, dt=0.5 * (bound + dr))
-    with pytest.raises(CflViolation, match="admissible dt"):
-        evolve(state, too_big, spec, small_grid)
-    new = evolve(state, _leapfrog(bound, dt=bound), spec, small_grid)    # one step
+    # at cfl 1 the step stays just below the bound
+    dt = resolve_dt(small_grid, _leapfrog(1.0), spec, state)
+    assert dt == dynamics.LEAPFROG_SAFETY * bound
+    new = evolve(state, _leapfrog(bound), spec, small_grid)    # two steps
     assert new.t == bound and new.u[0] == new.u[-1] == 0.0
     # without a potential the bound is the magic step itself
     assert stiffness_cfl(None, 2.0, dr) == 1.0
@@ -474,12 +467,11 @@ def test_leapfrog_second_order_in_time_at_hubble():
     g = RadialGrid(20.0, 256)
     spec, hubble = PotentialSpec("T", n=1), 0.5
     state = initial_state(g, 0.5, 5.0, 2.0, space_order=2)
-    ref = evolve(state, SolverConfig(t_end=2.0, hubble=hubble, cfl=1.0,
-                                     space_order=2, output_every=10**9,
-                                     dt=g.dr / 32), spec, g)
+    ref = evolve(state, SolverConfig(t_end=2.0, hubble=hubble, cfl=1 / 32,
+                                     space_order=2, output_every=10**9), spec, g)
     errs = []
-    for frac in (0.5, 0.25):
-        final = evolve(state, _leapfrog(2.0, hubble=hubble, dt=frac * g.dr), spec, g)
+    for cfl in (0.5, 0.25):
+        final = evolve(state, _leapfrog(2.0, hubble=hubble, cfl=cfl), spec, g)
         errs.append(np.linalg.norm(final.u - ref.u) / np.linalg.norm(ref.u))
     assert errs[0] <= 1e-2                      # measured 2.8e-3
     assert 3.5 <= errs[0] / errs[1] <= 4.5      # measured 3.93
@@ -516,32 +508,16 @@ def test_leapfrog4_fourth_order_in_time():
     spec = PotentialSpec("T", n=1)
     state = initial_state(g, 1.0, 5.0, 2.0, space_order=2)
 
-    def run(scheme, frac):
-        cfg = SolverConfig(t_end=2.0, cfl=1.0, space_order=2, output_every=10**9,
-                           scheme=scheme, dt=frac * g.dr)
+    def run(scheme, cfl):
+        cfg = SolverConfig(t_end=2.0, cfl=cfl, space_order=2, output_every=10**9,
+                           scheme=scheme)
         return evolve(state, cfg, spec, g).u
 
     ref = run("rk4", 1 / 64)
-    errs = [np.linalg.norm(run("leapfrog4", frac) - ref) / np.linalg.norm(ref)
-            for frac in (0.25, 0.125)]
+    errs = [np.linalg.norm(run("leapfrog4", cfl) - ref) / np.linalg.norm(ref)
+            for cfl in (0.25, 0.125)]
     assert errs[0] <= 1e-3                      # measured 6.3e-5
     assert 14.0 <= errs[0] / errs[1] <= 18.0    # measured 15.96
-
-
-def test_leapfrog4_refuses_steps_above_its_bound(small_grid):
-    dr = small_grid.dr
-    spec = PotentialSpec("T", n=1)          # all of sup f' is linear mass
-    bound = stiffness_cfl(spec, 2.0, dr, "leapfrog4", 6) * dr
-    assert bound == pytest.approx(1.5734 / np.sqrt(272 / 45) * dr)   # 0.64 dr
-    state = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=6)
-    too_big = SolverConfig(t_end=1.0, cfl=1.0, space_order=6, scheme="leapfrog4",
-                           dt=1.01 * bound)
-    with pytest.raises(CflViolation, match="leapfrog4 stability bound.*admissible dt"):
-        evolve(state, too_big, spec, small_grid)
-    new = evolve(state, replace(too_big, t_end=bound, dt=bound), spec, small_grid)
-    assert new.t == bound and new.u[0] == new.u[-1] == 0.0
-    with pytest.raises(ValueError, match="hubble: leapfrog4 needs hubble 0"):
-        SolverConfig(t_end=1.0, hubble=0.5, scheme="leapfrog4")
 
 
 def test_leapfrog4_default_step_rule(small_grid):
@@ -549,9 +525,12 @@ def test_leapfrog4_default_step_rule(small_grid):
     dr = small_grid.dr
     state = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=6)
     bound = stiffness_cfl(None, 2.0, dr, "leapfrog4", 6) * dr
+    assert bound == pytest.approx(1.5734 / np.sqrt(272 / 45) * dr)   # 0.64 dr
     for cfl, expected in ((0.5, 0.5 * dr), (1.0, dynamics.LEAPFROG_SAFETY * bound)):
         cfg = SolverConfig(t_end=1.0, cfl=cfl, space_order=6, scheme="leapfrog4")
         assert resolve_dt(small_grid, cfg, None, state) == expected
+    with pytest.raises(ValueError, match="hubble: leapfrog4 needs hubble 0"):
+        SolverConfig(t_end=1.0, hubble=0.5, scheme="leapfrog4")
 
 
 def test_leapfrog4_snapshots_hold_no_subnormals():

@@ -50,9 +50,6 @@ def test_thm3_runner_guards():
     with pytest.raises(ValueError):
         run_scenario(_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, 5.0, "thm3",
                                      hubble=0.0))
-    with pytest.raises(ValueError):
-        run_scenario(_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, 5.0, "thm3",
-                                     hubble=1.0, cone_b=1.0))
     with pytest.raises(ScenarioClassError, match="^hilltop2 has F < 0 on the visited window; "
                                                  "thm3 needs F >= 0$"):
         run_scenario(_suite_scenario("thm3-hilltop2", PotentialSpec("hilltop", n=2), 0.1,

@@ -277,10 +277,9 @@ def test_record_matches_per_functional_reference(snapshot):
     scn, hubble = _SNAPSHOTS[snapshot]
     grid = scn.grid()
     state = evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid)
-    kw = dict(sigma=scn.j_sigma, offset=scn.j_offset, ball_radius=scn.decay_radius,
-              cone_b=scn.cone_b)
-    got = sample_diagnostics([state], hubble, scn.spec, grid, **kw)[0]
-    ref = reference_record(state, hubble, scn.spec, grid, **kw)
+    got = sample_diagnostics([state], hubble, scn.spec, grid,
+                             ball_radius=scn.decay_radius)[0]
+    ref = reference_record(state, hubble, scn.spec, grid, ball_radius=scn.decay_radius)
     assert list(ref) == [f.name for f in fields(VirialSample)]
     for name, (want, magnitude) in ref.items():
         assert getattr(got, name) == pytest.approx(
