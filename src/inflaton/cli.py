@@ -1,8 +1,9 @@
 """Command-line front end: JSON scenario configs, CSV/JSON emission,
 machine-readable verdicts.
 
-A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``); the
-types, defaults and rules are ``Scenario``'s, and ``schema`` prints the map.
+A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``), a
+closed set of keys; the types, defaults and rules are ``Scenario``'s, and
+``schema`` prints the map.  The verdict thresholds are the mode's.
 
 Exit codes for ``simulate``: 0 verdict passed, 1 malformed config (also a
 potential whose audit refuses the mode or window), 2 verdict failed, 3 run
@@ -91,8 +92,7 @@ def _config_keys() -> dict:
     hints = typing.get_type_hints(Scenario)
     keys = {}
     for f in fields(Scenario):
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        keys[f.name] = (hints[f.name], MISSING if f.name in REQUIRED else default)
+        keys[f.name] = (hints[f.name], MISSING if f.name in REQUIRED else f.default)
     del keys["spec"]
     keys["potential"] = (str, MISSING)      # the family name spec is parsed from
     for block, names in BLOCKS.items():
@@ -117,13 +117,6 @@ def _load_value(value, kind, path: str, errors: list):
     if isinstance(kind, dict):                  # a block of keys
         if isinstance(value, dict):
             return _load_block(value, kind, f"{path}.", errors)
-        errors.append(f"{path}: expected object")
-    elif kind is dict:                          # thresholds: name -> number
-        if isinstance(value, dict):
-            errors.extend(f"{path}.{k}: expected finite number"
-                          for k, v in value.items()
-                          if isinstance(v, bool) or not _finite(v))
-            return dict(value)
         errors.append(f"{path}: expected object")
     elif kind is list:
         if isinstance(value, list) and value and all(
@@ -377,7 +370,7 @@ def _schema(keys: dict) -> dict:
         entry = {"type": "dict" if block else "number" if kind is float else kind.__name__}
         if default is MISSING:
             entry["required"] = True
-        elif not (block or kind is dict):
+        elif not block:
             entry["default"] = default
         if key in CHOICES:
             entry["choices"] = list(CHOICES[key])

@@ -59,7 +59,7 @@ rule: ``evolve`` takes its step from it, and ``Scenario`` applies it to its
 initial data when it is built, so a run with a step it cannot take is
 refused before anything runs.  Every scheme aborts (StiffnessViolation)
 once sup|phi| at a snapshot widens the window so far that the step exceeds
-the new bound.
+the new bound; that snapshot is observed first.
 
 ``evolve`` steps only the active window [0, m) of the grid, the nodes the
 field has reached.  Its invariant: every node at or beyond m - pad is
@@ -539,14 +539,14 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     ``observer`` on read-only snapshots every ``output_every`` steps (always
     at the start and the final step).
 
-    Each snapshot is checked before the observer sees it, in this order: it
-    aborts with NonFiniteField on NaN/Inf, with StiffnessViolation once
-    sup|phi| widens the visited window so far that the fixed step exceeds
-    its stability bound, with SupportOverflow once the support comes within
-    4 dr of r_max, and with DomainViolation once phi, the extrapolated
+    Each snapshot is checked before the observer sees it: it aborts with
+    NonFiniteField on NaN/Inf, with SupportOverflow once the support comes
+    within 4 dr of r_max, and with DomainViolation once phi, the extrapolated
     origin value included, reaches the edge of the potential's domain
-    (dbrane: v <= -1; the force raises it too, on the nodes it reads).  At t_end = 0 the initial state is checked, observed
-    and returned.
+    (dbrane: v <= -1; the force raises it too, on the nodes it reads).  Then,
+    looking ahead, it aborts with StiffnessViolation once sup|phi| widens the
+    visited window so far that the fixed step exceeds its stability bound.
+    At t_end = 0 the initial state is checked, observed and returned.
     """
     dt_max = resolve_dt(grid, cfg, spec, state0)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_max - 1e-12)))
@@ -590,7 +590,6 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         t = t0 + k * dt
         if not (np.isfinite(u).all() and np.isfinite(u_t).all()):
             raise NonFiniteField(f"non-finite field at t={t:.6g}")
-        check_window(t, u)
         r_inv = grid.r_inv[edge:u.size]
         if ((np.abs(u[edge:] * r_inv) > SUPPORT_THRESHOLD).any()
                 or (np.abs(u_t[edge:] * r_inv) > SUPPORT_THRESHOLD).any()):
@@ -602,6 +601,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
             check_domain(spec, _over_r(u, grid.r_inv))
         if observer is not None:
             observer(snapshot(k))
+        check_window(t, u)
 
     inspect(0)
     if kdk and n_steps:

@@ -37,10 +37,10 @@ through r = 0, so this is the generic case); ``I_rate_corrected`` adds it
 and matches centered differences of I.  Rt has no origin flux: its weight
 kills every boundary term at r = 0.  J_bound bounds dJ/dt when F >= 0 and
 is nonpositive for sigma <= -1, which makes J a decreasing light-cone
-selector.  Every run takes sigma = -2, offset 0 and b = 2, the defaults of
-``field_records``: the selector 1 + tanh(r - 2t) and the cone r > 3t; only
-the tests vary sigma and the offset.  Near-origin integrands are written in
-cancelled polynomial form, never as 1/r quotients.
+selector.  Every run takes sigma = -2 and offset 0, the defaults of
+``field_records``, and b = 2: the selector 1 + tanh(r - 2t) and the cone
+r > 3t; only the tests vary sigma and the offset.  Near-origin integrands
+are written in cancelled polynomial form, never as 1/r quotients.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
 
 def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
                   hubble: float, spec: PotentialSpec | None, grid: RadialGrid, *,
-                  sigma: float = -2.0, offset: float = 0.0, ball_radius: float = 10.0,
-                  cone_b: float = 2.0) -> list[VirialSample]:
+                  sigma: float = -2.0, offset: float = 0.0,
+                  ball_radius: float = 10.0) -> list[VirialSample]:
     """The record of each row of (B, k) node values of phi, phi_t and phi_r on
     the first k nodes (0 beyond them) at the B times ``t``; nothing beyond
     them lies above the support threshold, so ``support`` is the front of
@@ -146,7 +146,7 @@ def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
         rt_rate, 2.0 * integrate(np.where(cone >= 0.0, inv, q * inv) * dens, grid),
         4.0 * (1.0 + sigma) * integrate(q * inv**2 * dens, grid),
         ball_energy(dens, ball_radius, grid),
-        [exterior_cone_energy(row, ti, cone_b, grid) for row, ti in zip(dens, t)],
+        [exterior_cone_energy(row, ti, 2.0, grid) for row, ti in zip(dens, t)],   # b = 2
         np.max(np.abs(phi), axis=1), support_radius(phi, phi_t, grid),
         np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])), h1w, l2w, flux,
         i_rate - 0.5 * flux, e_rate)

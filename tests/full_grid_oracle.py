@@ -2,7 +2,8 @@
 an active window: every stencil, force and update spans all n_nodes.
 
 It is the oracle for the active window: ``evolve`` must give the same
-snapshots, up to the sign of zeros, and the same abort.  Its support check
+snapshots, up to the sign of zeros, and the same abort, and observe the same
+snapshots: the stiffness check follows the observer.  Its support check
 takes the 1e-13 front of every snapshot over the whole grid, the reference
 for the edge check of ``evolve`` and for the sampled ``support``; its domain
 check reads phi on every node.
@@ -53,7 +54,6 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
     def inspect(state):
         if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.u_t))):
             raise NonFiniteField(f"non-finite field at t={state.t:.6g}")
-        check_window(state)
         radius = full_grid_radius(state)
         if radius >= grid.r_max - 4.0 * grid.dr:
             raise SupportOverflow(
@@ -63,6 +63,7 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
             check_domain(spec, state.phi)
         if observer is not None:
             observer(state)
+        check_window(state)
 
     if cfg.t_end == 0.0:
         inspect(state0)

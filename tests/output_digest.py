@@ -10,7 +10,9 @@ output.  To compare two checkouts, run it in each and diff the outputs:
 The runs: the 12 committed suite runs, the energy-conservation run (C05),
 the virial-consistency run at 1,024 cells (C07), dbrane runs that leave
 the potential's domain (at the first snapshot, in the stepping's force or
-at a later snapshot), and ``inflaton simulate`` on configs/t1_smoke.json
+at a later snapshot), E1 runs from rest that stop once the field outgrows
+the step (RK4 sampled every 8 and every 16 steps, leapfrog), and
+``inflaton simulate`` on configs/t1_smoke.json
 and configs/t1_baseline.json and ``inflaton sweep`` on
 configs/thm3_h1.json, one worker.  The audits: the ``to_dict()`` of the
 default audit of every ``EXPECTED_CLASS`` family and of T3, E4 and
@@ -63,6 +65,17 @@ def dbrane_runs() -> list[Scenario]:
     return runs
 
 
+def stiffness_runs() -> list[Scenario]:
+    """E1 data at rest focus into the stiff side of the potential until the
+    visited window outgrows the step."""
+    data = dict(spec=PotentialSpec("E", n=1), amplitude=-0.2, center=10.0, width=2.0,
+                velocity="rest", cfl=1.0, space_order=2, decay_radius=5.0)
+    return [*(Scenario(name=f"e1-rk4-every{every}", r_max=50.0, n_cells=256, t_end=30.0,
+                       output_every=every, **data) for every in (8, 16)),
+            Scenario(name="e1-leapfrog", r_max=40.0, n_cells=512, t_end=20.0,
+                     output_every=8, scheme="leapfrog", **data)]
+
+
 def run_digests(scenario: Scenario) -> dict[str, str]:
     result = run_scenario(scenario)
     out = {}
@@ -97,7 +110,7 @@ def main() -> None:
     os.environ["INFLATON_THREADS"] = "1"
     scenarios = (thm1_suite() + thm2_suite() + thm3_suite()
                  + [energy_conservation_scenario(), virial_consistency_scenario(1024)]
-                 + dbrane_runs())
+                 + dbrane_runs() + stiffness_runs())
     digests = {}
     for scenario in scenarios:
         digests.update(run_digests(scenario))

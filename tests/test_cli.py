@@ -77,14 +77,13 @@ def test_load_config_missing_and_typed(tmp_path):
     cfg = tiny_config()
     del cfg["potential"]
     cfg["time"]["t_end"] = "soon"
-    cfg["thresholds"] = [0.01]
     cfg["diagnostics"] = 5.0
     path = write_config(tmp_path, cfg)
     with pytest.raises(ConfigError) as err:
         load_config(path)
     msg = str(err.value)
     assert "potential" in msg and "time.t_end" in msg
-    assert "thresholds: expected object" in msg and "diagnostics: expected object" in msg
+    assert "diagnostics: expected object" in msg
 
 
 def test_load_config_rejects_bools_for_numbers(tmp_path):
@@ -167,11 +166,29 @@ def test_simulate_is_bit_deterministic(tmp_path):
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
 
 
-def test_simulate_failing_threshold_exits_2(tmp_path):
-    cfg = tiny_config(mode="thm1", thresholds={"w_ratio": 1e-30})
-    path = write_config(tmp_path, cfg)
-    code = main(["simulate", str(path), "--out", str(tmp_path / "f")])
-    assert code == 2
+def _t1_thm1_config(t_end):
+    # the thm1 suite's T1 member (width 1, leapfrog at cfl 1, n = 2048)
+    cfg = _leapfrog_config(t_end=t_end)
+    cfg.update(mode="thm1", grid={"r_max": 40.0, "n_cells": 2048},
+               diagnostics={"decay_radius": 10.0})
+    cfg["initial"].update(amplitude=1.0, center=3.0, width=1.0)
+    return cfg
+
+
+def test_simulate_failing_threshold_exits_2(tmp_path, capsys):
+    # to T = 20 the T1 pulse misses only thm1's w_ratio threshold 1e-2
+    path = write_config(tmp_path, _t1_thm1_config(20.0))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "f")]) == 2
+    verdict = json.loads((tmp_path / "f" / "verdict.json").read_text())
+    assert verdict["diagnosis"] == "w_ratio 1.406e-02 > 1.0e-02"
+    assert verdict["thresholds"] == DEFAULT_THRESHOLDS["thm1"]
+    assert "FAIL" in capsys.readouterr().out
+    # the thresholds are the mode's: a config cannot loosen them
+    loosened = {**_t1_thm1_config(20.0), "thresholds": {"w_ratio": 0.02}}
+    out = tmp_path / "loosened"
+    assert main(["simulate", str(write_config(tmp_path, loosened)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: thresholds: unknown key\n"
+    assert not out.exists()
 
 
 def test_simulate_bad_config_exits_1(tmp_path):
@@ -463,7 +480,6 @@ def test_load_config_rejects_non_finite_numbers(tmp_path):
     cfg = tiny_config()
     cfg["initial"]["amplitude"] = float("nan")
     cfg["sweep"] = {"amplitudes": [0.1, float("inf")], "hubbles": [0.0]}
-    cfg["thresholds"] = {"w_ratio": float("-inf")}
     cfg["seed"] = 10**400       # an integer literal beyond the float range
     path = write_config(tmp_path, cfg)
     assert "NaN" in path.read_text() and "Infinity" in path.read_text()
@@ -472,7 +488,6 @@ def test_load_config_rejects_non_finite_numbers(tmp_path):
     msg = str(err.value)
     assert "initial.amplitude: must be a finite number" in msg
     assert "sweep.amplitudes: expected non-empty list of finite numbers" in msg
-    assert "thresholds.w_ratio: expected finite number" in msg
     assert "seed: must be a finite number" in msg
     assert main(["simulate", str(path), "--out", str(tmp_path / "nan")]) == 1
     overflow = tmp_path / "overflow.json"
@@ -589,18 +604,25 @@ def test_leapfrog_unstable_step_exit_codes(tmp_path):
     assert verdict["aborted"].startswith("StiffnessViolation")
 
 
-def test_rk4_stops_once_the_field_outgrows_its_step(tmp_path):
+@pytest.mark.parametrize("output_every", [8, 16])
+def test_rk4_stops_once_the_field_outgrows_its_step(tmp_path, output_every):
     # the same focusing under RK4 at cfl 1: its bound on the initial window
     # admits cfl dr, but at t = 14.0 sup|phi| is 2.1 and the bound on the
     # wider window is a tenth of the step: the run stops at that snapshot
+    # (at t = 15.6 when sampled every 16 steps)
     cfg = tiny_config(potential="E1", grid={"r_max": 50.0, "n_cells": 256})
-    cfg["time"].update(t_end=30.0, cfl=1.0)
+    cfg["time"].update(t_end=30.0, cfl=1.0, output_every=output_every)
     cfg["initial"].update(amplitude=-0.2, center=10.0, width=2.0, velocity="rest")
     out = tmp_path / "stiff"
     assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 3
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["aborted"].startswith("StiffnessViolation")
-    assert "the rk4 step dt=0.194805 exceeds its stiffness bound" in verdict["aborted"]
+    aborted = verdict["aborted"]
+    assert aborted.startswith("StiffnessViolation")
+    assert "the rk4 step dt=0.194805 exceeds its stiffness bound" in aborted
+    # the snapshot that stops the run is recorded: its time is the last
+    # sampled one and its sup|phi| the verdict's maximum
+    t_last = float((out / "series.csv").read_text().splitlines()[-1].split(",")[0])
+    assert f"sup|phi|={verdict['sup_phi_max']:.4g} at t={t_last:.6g} " in aborted
 
 
 def test_rk4_refuses_a_step_above_its_stability_bound(tmp_path, capsys):
@@ -664,18 +686,6 @@ def test_constructor_rules_report_key_paths(tmp_path, block, key, value, message
     assert str(err.value).startswith(message)
 
 
-def test_load_config_rejects_unknown_threshold_names(tmp_path):
-    cfg = tiny_config(mode="thm1", thresholds={"w_ration": 1e-30})
-    path = write_config(tmp_path, cfg)
-    with pytest.raises(ConfigError, match=r"^thresholds\.w_ration: not one of"):
-        load_config(path)
-    assert main(["simulate", str(path), "--out", str(tmp_path / "typo")]) == 1
-    assert not (tmp_path / "typo").exists()
-    names = {"w_ratio": 1.0, "cone_ratio": 1.0, "local_ratio": 1.0}
-    assert load_config(write_config(tmp_path, tiny_config(thresholds=names)))[
-        "thresholds"] == names
-
-
 # the sweep job each rule refuses, named at the end of its message
 _REFUSED_JOB = {
     "sweep.hubbles: must be nonnegative": "a0.1_H-1",
@@ -702,6 +712,8 @@ _REFUSED_JOB = {
     # refused by the potential's audit when the first job runs
     ({"mode": "thm1", "potential": "T2", "sweep": {"amplitudes": [0.1, 0.2]}},
      "T2 audits as Thm2-flatness, cannot run as thm1"),
+    # a key of older configs: the thresholds are the mode's
+    ({"thresholds": {"w_ratio": 0.01}}, "thresholds: unknown key"),
 ])
 def test_sweep_bad_job_inputs_exit_1_before_any_output(tmp_path, monkeypatch, capsys,
                                                        edit, message):
@@ -718,7 +730,7 @@ def test_sweep_bad_job_inputs_exit_1_before_any_output(tmp_path, monkeypatch, ca
 
 _MUTABLE_PATHS = [
     ("name",), ("mode",), ("potential",), ("hubble",), ("seed",),
-    ("thresholds",), ("thresholds", "w_ratio"), ("initial",), ("initial", "kind"),
+    ("initial",), ("initial", "kind"),
     ("initial", "amplitude"), ("initial", "center"), ("initial", "width"),
     ("initial", "steepness"), ("initial", "velocity"), ("grid",), ("grid", "r_max"),
     ("grid", "n_cells"), ("time",), ("time", "t_end"), ("time", "cfl"),
@@ -777,9 +789,10 @@ def _n_steps(scn: Scenario) -> float:
     return scn.t_end / resolve_dt(grid, scn.solver_config(), scn.spec, scn.initial(grid))
 
 
-# accepted mutations that end in exit 2 (a missed threshold) and exit 3 (an
-# abort: dbrane1 data at v = -1 leave the potential's domain)
-_MISSES_THRESHOLD = [("set", ("thresholds", "w_ratio"), 1e-300)]
+# accepted mutations that end in exit 2 (a missed threshold: the pulse has
+# not decayed by T = 5) and exit 3 (an abort: dbrane1 data at v = -1 leave
+# the potential's domain)
+_MISSES_THRESHOLD = [("set", ("mode",), "thm1")]
 _ABORTS = [("set", ("potential",), "dbrane1"), ("set", ("initial", "amplitude"), -1)]
 
 

@@ -251,7 +251,7 @@ def test_J_monotone_and_bounded_along_expanding_run(thm3_run):
 def test_sample_diagnostics_csv_contract(small_grid):
     state = gaussian_state(small_grid)
     sample = record(state, 0.5, T1, small_grid,
-                                sigma=-2.0, offset=0.0, ball_radius=5.0, cone_b=2.0)
+                                sigma=-2.0, offset=0.0, ball_radius=5.0)
     row = sample.csv_row()
     assert len(row) == len(CSV_COLUMNS) == 15
     assert CSV_COLUMNS[0] == "t" and CSV_COLUMNS[-1] == "h1_norm"

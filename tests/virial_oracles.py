@@ -58,7 +58,7 @@ def _exact(value):
 
 
 def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
-                     ball_radius=10.0, cone_b=2.0) -> dict[str, tuple[float, float]]:
+                     ball_radius=10.0) -> dict[str, tuple[float, float]]:
     """Every ``VirialSample`` field as (value, magnitude).
 
     An integral's magnitude is the same quadrature of the integrand's
@@ -96,7 +96,7 @@ def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
         "J": quad((1.0 + np.tanh(cone)) * dens),
         "J_bound": quad(_sech_sq(cone) * dens, 1.0 + sigma),
         "ballE": _exact(ball_energy(dens, ball_radius, grid)),
-        "coneE": _exact(exterior_cone_energy(dens, t, cone_b, grid)),
+        "coneE": _exact(exterior_cone_energy(dens, t, 2.0, grid)),     # r > 3t
         "sup_phi": _exact(float(np.max(np.abs(phi)))),
         "support": _exact(support_radius(phi, phi_t, grid)),
         "h1_norm": (np.sqrt(h1[0]), np.sqrt(h1[1])),
