@@ -2,8 +2,9 @@
 machine-readable verdicts.
 
 A config is ``Scenario``'s fields under a nested-key map (``BLOCKS``), a
-closed set of keys; the types, defaults and rules are ``Scenario``'s, and
-``schema`` prints the map.  The verdict thresholds are the mode's.
+closed set of keys; the types, defaults and rules are ``Scenario``'s (a
+field without a default is a required key), and ``schema`` prints the map.
+The verdict thresholds are the mode's.
 
 Exit codes for ``simulate``: 0 verdict passed, 1 malformed config (also a
 potential whose audit refuses the mode or window), 2 verdict failed, 3 run
@@ -69,9 +70,6 @@ BLOCKS = {
     "time": ("t_end", "cfl", "output_every", "space_order", "scheme"),
     "diagnostics": ("decay_radius",),
 }
-# Scenario fields a config must give (and ``potential``); the others take
-# Scenario's defaults
-REQUIRED = ("name", "mode", "amplitude", "center", "width", "r_max", "n_cells", "t_end")
 # front-end keys, not Scenario fields: key -> (type or block, default)
 FRONT_END = {
     "seed": (int, 0),
@@ -88,11 +86,9 @@ _SWEEP_PATHS = {**_PATHS, "amplitude": "sweep.amplitudes", "hubble": "sweep.hubb
 
 def _config_keys() -> dict:
     """key -> (type or block of keys, default), from Scenario's fields and type
-    hints; MISSING marks a required key."""
+    hints; MISSING, a field without a default, marks a required key."""
     hints = typing.get_type_hints(Scenario)
-    keys = {}
-    for f in fields(Scenario):
-        keys[f.name] = (hints[f.name], MISSING if f.name in REQUIRED else f.default)
+    keys = {f.name: (hints[f.name], f.default) for f in fields(Scenario)}
     del keys["spec"]
     keys["potential"] = (str, MISSING)      # the family name spec is parsed from
     for block, names in BLOCKS.items():

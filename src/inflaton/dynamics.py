@@ -53,13 +53,14 @@ stencil and beta = 2 (leapfrog), 1.5734 (leapfrog4), 2 sqrt 2 (RK4) the
 scheme's stability interval; leapfrog at order 2 has cfl* =
 1 / sqrt(1 + L dr^2 / 4).  The wave speed e^{-Ht} <= 1 and the friction
 keep the bound at H > 0.  L is taken over +-2 sup|phi(0)|.  The leapfrogs
-step at min(cfl dr, 0.99995 cfl* dr); RK4 steps at cfl dr and refuses
-(CflViolation) a cfl dr above its bound.  ``resolve_dt`` is that one step
-rule: ``evolve`` takes its step from it, and ``Scenario`` applies it to its
-initial data when it is built, so a run with a step it cannot take is
-refused before anything runs.  Every scheme aborts (StiffnessViolation)
-once sup|phi| at a snapshot widens the window so far that the step exceeds
-the new bound; that snapshot is observed first.
+step at min(cfl dr, 0.99995 cfl* dr) and refuse (CflViolation) a bound
+below half of cfl dr, on stiff data orders of magnitude below; RK4 steps
+at cfl dr and refuses a cfl dr above its bound.  ``resolve_dt`` is that
+one step rule: ``evolve`` takes its step from it, and ``Scenario`` applies
+it to its initial data when it is built, so a run with a step it cannot
+take is refused before anything runs.  Every scheme aborts
+(StiffnessViolation) once sup|phi| at a snapshot widens the window so far
+that the step exceeds the new bound; that snapshot is observed first.
 
 ``evolve`` steps only the active window [0, m) of the grid, the nodes the
 field has reached.  Its invariant: every node at or beyond m - pad is
@@ -241,16 +242,15 @@ def _second_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
 
 def _first_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
     """Radial derivative along the last axis, so a (B, k) block of rows is
-    differentiated row by row."""
+    differentiated row by row; the origin row, which no caller reads, is 0."""
     out = np.empty_like(u)
+    out[..., 0] = 0.0
     if order == 2:
         out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
-        out[..., 0] = u[..., 1] / dr
     elif order == 4:
         out[..., 2:-2] = (u[..., :-4] - 8.0 * u[..., 1:-3] + 8.0 * u[..., 3:-1]
                           - u[..., 4:]) / (12.0 * dr)
         out[..., 1] = (-u[..., 1] - 8.0 * u[..., 0] + 8.0 * u[..., 2] - u[..., 3]) / (12.0 * dr)
-        out[..., 0] = (16.0 * u[..., 1] - 2.0 * u[..., 2]) / (12.0 * dr)
         out[..., -2] = (u[..., -1] - u[..., -3]) / (2.0 * dr)
     else:
         out[..., 3:-3] = (-u[..., :-6] + 9.0 * u[..., 1:-5] - 45.0 * u[..., 2:-4]
@@ -259,7 +259,6 @@ def _first_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
                        - 9.0 * u[..., 3] + u[..., 4]) / (60.0 * dr)
         out[..., 2] = (u[..., 1] + 9.0 * u[..., 0] - 45.0 * u[..., 1] + 45.0 * u[..., 3]
                        - 9.0 * u[..., 4] + u[..., 5]) / (60.0 * dr)
-        out[..., 0] = (90.0 * u[..., 1] - 18.0 * u[..., 2] + 2.0 * u[..., 3]) / (60.0 * dr)
         out[..., -3] = (u[..., -5] - 8.0 * u[..., -4] + 8.0 * u[..., -2]
                         - u[..., -1]) / (12.0 * dr)
         out[..., -2] = (u[..., -1] - u[..., -3]) / (2.0 * dr)
@@ -440,17 +439,19 @@ def resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
                state: FieldState) -> float:
     """Time-step ceiling of a run from ``state``: cfl * dr, for the leapfrogs
     at most 0.99995 of the stability bound; refuses an RK4 cfl * dr above
-    the bound.  Each message starts with the field it is about."""
+    the bound, and a leapfrog or leapfrog4 cfl * dr above twice it.  Each
+    message starts with the field it is about."""
     limit = cfg.cfl * grid.dr
     stable = stiffness_cfl(spec, 2.0 * _sup_phi(state), grid.dr, cfg.scheme,
                            cfg.space_order) * grid.dr
     if not stable > 0.0:
         raise CflViolation("cfl: the potential's stiffness on the visited window "
                            f"admits no positive {cfg.scheme} step")
-    if cfg.scheme == "rk4" and limit > stable:
+    if limit > (1.0 if cfg.scheme == "rk4" else 2.0) * stable:
+        over = "its" if cfg.scheme == "rk4" else "twice its"
         raise CflViolation(
-            f"cfl: the rk4 step cfl*dr = {limit:.6g} exceeds its stability bound "
-            f"cfl* dr = {stable:.6g}; admissible dt <= {stable:.6g}")
+            f"cfl: the {cfg.scheme} step cfl*dr = {limit:.6g} exceeds {over} stability "
+            f"bound cfl* dr = {stable:.6g}; admissible dt <= {stable:.6g}")
     return limit if cfg.scheme == "rk4" else min(limit, LEAPFROG_SAFETY * stable)
 
 

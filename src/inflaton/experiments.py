@@ -80,38 +80,41 @@ class ScenarioClassError(ValueError):
     support."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
     """One reproducible run: potential + background + data + grid + horizon.
 
-    The constructor, with ``RadialGrid`` and ``SolverConfig``, checks every
-    rule on the fields, the mode's field rules (ScenarioClassError) and the
-    step the solver would take from the initial data (``resolve_dt``,
-    CflViolation); each message starts with the field's name.  The mode's
-    audit-based class checks run in ``run_scenario``.  A scenario is frozen:
-    ``dataclasses.replace`` makes a changed copy, checked anew.  Of the
-    diagnostics only the ball radius is a field: J's selector 1 + tanh(r - 2t)
-    and the exterior cone r > 3t are fixed (``virials.field_records``).
+    Keyword-only.  The fields without a default (name, spec, amplitude,
+    center, width, r_max, n_cells, t_end, mode) are what every run must set,
+    and the required keys of a config (``cli``).  The constructor, with
+    ``RadialGrid`` and ``SolverConfig``, checks every rule on the fields, the
+    mode's field rules (ScenarioClassError) and the step the solver would
+    take from the initial data (``resolve_dt``, CflViolation); each message
+    starts with the field's name.  The mode's audit-based class checks run in
+    ``run_scenario``.  A scenario is frozen: ``dataclasses.replace`` makes a
+    changed copy, checked anew.  Of the diagnostics only the ball radius is a
+    field: J's selector 1 + tanh(r - 2t) and the exterior cone r > 3t are
+    fixed (``virials.field_records``).
     """
 
     name: str
     spec: PotentialSpec | None
     hubble: float = 0.0
-    amplitude: float = 1.0
-    center: float = 3.0
-    width: float = 2.0
+    amplitude: float
+    center: float
+    width: float
     steepness: float = 1.0
     kind: str = "bump"
     velocity: str = "outgoing"
-    r_max: float = 40.0
-    n_cells: int = 1024
-    t_end: float = 20.0
+    r_max: float
+    n_cells: int
+    t_end: float
     cfl: float = 0.5
     space_order: int = 4
     output_every: int = 16
     scheme: str = "rk4"
     decay_radius: float = 10.0
-    mode: str = "exploratory"
+    mode: str
 
     def __post_init__(self) -> None:
         grid = self.grid()
@@ -407,30 +410,18 @@ def _fprime_quadratic_bound(spec: PotentialSpec) -> float:
 
 
 def _suite_scenario(name: str, spec: PotentialSpec | None, amplitude: float,
-                    t_end: float, mode: str, hubble: float = 0.0,
-                    **overrides) -> Scenario:
-    params = dict(
-        name=name, spec=spec, hubble=hubble, amplitude=amplitude,
-        center=3.0, width=2.0, velocity="outgoing", mode=mode,
-        t_end=t_end, cfl=0.5, space_order=4, output_every=16,
-    )
-    if hubble > 0:
+                    t_end: float, mode: str, **overrides) -> Scenario:
+    """One committed leapfrog run: an outgoing bump at centre 3, width 2,
+    stepped near the magic step dt = dr (cfl 1, order-2 stencil)."""
+    params = dict(name=name, spec=spec, amplitude=amplitude, center=3.0, width=2.0,
+                  t_end=t_end, mode=mode, scheme="leapfrog", space_order=2, cfl=1.0)
+    if mode == "thm3":
         # dense outputs: the dissipation-balance check differentiates E(t)
         # across output samples, and its truncation error scales with the
         # sampling interval squared
-        params.update(r_max=30.0, n_cells=2048, output_every=1)
-        if mode == "thm3":
-            # leapfrog near the magic step dt = dr with the centred Hubble
-            # friction; twice the cells keep the RK4 sampling interval
-            # (0.5 * 30/2048), which the dissipation check needs
-            params.update(scheme="leapfrog", space_order=2, cfl=1.0, n_cells=4096)
+        params.update(hubble=1.0, r_max=30.0, n_cells=4096, output_every=1)
     else:
-        params.update(r_max=max(40.0, math.ceil(t_end + 10.0)), n_cells=2048)
-        if mode in ("thm1", "thm2"):
-            # leapfrog near the magic step dt = dr: one force evaluation per
-            # step and no dispersive precursor; 8 of its steps span about 16
-            # RK4 steps at cfl 0.5, so the sampling cadence stays the same
-            params.update(scheme="leapfrog", space_order=2, cfl=1.0, output_every=8)
+        params.update(r_max=max(40.0, math.ceil(t_end + 10.0)), n_cells=2048, output_every=8)
     params.update(overrides)
     return Scenario(**params)
 
@@ -469,8 +460,7 @@ def thm2_suite(t_end: float = 100.0) -> list[Scenario]:
 
 def thm3_suite(t_end: float = 20.0) -> list[Scenario]:
     """Committed expanding-background suite: T1 at H = 1, b = 2."""
-    return [_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, t_end,
-                            "thm3", hubble=1.0)]
+    return [_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, t_end, "thm3")]
 
 
 def energy_conservation_scenario() -> Scenario:

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("E", "T", "natural", "axion", "dbrane", "hilltop", "monodromy", "log")
+# the one parameter a family takes; the others take none
+_PARAMETER = {"E": "n", "T": "n", "dbrane": "n", "hilltop": "n", "monodromy": "q"}
 
 # Sign tolerance used throughout classification: inequalities audited by
 # sampling are accepted down to -1e-12 to absorb roundoff in cancellations.
@@ -57,7 +59,8 @@ class DomainViolation(ValueError):
 class PotentialSpec:
     """One potential family with its parameters.
 
-    ``n`` is required for E/T/dbrane/hilltop, ``q`` for monodromy.
+    ``n`` is required for E/T/dbrane/hilltop, ``q`` for monodromy; a family
+    refuses the parameter it does not take.
     """
 
     family: str
@@ -76,8 +79,9 @@ class PotentialSpec:
         elif self.family == "monodromy":
             if self.q is None or self.q == 0 or not (-1.0 <= self.q <= 1.0):
                 raise ValueError("monodromy requires q in [-1, 1], q != 0")
-        elif self.n is not None or (self.q is not None and self.family != "monodromy"):
-            raise ValueError(f"{self.family} takes no parameters")
+        for name in ("n", "q"):
+            if name != _PARAMETER.get(self.family) and getattr(self, name) is not None:
+                raise ValueError(f"{self.family} takes no parameter {name}")
 
     @property
     def domain_lo(self) -> float:
@@ -86,9 +90,7 @@ class PotentialSpec:
 
     @property
     def label(self) -> str:
-        if self.family in ("E", "T"):
-            return f"{self.family}{self.n}"
-        if self.family in ("dbrane", "hilltop"):
+        if self.n is not None:
             return f"{self.family}{self.n}"
         if self.family == "monodromy":
             return f"monodromy:q={self.q:g}"

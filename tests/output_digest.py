@@ -61,7 +61,7 @@ def dbrane_runs() -> list[Scenario]:
                     spec=PotentialSpec("dbrane", n=n), amplitude=amplitude,
                     center=4.0, width=1.5, velocity="rest", r_max=20.0,
                     n_cells=256, t_end=8.0, cfl=0.5 if scheme == "rk4" else 1.0,
-                    space_order=order, output_every=1, scheme=scheme))
+                    space_order=order, output_every=1, scheme=scheme, mode="exploratory"))
     return runs
 
 
@@ -69,7 +69,8 @@ def stiffness_runs() -> list[Scenario]:
     """E1 data at rest focus into the stiff side of the potential until the
     visited window outgrows the step."""
     data = dict(spec=PotentialSpec("E", n=1), amplitude=-0.2, center=10.0, width=2.0,
-                velocity="rest", cfl=1.0, space_order=2, decay_radius=5.0)
+                velocity="rest", cfl=1.0, space_order=2, decay_radius=5.0,
+                mode="exploratory")
     return [*(Scenario(name=f"e1-rk4-every{every}", r_max=50.0, n_cells=256, t_end=30.0,
                        output_every=every, **data) for every in (8, 16)),
             Scenario(name="e1-leapfrog", r_max=40.0, n_cells=512, t_end=20.0,

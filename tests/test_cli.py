@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import runpy
 import sys
 import warnings
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inflaton import dynamics
+from inflaton import cli, dynamics
 from inflaton.cli import (ConfigError, load_config, main, scenario_from_config,
                           sweep_scenarios)
 from inflaton.dynamics import CflViolation, resolve_dt
@@ -632,12 +633,45 @@ def test_rk4_refuses_a_step_above_its_stability_bound(tmp_path, capsys):
     # the Scenario itself refuses it
     with pytest.raises(CflViolation, match=r"^cfl: the rk4 step .* admissible dt <= 7\.2\d*e-09"):
         run_scenario(Scenario(name="e3", spec=PotentialSpec("E", n=3), amplitude=-3.0,
-                              t_end=0.5))
+                              center=3.0, width=2.0, r_max=40.0, n_cells=1024, t_end=0.5,
+                              mode="exploratory"))
     cfg = tiny_config(potential="E3")
     cfg["initial"]["amplitude"] = -3.0
     out = tmp_path / "e3"
     assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
     assert "admissible dt <=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme,cfl,order,bound", [("leapfrog", 1.0, 2, r"5\.138\d*e-09"),
+                                                    ("leapfrog4", 0.5, 4, r"4\.042\d*e-09")],
+                         ids=["leapfrog", "leapfrog4"])
+def test_leapfrogs_refuse_a_step_their_bound_cuts_below_half(tmp_path, monkeypatch, capsys,
+                                                             scheme, cfl, order, bound):
+    # E3 at amplitude -3 from rest: the stiffness bound is 5e-9 against cfl dr
+    # 0.117 (leapfrog), so stepped at the bound T = 30 would take 5.8e9 steps;
+    # the Scenario refuses it, and nothing runs
+    def no_run(*args):
+        raise AssertionError("a refused scenario ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "_sweep_job", no_run)
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    cfg = tiny_config(potential="E3", grid={"r_max": 60.0, "n_cells": 512})
+    cfg["initial"].update(amplitude=-3.0, center=10.0, width=2.0, velocity="rest")
+    cfg["time"].update(t_end=30.0, cfl=cfl, space_order=order, scheme=scheme)
+    message = (rf"cfl: the {scheme} step cfl\*dr = \S+ exceeds twice its stability bound "
+               rf"cfl\* dr = {bound}; admissible dt <= {bound}")
+    with pytest.raises(CflViolation, match=f"^{message}$"):
+        scenario_from_config(cfg)
+    out = tmp_path / "e3"
+    assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert re.search(f"^config error: time.{message}$", capsys.readouterr().err, re.M)
+    swept = {**cfg, "sweep": {"amplitudes": [0.1, -3.0]}}
+    swept["initial"] = {**cfg["initial"], "amplitude": 0.1}     # the base job builds
+    assert main(["sweep", str(write_config(tmp_path, swept)), "--out", str(out)]) == 1
+    assert re.search(rf"^config error: time.{message} \(sweep job a-3_H0\)$",
+                     capsys.readouterr().err, re.M)
     assert not out.exists()
 
 

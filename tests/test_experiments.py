@@ -23,14 +23,14 @@ def test_audit_suite_matches_expected_table():
 
 def test_scenario_support_rule_enforced():
     with pytest.raises(ValueError, match="grid too small"):
-        Scenario(name="bad", spec=PotentialSpec("T", n=1), t_end=50.0,
-                 r_max=40.0, n_cells=512)
+        Scenario(name="bad", spec=PotentialSpec("T", n=1), amplitude=1.0, center=3.0,
+                 width=2.0, t_end=50.0, r_max=40.0, n_cells=512, mode="exploratory")
 
 
 def test_scenario_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
-        Scenario(name="bad", spec=None, t_end=1.0, r_max=40.0, n_cells=512,
-                 mode="thm9")
+        Scenario(name="bad", spec=None, amplitude=1.0, center=3.0, width=2.0, t_end=1.0,
+                 r_max=40.0, n_cells=512, mode="thm9")
 
 
 def test_thm1_runner_refuses_wrong_class():
@@ -47,13 +47,12 @@ def test_thm2_runner_refuses_wrong_class():
 
 
 def test_thm3_runner_guards():
-    with pytest.raises(ValueError):
-        run_scenario(_suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, 5.0, "thm3",
-                                     hubble=0.0))
+    with pytest.raises(ScenarioClassError, match=r"^hubble: thm3 needs hubble > 0, got 0\.0$"):
+        _suite_scenario("thm3-T1", PotentialSpec("T", n=1), 0.1, 5.0, "thm3", hubble=0.0)
     with pytest.raises(ScenarioClassError, match="^hilltop2 has F < 0 on the visited window; "
                                                  "thm3 needs F >= 0$"):
         run_scenario(_suite_scenario("thm3-hilltop2", PotentialSpec("hilltop", n=2), 0.1,
-                                     5.0, "thm3", hubble=1.0))
+                                     5.0, "thm3"))
 
 
 def test_zero_data_passes_trivially():
@@ -100,10 +99,15 @@ def test_thm3_run_verdict(thm3_run):
     assert v.fprime_quadratic_bound == math.inf  # tanh model has f'(0) != 0
 
 
+# the exploratory runs below step RK4 on the order-4 stencil, not the
+# suites' leapfrog
+_RK4 = dict(scheme="rk4", cfl=0.5, space_order=4, output_every=16)
+
+
 def test_exploratory_runs_execute_without_asserting():
     for spec in (PotentialSpec("axion"), PotentialSpec("E", n=1)):
         result = run_scenario(_suite_scenario(f"exploratory-{spec.label}", spec, 0.05,
-                                              10.0, "exploratory"))
+                                              10.0, "exploratory", **_RK4))
         v = result.verdict
         assert v.scope == "outside-theorems"
         assert v.passed  # no thresholds configured in exploratory mode
@@ -113,7 +117,7 @@ def test_exploratory_runs_execute_without_asserting():
 def test_free_field_exploratory_run_is_graded_free():
     result = run_scenario(Scenario(name="free", spec=None, amplitude=0.5, center=4.0,
                                    width=1.5, r_max=20.0, n_cells=256, t_end=5.0,
-                                   space_order=2))
+                                   space_order=2, mode="exploratory"))
     v = result.verdict
     assert v.theorem_class == "free" and v.potential == "free"
     assert v.scope == "outside-theorems"
@@ -125,15 +129,15 @@ def test_free_field_exploratory_run_is_graded_free():
 def test_theorem_modes_need_a_potential():
     for mode in ("thm1", "thm2", "thm3"):
         with pytest.raises(ScenarioClassError, match=f"^spec: mode {mode} needs a potential$"):
-            Scenario(name="free", spec=None, hubble=1.0, t_end=1.0, r_max=40.0,
-                     n_cells=512, mode=mode)
+            Scenario(name="free", spec=None, hubble=1.0, amplitude=1.0, center=3.0,
+                     width=2.0, t_end=1.0, r_max=40.0, n_cells=512, mode=mode)
 
 
 def test_exploratory_large_tanh_blob_persists():
     # wide large-amplitude tanh-model data trap a long-lived origin blob:
     # no decay on this horizon, recorded honestly by exploratory mode
     result = run_scenario(_suite_scenario("exploratory-T1", PotentialSpec("T", n=1), 2.0,
-                                          60.0, "exploratory", width=2.0))
+                                          60.0, "exploratory", width=2.0, **_RK4))
     assert result.verdict.w_ratio > 1e-2
     assert result.verdict.passed  # exploratory mode records, never gates
 
@@ -203,18 +207,18 @@ def _thm3_samples(**last):
     ({"E": 1.5}, "energy increased along an H>0 run"),
 ])
 def test_grade_flags_thm3_failures(last, diagnosis):
-    verdict = _grade_with(_thm3_samples(**last), mode="thm3", hubble=1.0)
+    verdict = _grade_with(_thm3_samples(**last), mode="thm3")
     assert not verdict.passed
     assert verdict.diagnosis == diagnosis
 
 
 def test_grade_thm3_reports_both_energy_ratios():
     # the order of the two messages is not part of the contract
-    verdict = _grade_with(_thm3_samples(ballE=0.5, coneE=0.25), mode="thm3", hubble=1.0)
+    verdict = _grade_with(_thm3_samples(ballE=0.5, coneE=0.25), mode="thm3")
     assert not verdict.passed
     assert set(verdict.diagnosis.split("; ")) == {"local ratio 5.000e-01",
                                                   "cone ratio 2.500e-01"}
-    assert _grade_with(_thm3_samples(), mode="thm3", hubble=1.0).passed
+    assert _grade_with(_thm3_samples(), mode="thm3").passed
 
 
 def test_every_default_threshold_is_a_graded_ratio():
@@ -273,6 +277,11 @@ def test_convergence_study_small():
 # --- suites and exploration --------------------------------------------------
 
 
+def _settings(scn: Scenario) -> dict:
+    return {name: getattr(scn, name) for name in ("scheme", "cfl", "space_order", "n_cells",
+                                                  "output_every", "r_max", "hubble")}
+
+
 def test_committed_suites_are_well_formed():
     for scn in thm1_suite() + thm2_suite() + thm3_suite():
         assert isinstance(scn, Scenario)
@@ -280,6 +289,24 @@ def test_committed_suites_are_well_formed():
         assert scn.r_max >= scn.center + scn.width + scn.t_end + 5 * grid.dr
     assert len(thm1_suite()) == 6
     assert len(thm2_suite()) == 5
+    # leapfrog at the magic step dt = dr; the H = 0 runs sampled every 8
+    # steps on r_max = max(40, T + 10), thm3 every step on twice the cells
+    leapfrog = dict(scheme="leapfrog", cfl=1.0, space_order=2)
+    for scn in thm1_suite() + thm2_suite():
+        assert _settings(scn) == dict(leapfrog, n_cells=2048, output_every=8, r_max=110.0,
+                                      hubble=0.0), scn.name
+    for scn in thm1_suite(t_end=20.0):
+        assert scn.r_max == 40.0
+    assert [_settings(scn) for scn in thm3_suite()] == [
+        dict(leapfrog, n_cells=4096, output_every=1, r_max=30.0, hubble=1.0)]
+
+
+def test_output_digest_tool_builds_its_runs():
+    # the byte-identity tool is not collected; building its runs steps
+    # nothing and fails on any change to Scenario that would break the tool
+    import output_digest
+    assert len(output_digest.dbrane_runs()) == 12
+    assert len(output_digest.stiffness_runs()) == 3
 
 
 # exploratory probes on a sampled series; only these tests run them
@@ -347,7 +374,7 @@ _BLOCK_RUNS = {
 def _block_scenario(run: str) -> Scenario:
     return Scenario(name=f"block-{run}", spec=PotentialSpec("T", n=1), width=2.0,
                     velocity="outgoing", r_max=20.0, n_cells=256, cfl=0.5,
-                    space_order=4, output_every=1, **_BLOCK_RUNS[run])
+                    space_order=4, output_every=1, mode="exploratory", **_BLOCK_RUNS[run])
 
 
 def _assert_same_run(got, want):
@@ -396,7 +423,7 @@ def test_a_run_the_domain_check_stops_gives_the_same_samples_in_blocks(monkeypat
     monkeypatch.setattr(dynamics, "check_domain", check_domain)
     scn = Scenario(name="block-domain", spec=PotentialSpec("dbrane", n=2), amplitude=-0.6,
                    center=4.0, width=1.5, velocity="rest", r_max=20.0, n_cells=256,
-                   t_end=8.0, cfl=0.5, space_order=4, output_every=1)
+                   t_end=8.0, cfl=0.5, space_order=4, output_every=1, mode="exploratory")
     blocked = run_scenario(scn)
     monkeypatch.setattr(experiments, "BLOCK_NODES", 1)
     single = run_scenario(scn)

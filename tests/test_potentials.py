@@ -236,6 +236,17 @@ def test_spec_validation_errors():
         PotentialSpec("log", n=2)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("monodromy", dict(n=3, q=0.5)), ("E", dict(n=2, q=0.5)), ("T", dict(n=1, q=1.0)),
+    ("dbrane", dict(n=1, q=0.5)), ("hilltop", dict(n=2, q=-1.0)), ("natural", dict(n=1)),
+    ("axion", dict(q=0.5)), ("log", dict(n=2))])
+def test_potential_spec_refuses_a_parameter_its_family_does_not_take(family, params):
+    # a parameter the family ignored made a spec unequal to the same potential
+    extra = "n" if family in ("monodromy", "natural", "log") else "q"
+    with pytest.raises(ValueError, match=f"^{family} takes no parameter {extra}$"):
+        PotentialSpec(family, **params)
+
+
 def test_parse_family_round_trip():
     for spec in ALL_SPECS:
         assert parse_family(spec.label) == spec
