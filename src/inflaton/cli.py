@@ -41,7 +41,7 @@ import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,8 @@ _FIELDS = {f.name for f in fields(Scenario)}
 # Scenario field -> config key path, for the constructors' messages
 _PATHS = {"spec": "potential",
           **{name: f"{block}.{name}" for block, names in BLOCKS.items() for name in names}}
-_SWEEP_PATHS = {**_PATHS, "amplitude": "sweep.amplitudes", "hubble": "sweep.hubbles"}
+# Scenario field -> the sweep key that lists a value for each job
+_SWEPT = {"amplitude": "amplitudes", "hubble": "hubbles"}
 
 
 def _config_keys() -> dict:
@@ -148,7 +149,7 @@ def _load_block(data: dict, keys: dict, path: str, errors: list) -> dict:
     return out
 
 
-def _keyed(exc: ValueError, paths: dict = _PATHS) -> str:
+def _keyed(exc: ValueError, paths: dict) -> str:
     """The message of a constructor rule, its leading field name made a key path."""
     head, sep, rest = str(exc).partition(": ")
     name, dot, sub = head.partition(".")
@@ -158,7 +159,9 @@ def _keyed(exc: ValueError, paths: dict = _PATHS) -> str:
 def load_config(path: str | Path) -> dict:
     """Parse a run config into a nested dict with every default filled in.
     Collects structural errors (unknown or missing keys, wrong types, non-finite
-    numbers), then checks Scenario's rules; raises ConfigError with key paths."""
+    numbers), then, for a config without a ``sweep`` block, Scenario's rules;
+    raises ConfigError with key paths.  A sweep is checked on its jobs
+    (``sweep_scenarios``), never on the values they replace."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -179,15 +182,15 @@ def load_config(path: str | Path) -> dict:
         errors.append("sweep.jitter_pct: must be >= 0.0")
     if errors:
         raise ConfigError("; ".join(errors))
-    try:
-        scenario_from_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(_keyed(exc)) from None
+    if not cfg["sweep"]:
+        checked_scenario(cfg)
     return cfg
 
 
-def scenario_from_config(cfg: dict) -> Scenario:
-    """Flatten a loaded config onto Scenario's fields and construct it."""
+def scenario_from_config(cfg: dict, **swept) -> Scenario:
+    """Flatten a loaded config onto Scenario's fields, the ``swept`` ones
+    (a sweep job's name, amplitude and hubble) replacing the config's, and
+    construct it."""
     flat = {key: value for key, value in cfg.items() if key in _FIELDS}
     for block in BLOCKS:
         flat.update(cfg[block])
@@ -195,7 +198,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
         spec = parse_family(cfg["potential"])
     except ValueError as exc:
         raise ValueError(f"spec: {exc}") from None
-    return Scenario(spec=spec, **flat)
+    return Scenario(spec=spec, **{**flat, **swept})
+
+
+def checked_scenario(cfg: dict, **swept) -> Scenario:
+    """``scenario_from_config``; a rule the scenario breaks raises ConfigError
+    with its key path, a value a sweep lists keyed by its sweep key."""
+    try:
+        return scenario_from_config(cfg, **swept)
+    except ValueError as exc:
+        listed = cfg["sweep"] or {}
+        paths = {**_PATHS, **{name: f"sweep.{key}" for name, key in _SWEPT.items()
+                              if name in swept and listed.get(key)}}
+        raise ConfigError(_keyed(exc, paths)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +218,12 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def write_series_csv(path: Path, samples) -> None:
-    """Frozen column contract; floats via repr for bit-stable round trips."""
+    """Frozen column contract; floats via repr for bit-stable round trips (a
+    record's entries are Python floats already)."""
     with open(path, "w") as fh:     # row by row: no whole-file string in memory
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for sample in samples:
-            fh.write(",".join(repr(float(v)) for v in sample.csv_row()) + "\n")
+            fh.write(",".join(map(repr, sample.csv_row())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +245,7 @@ def _write_outputs(result: ScenarioResult, out_dir: Path) -> None:
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-        result = run_scenario(scenario_from_config(cfg))
+        result = run_scenario(checked_scenario(cfg))    # a sweep config's own values
     except (ConfigError, ScenarioClassError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -276,12 +292,13 @@ def cmd_audit(args) -> int:
 
 
 def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
-    """(directory name, Scenario) of each job of a loaded config's sweep; the
-    first job Scenario rejects raises its ValueError, the job name appended."""
-    base = scenario_from_config(cfg)
+    """(directory name, Scenario) of each job of a config's sweep, built from
+    the config with the job's amplitude and hubble; the first job Scenario
+    rejects raises its ConfigError, the job name appended.  A value the
+    sweep replaces in every job is never built."""
     sweep = cfg["sweep"] or {}
-    amplitudes = sweep.get("amplitudes") or [base.amplitude]
-    hubbles = sweep.get("hubbles") or [base.hubble]
+    amplitudes = sweep.get("amplitudes") or [cfg["initial"]["amplitude"]]
+    hubbles = sweep.get("hubbles") or [cfg["hubble"]]
     jit = sweep.get("jitter_pct", 0.0)
     rng = np.random.default_rng(cfg["seed"])
     jobs = []
@@ -296,9 +313,10 @@ def sweep_scenarios(cfg: dict) -> list[tuple[str, Scenario]]:
             if seen[name] > 1:      # a repeated pair gets its own directory
                 name = f"{name}-{seen[name]}"
             try:
-                job = replace(base, name=f"{base.name}-{name}", amplitude=a, hubble=hub)
-            except ValueError as exc:
-                raise type(exc)(f"{exc} (sweep job {name})") from None
+                job = checked_scenario(cfg, name=f"{cfg['name']}-{name}", amplitude=a,
+                                       hubble=hub)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} (sweep job {name})") from None
             jobs.append((name, job))
     return jobs
 
@@ -318,8 +336,9 @@ def _sweep_job(job: tuple) -> tuple[str, bool, str]:
 
 
 def cmd_sweep(args) -> int:
-    try:
+    try:    # every job is checked before any output exists
         cfg = load_config(args.config)
+        swept = sweep_scenarios(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -331,11 +350,7 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return 1
     out_root = Path(args.out) if args.out else Path(cfg["name"] + "-sweep")
-    try:    # every job is checked before any output exists
-        jobs = [(scn, name, str(out_root / name)) for name, scn in sweep_scenarios(cfg)]
-    except ValueError as exc:
-        print(f"config error: {_keyed(exc, _SWEEP_PATHS)}", file=sys.stderr)
-        return 1
+    jobs = [(scn, name, str(out_root / name)) for name, scn in swept]
     max_workers = max(1, min(max_workers, len(jobs)))
     try:
         if max_workers == 1:

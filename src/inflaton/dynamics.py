@@ -81,9 +81,11 @@ The checks at each snapshot read the window: finiteness and sup|phi| over
 it, the support overflow over its nodes within 4 dr of r_max, which stay
 0 until the window reaches them, and, for a potential with a domain edge,
 phi over it against that edge; snapshots, which span the whole grid, are
-built only for an observer.  ``block_fields`` builds phi, phi_t
-and phi_r of a block of snapshots on their live nodes only, and
-``support_radius`` their 1e-13 front, for the diagnostics.
+built only for an observer, and each carries its window's extent as its
+``live`` nodes.  ``FieldState.prefix`` cuts a snapshot to the nodes its
+phi, phi_t and phi_r can be nonzero on, ``block_fields`` builds those
+three of a block of prefixes, and ``support_radius`` their 1e-13 front,
+for the diagnostics.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ __all__ = [
     "StiffnessViolation",
     "SolverConfig",
     "FieldState",
+    "Prefix",
     "bump_profile",
     "gaussian_profile",
     "initial_state",
@@ -275,7 +278,8 @@ class FieldState:
     """Snapshot (t, u, u_t) on a grid; u = r * phi.
 
     Invariants: u and u_t vanish at r = 0 and r_max (origin regularity, outer
-    Dirichlet).
+    Dirichlet), and at every node from ``live`` on when it is given (None:
+    not known; ``evolve`` gives its active window).
     The point values phi(0), phi_t(0) are reconstructed by quadratic
     extrapolation; the dynamics itself never divides by r = 0.
     """
@@ -285,6 +289,7 @@ class FieldState:
     u_t: np.ndarray
     grid: RadialGrid
     space_order: int = 2
+    live: int | None = None
 
     def __post_init__(self) -> None:
         if self.u.shape != (self.grid.n_nodes,) or self.u_t.shape != (self.grid.n_nodes,):
@@ -302,11 +307,37 @@ class FieldState:
     def phi_r(self) -> np.ndarray:
         return _radial_derivative(self.u, self.phi, self.grid, self.space_order)
 
+    def prefix(self) -> Prefix:
+        """Copies of u and u_t on the first k nodes: with every node from L + 1
+        on 0 (L from ``live``, else from a scan), k = L + order + 3, at most
+        n_nodes.  The order/2 nodes the derivative reaches past L keep
+        interior stencil rows, which read order/2 nodes further, and the
+        one-sided rows at the end of the prefix, which read at most five nodes
+        back, see only 0, so phi, phi_t and phi_r of the prefix are the
+        snapshot's own on those nodes."""
+        last = self.live - 1 if self.live is not None else _last_nonzero((self.u, self.u_t))
+        k = min(self.grid.n_nodes, last + self.space_order + 3)
+        return Prefix(self.t, self.u[:k].copy(), self.u_t[:k].copy(), self.grid,
+                      self.space_order)
 
-def _over_r(values: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
+
+@dataclass(frozen=True, eq=False)
+class Prefix:
+    """A snapshot on the nodes [0, k) past which its phi, phi_t and phi_r are
+    0 (``FieldState.prefix``): its time, u and u_t on them, grid and stencil
+    order."""
+
+    t: float
+    u: np.ndarray
+    u_t: np.ndarray
+    grid: RadialGrid
+    space_order: int
+
+
+def _over_r(values: np.ndarray, r_inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """values / r along the last axis; the point value at r = 0 by quadratic
-    extrapolation."""
-    out = values * r_inv[:values.shape[-1]]
+    extrapolation.  ``out`` (may be ``values``) receives the result."""
+    out = np.multiply(values, r_inv[:values.shape[-1]], out=out)
     nodes = out.T       # the node index first, for one snapshot or a block
     nodes[0] = 3.0 * nodes[1] - 3.0 * nodes[2] + nodes[3]
     return out
@@ -315,33 +346,29 @@ def _over_r(values: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
 def _radial_derivative(u: np.ndarray, phi: np.ndarray, grid: RadialGrid,
                        order: int) -> np.ndarray:
     """phi_r = (u_r - phi) / r along the last axis, 0 at r = 0."""
-    u_r = _first_derivative(u, grid.dr, order)
-    out = np.zeros_like(u)
-    out[..., 1:] = (u_r[..., 1:] - phi[..., 1:]) * grid.r_inv[1:u.shape[-1]]
+    out = _first_derivative(u, grid.dr, order)      # its origin row is 0
+    out[..., 1:] -= phi[..., 1:]
+    out[..., 1:] *= grid.r_inv[1:u.shape[-1]]
     return out
 
 
 def block_fields(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi, phi_t and phi_r of a block of snapshots on one grid and stencil
-    order, as (B, k) arrays on the live nodes [0, k): every row equals the
-    snapshot's own ``phi``, ``phi_t`` and ``phi_r`` on those nodes, and both
-    are 0 beyond them.
-
-    With L the last nonzero node of any u or u_t, k = L + order + 3 (at most
-    n_nodes): the order/2 nodes the derivative reaches past L keep interior
-    stencil rows, which read order/2 nodes further, and the one-sided rows at
-    the end of the prefix, which read at most five nodes back, see only 0.
-    """
-    grid, order = states[0].grid, states[0].space_order
-    if any(s.grid != grid or s.space_order != order for s in states):
+    order, or of their prefixes (``FieldState.prefix``), as (B, k) arrays on
+    the widest prefix [0, k): every row equals the snapshot's own ``phi``,
+    ``phi_t`` and ``phi_r`` on those nodes, and both are 0 beyond them."""
+    heads = [s if isinstance(s, Prefix) else s.prefix() for s in states]
+    grid, order = heads[0].grid, heads[0].space_order
+    if any(h.grid != grid or h.space_order != order for h in heads):
         raise ValueError("a block holds snapshots of one grid and stencil order")
-    u = np.array([s.u for s in states])
-    u_t = np.array([s.u_t for s in states])
-    live = np.flatnonzero((u != 0.0).any(axis=0) | (u_t != 0.0).any(axis=0))
-    k = min(grid.n_nodes, (live[-1] if live.size else -1) + order + 3)
-    u = u[:, :k]
+    k = max(h.u.size for h in heads)
+    u, u_t = np.zeros((len(heads), k)), np.zeros((len(heads), k))
+    for row, row_t, head in zip(u, u_t, heads):
+        row[:head.u.size] = head.u
+        row_t[:head.u.size] = head.u_t
     phi = _over_r(u, grid.r_inv)
-    return phi, _over_r(u_t[:, :k], grid.r_inv), _radial_derivative(u, phi, grid, order)
+    phi_t = _over_r(u_t, grid.r_inv, out=u_t)
+    return phi, phi_t, _radial_derivative(u, phi, grid, order)
 
 
 def support_radius(phi: np.ndarray, phi_t: np.ndarray, grid: RadialGrid):
@@ -562,10 +589,11 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     edge = int(np.searchsorted(grid.r, grid.r_max - 4.0 * grid.dr))
 
     def snapshot(k: int) -> FieldState:
-        if n_steps == 0:
+        if k == 0:
             return state0
+        # the window arrays end at m: every node from there on is 0
         return FieldState(t0 + k * dt, _fit(fields[0], n), _fit(fields[1], n), grid,
-                          cfg.space_order)
+                          cfg.space_order, live=fields[0].size)
 
     kdk = cfg.scheme != "rk4"
     bounded = spec is not None and math.isfinite(spec.domain_lo)

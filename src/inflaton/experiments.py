@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, SolverConfig,
-                       StiffnessViolation, SupportOverflow,
+from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, Prefix,
+                       SolverConfig, StiffnessViolation, SupportOverflow,
                        bump_profile, evolve, initial_state, resolve_dt)
 from .grid import RadialGrid
 from .potentials import (DomainViolation, PotentialSpec, audit_potential,
@@ -51,9 +51,10 @@ __all__ = [
 I_MONOTONE_TOL = 1e-6          # relative to max |I|
 SATURATION_LIMIT = 0.05        # last-quarter share of int W dt
 SUPNORM_GROWTH_LIMIT = 2.0     # small-data guard for the thm2 protocol
-# snapshot nodes per diagnostics block: run_scenario evaluates
-# max(1, BLOCK_NODES // n_nodes) snapshots at a time, 8 at 2,049 nodes, few
-# enough that the block's temporaries stay in cache (BENCH_block_diagnostics.json)
+# live nodes per diagnostics block: run_scenario closes a block before its
+# rows times its widest live prefix would pass this (a single wider snapshot
+# is a block of its own), so the buffers and the block's temporaries stay
+# this size whatever n_nodes is (BENCH_live_blocks.json)
 BLOCK_NODES = 16_400
 
 DEFAULT_THRESHOLDS = {
@@ -281,27 +282,33 @@ def _enforce_mode_preconditions(scn: Scenario) -> str:
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Evolve one scenario, collect diagnostics, and grade the verdict.
 
-    The snapshots ``evolve`` observes are buffered and their diagnostics
-    evaluated a block at a time (``BLOCK_NODES``), the last block once
-    ``evolve`` returns or aborts.  Every abort is ``evolve``'s: it checks each
-    snapshot, the potential's domain included, before it is observed, so
-    every buffered snapshot has a record; a stiffness abort comes after its
-    snapshot is observed, so the verdict sees the field that stopped the run."""
+    The snapshots ``evolve`` observes are buffered on their live prefixes
+    (``FieldState.prefix``) and their diagnostics evaluated a block at a time
+    (``BLOCK_NODES``), the last block once ``evolve`` returns or aborts.
+    Every abort is ``evolve``'s: it checks each snapshot, the potential's
+    domain included, before it is observed, so every buffered snapshot has a
+    record; a stiffness abort comes after its snapshot is observed, so the
+    verdict sees the field that stopped the run."""
     theorem_class = _enforce_mode_preconditions(scn)
     grid = scn.grid()
     samples: list[VirialSample] = []
-    pending: list[FieldState] = []
-    block = max(1, BLOCK_NODES // grid.n_nodes)
+    pending: list[Prefix] = []
+    width = 0       # the widest prefix in pending
 
     def flush() -> None:
+        nonlocal width
         samples.extend(sample_diagnostics(pending, scn.hubble, scn.spec, grid,
                                           ball_radius=scn.decay_radius))
         pending.clear()
+        width = 0
 
     def observer(state: FieldState) -> None:
-        pending.append(state)
-        if len(pending) == block:
+        nonlocal width
+        head = state.prefix()
+        if pending and (len(pending) + 1) * max(width, head.u.size) > BLOCK_NODES:
             flush()
+        pending.append(head)
+        width = max(width, head.u.size)
 
     aborted: str | None = None
     try:

@@ -30,7 +30,6 @@ __all__ = [
     "RadialGrid",
     "integrate",
     "integrate_range",
-    "density_from_squares",
     "energy",
     "ball_energy",
     "exterior_cone_energy",
@@ -155,15 +154,6 @@ def integrate_range(samples, grid: RadialGrid, j_lo: int, j_hi: int):
     return float(out) if samples.ndim == 1 else out
 
 
-def density_from_squares(phi_t_sq, phi_r_sq, potential, half_damp, r_sq):
-    """r^2 (phi_t^2/2 + e^{-2Ht} phi_r^2/2 + F) from the squares of phi_t and
-    phi_r, F(phi) (None without a potential), e^{-2Ht}/2 and r^2."""
-    dens = 0.5 * phi_t_sq + half_damp * phi_r_sq
-    if potential is not None:
-        dens = dens + potential
-    return r_sq * dens
-
-
 def energy(density, grid: RadialGrid):
     """Total energy 4*pi * integral of an energy-density array (or of each
     row of a (B, k) block of them)."""
@@ -177,9 +167,15 @@ def ball_energy(density, R: float, grid: RadialGrid):
     return FOUR_PI * integrate_range(density, grid, 0, j_hi)
 
 
-def exterior_cone_energy(density: np.ndarray, t: float, b: float,
-                         grid: RadialGrid) -> float:
-    """Energy restricted to the light-cone exterior r > (1+b) t."""
-    edge = (1.0 + b) * t
-    j_lo = 0 if edge <= 0.0 else int(np.floor(edge / grid.dr)) + 1
-    return FOUR_PI * integrate_range(density, grid, j_lo, grid.n_cells)
+def exterior_cone_energy(density, t, b: float, grid: RadialGrid):
+    """Energy restricted to the light-cone exterior r > (1+b) t, of an
+    energy-density array at time t, or of each row of a (B, k) block of them
+    at the B times t.  An exterior that starts at or past the k nodes holds
+    exactly 0, which is what the quadrature of those zeros gives."""
+    rows, times = np.atleast_2d(density), np.atleast_1d(t)
+    edge = (1.0 + b) * times
+    j_lo = np.where(edge <= 0.0, 0, np.floor(edge / grid.dr) + 1).astype(int)
+    out = np.zeros(len(rows))
+    for i in np.flatnonzero(j_lo < rows.shape[-1]):
+        out[i] = FOUR_PI * integrate_range(rows[i], grid, j_lo[i], grid.n_cells)
+    return float(out[0]) if np.ndim(density) == 1 else out

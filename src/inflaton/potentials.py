@@ -32,6 +32,7 @@ __all__ = [
     "check_domain",
     "eval_F",
     "eval_f",
+    "eval_F_and_f",
     "eval_fprime",
     "quartic_flatness_constant",
     "audit_potential",
@@ -196,6 +197,20 @@ def eval_f(spec: PotentialSpec, s) -> float | np.ndarray:
     else:  # log
         out = s / (1.0 + s * s)
     return float(out) if out.ndim == 0 else out
+
+
+def eval_F_and_f(spec: PotentialSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F and f of an array, bit for bit ``eval_F`` and ``eval_f``; E and T
+    evaluate the transcendental the two share once."""
+    s = np.asarray(s, dtype=float)
+    n = spec.n
+    if spec.family == "E":
+        g = _omexp(s)
+        return _ipow(g, 2 * n), 2.0 * n * _ipow(g, 2 * n - 1) * np.exp(-s)
+    if spec.family == "T":
+        th = np.tanh(s)
+        return _ipow(th, 2 * n), 2.0 * n * _ipow(th, 2 * n - 1) * (1.0 - th * th)
+    return eval_F(spec, s), eval_f(spec, s)
 
 
 def eval_fprime(spec: PotentialSpec, s) -> float | np.ndarray:

@@ -2,18 +2,24 @@
 analytic rates and the energies.  ``sample_diagnostics`` evaluates it for a
 block of snapshots of one run at once, on the block's live nodes
 (``dynamics.block_fields``): every family has F(0) = f(0) = 0, so the
-nodes past the last nonzero one add nothing.  Each field product is formed
-once as a (B, k) array and reduced by one matrix product with the grid's
-Simpson-weighted weight table (``RadialGrid.weights``).  E, J and J_bound
-integrate the energy density, formed from the same squares, against the
-Simpson weights; the ball and cone energies keep the odd-cell rule of
-``grid.integrate_range``.  One snapshot is a block of one.  The record
+nodes past the last nonzero one add nothing.  The block is sized by those
+nodes: ``run_scenario`` buffers each snapshot on its live prefix only
+(``FieldState.prefix``) and closes a block before its rows times its
+widest prefix would pass ``experiments.BLOCK_NODES``.  F and f come from
+one evaluation of the family's transcendental (``eval_F_and_f``).  Each
+field product is formed once as a (B, k) array and reduced by one matrix
+product with the grid's Simpson-weighted weight table
+(``RadialGrid.weights``).  E, J and J_bound integrate the energy density,
+formed from the same squares, against the Simpson weights; the ball and
+cone energies keep the odd-cell rule of ``grid.integrate_range``, and a
+row whose cone exterior starts past the block's nodes has coneE exactly 0
+without a quadrature.  One snapshot is a block of one.  The record
 also holds the snapshot's support front ``support``, the 1e-13 radius of
 ``dynamics.support_radius``, which the verdict compares with the light
 cone; it is not a CSV column.
 
 With psi = r^2/(1+r), psi' = r(r+2)/(1+r)^2 and the energy density
-e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F) (``grid.density_from_squares``):
+e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F):
 
     P  = int psi phi_r phi_t dr
     R  = int psi' phi phi_t dr
@@ -46,13 +52,17 @@ are written in cancelled polynomial form, never as 1/r quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .dynamics import block_fields, support_radius
-from .grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, density_from_squares, energy,
-                   exterior_cone_energy, integrate, FOUR_PI)
-from .potentials import PotentialSpec, eval_F, eval_f
+from .grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, energy, exterior_cone_energy,
+                   integrate, FOUR_PI)
+from .potentials import PotentialSpec, eval_F_and_f
+# no caller here; benchmark/tracer.py counts potential evaluations through
+# this name
+from .potentials import eval_F  # noqa: F401
 
 __all__ = ["VirialSample", "CSV_COLUMNS", "sample_diagnostics", "field_records"]
 
@@ -94,14 +104,18 @@ class VirialSample:
     E_rate: float
 
     def csv_row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in CSV_COLUMNS)
+        return _CSV_ROW(self)
+
+
+_CSV_ROW = attrgetter(*CSV_COLUMNS)
 
 
 def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
                        grid: RadialGrid, **options) -> list[VirialSample]:
     """The diagnostics record of each snapshot of a block (one run's grid and
-    stencil order), evaluated together on the block's live nodes; ``options``
-    are ``field_records``' keywords."""
+    stencil order), or of each snapshot's prefix (``FieldState.prefix``),
+    evaluated together on the block's live nodes; ``options`` are
+    ``field_records``' keywords."""
     if not states:
         return []
     return field_records([s.t for s in states], *block_fields(states), hubble, spec,
@@ -135,18 +149,28 @@ def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
         e_rate = -hubble * FOUR_PI * (3.0 * TT[:, R_SQ] + damp * RR[:, R_SQ])
 
     # 1 + tanh x = 2/(1+q) (x >= 0) or 2q/(1+q) (x < 0) and sech^2 x =
-    # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail
-    cone = grid.r[:k] + (sigma * t + offset)[:, None]
-    q = np.exp(-2.0 * np.abs(cone))
-    inv = 1.0 / (1.0 + q)
+    # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail;
+    # formed in place, so the block's temporaries stay few
+    q = grid.r[:k] + (sigma * t + offset)[:, None]
+    ahead = q >= 0.0
+    np.abs(q, out=q)
+    q *= -2.0
+    np.exp(q, out=q)
+    inv = 1.0 + q
+    np.divide(1.0, inv, out=inv)
+    selector = q * inv
+    np.copyto(selector, inv, where=ahead)
+    selector *= dens
+    inv *= inv
+    inv *= q
+    inv *= dens
     flux = phi[:, 0] ** 2
     P, R = RT[:, PSI], PT[:, PSI_P]
     columns = (
         t, energy(dens, grid), h1w + l2w, P, R, P + 0.5 * R, i_rate, PT[:, W_SOB],
-        rt_rate, 2.0 * integrate(np.where(cone >= 0.0, inv, q * inv) * dens, grid),
-        4.0 * (1.0 + sigma) * integrate(q * inv**2 * dens, grid),
+        rt_rate, 2.0 * integrate(selector, grid), 4.0 * (1.0 + sigma) * integrate(inv, grid),
         ball_energy(dens, ball_radius, grid),
-        [exterior_cone_energy(row, ti, 2.0, grid) for row, ti in zip(dens, t)],   # b = 2
+        exterior_cone_energy(dens, t, 2.0, grid),      # b = 2
         np.max(np.abs(phi), axis=1), support_radius(phi, phi_t, grid),
         np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])), h1w, l2w, flux,
         i_rate - 0.5 * flux, e_rate)
@@ -157,17 +181,26 @@ def _reduce(phi, phi_t, phi_r, spec, half_damp, grid):
     """Each field product of a block (phi^2, phi_r^2, phi_t^2, phi_r phi_t,
     phi phi_t, then F and phi f) reduced by one small matrix product with the
     (k, 7) Simpson-weighted table, sums[p][:, c] = int c * product_p dr, and
-    the energy density from the same squares; one product at a time, so the
-    block's temporaries stay few."""
+    the energy density r^2 (phi_t^2/2 + e^{-2Ht} phi_r^2/2 + F) from the same
+    squares; the products share one buffer, so the block's temporaries stay
+    few."""
     k = phi.shape[-1]
     table = grid.weights[:k]
-    tt, rr = phi_t * phi_t, phi_r * phi_r
-    potential = eval_F(spec, phi) if spec is not None else None
-    dens = density_from_squares(tt, rr, potential, half_damp[:, None], grid.r_sq[:k])
     buf = np.empty_like(phi)
-    sums = [np.multiply(phi, phi, out=buf) @ table, rr @ table, tt @ table,
-            np.multiply(phi_r, phi_t, out=buf) @ table,
-            np.multiply(phi, phi_t, out=buf) @ table]
+    sums = [np.multiply(phi, phi, out=buf) @ table]
+    rr = np.multiply(phi_r, phi_r, out=buf)
+    sums.append(rr @ table)
+    dens = half_damp[:, None] * rr
+    tt = np.multiply(phi_t, phi_t, out=buf)
+    sums.append(tt @ table)
+    tt *= 0.5
+    dens += tt
+    sums += [np.multiply(phi_r, phi_t, out=buf) @ table,
+             np.multiply(phi, phi_t, out=buf) @ table]
+    del buf, rr, tt
     if spec is not None:
-        sums += [potential @ table, np.multiply(phi, eval_f(spec, phi), out=buf) @ table]
+        potential, force = eval_F_and_f(spec, phi)
+        dens += potential
+        sums += [potential @ table, np.multiply(phi, force, out=force) @ table]
+    dens *= grid.r_sq[:k]
     return sums, dens

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -497,6 +498,22 @@ def test_load_config_rejects_non_finite_numbers(tmp_path):
         load_config(overflow)
 
 
+@pytest.mark.parametrize("run", ["t1_smoke", "sweep-job"])
+def test_series_csv_bytes_are_the_repr_of_each_float(tmp_path, run):
+    # each row is the join of repr over the record's entries, Python floats
+    # already: the bytes of repr(float(v)) for every value
+    cfg = load_config(REPO / "configs" / ("t1_smoke.json" if run == "t1_smoke"
+                                          else "thm3_h1.json"))
+    scn = (scenario_from_config(cfg) if run == "t1_smoke"
+           else dataclasses.replace(sweep_scenarios(cfg)[1][1], t_end=1.0))
+    samples = run_scenario(scn).samples
+    cli.write_series_csv(tmp_path / "series.csv", samples)
+    rows = [",".join(CSV_COLUMNS)] + [",".join(repr(float(v)) for v in s.csv_row())
+                                      for s in samples]
+    assert len(rows) > 60
+    assert (tmp_path / "series.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 def test_simulate_abort_at_first_snapshot_exits_3(tmp_path, monkeypatch):
     # a wide gaussian already reaches the outer boundary at t = 0, so the
     # run aborts before its first sample, also with no step to take
@@ -673,6 +690,49 @@ def test_leapfrogs_refuse_a_step_their_bound_cuts_below_half(tmp_path, monkeypat
     assert re.search(rf"^config error: time.{message} \(sweep job a-3_H0\)$",
                      capsys.readouterr().err, re.M)
     assert not out.exists()
+
+
+def test_a_sweep_config_is_checked_on_its_jobs(tmp_path, monkeypatch, capsys):
+    # initial.amplitude -3 admits no leapfrog step on E3 (bound 5.1e-9), but
+    # sweep.amplitudes replaces it in every job: the config loads and sweeps
+    monkeypatch.setenv("INFLATON_THREADS", "1")
+    cfg = tiny_config(potential="E3", grid={"r_max": 60.0, "n_cells": 512})
+    cfg["initial"].update(amplitude=-3.0, center=10.0, width=2.0)
+    cfg["time"].update(t_end=30.0, cfl=1.0, space_order=2, scheme="leapfrog")
+    swept = {**cfg, "sweep": {"amplitudes": [0.1]}}
+    path = write_config(tmp_path, swept)
+    assert load_config(path)["initial"]["amplitude"] == -3.0
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    assert (out / "a0.1_H0" / "series.csv").is_file()
+    assert (out / "summary.csv").read_text().splitlines()[1].startswith("a0.1_H0,0.1,0.0,True")
+    # simulate runs the config's own amplitude, which is refused when it is built
+    assert main(["simulate", str(path), "--out", str(tmp_path / "base")]) == 1
+    assert re.search(r"^config error: time\.cfl: the leapfrog step .* bound cfl\* dr = "
+                     r"5\.138\d*e-09", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "base").exists()
+    # a job that breaks the rule is still refused, by its name
+    bad = {**cfg, "sweep": {"amplitudes": [0.1, -3.0]}}
+    with pytest.raises(ConfigError, match=r"\(sweep job a-3_H0\)$"):
+        sweep_scenarios(load_config(write_config(tmp_path, bad)))
+    out = tmp_path / "bad"
+    assert main(["sweep", str(write_config(tmp_path, bad)), "--out", str(out)]) == 1
+    assert re.search(r"^config error: time\.cfl: .* \(sweep job a-3_H0\)$",
+                     capsys.readouterr().err, re.M)
+    assert not out.exists()
+    # a value the sweep does not list is the config's own, keyed by its own path
+    only_hubbles = {**cfg, "sweep": {"hubbles": [0.0]}}
+    with pytest.raises(ConfigError, match=r"^time\.cfl: .* \(sweep job a-3_H0\)$"):
+        sweep_scenarios(load_config(write_config(tmp_path, only_hubbles)))
+    thm3 = {**tiny_config(), "mode": "thm3", "hubble": 1.0,
+            "sweep": {"amplitudes": [0.1], "hubbles": [0.0]}}
+    with pytest.raises(ConfigError, match=r"^sweep\.hubbles: thm3 needs hubble > 0"):
+        sweep_scenarios(load_config(write_config(tmp_path, thm3)))
+    thm3["sweep"] = {"amplitudes": [0.1]}
+    thm3["hubble"] = 0.0
+    with pytest.raises(ConfigError,
+                       match=r"^hubble: thm3 needs hubble > 0, got 0\.0 \(sweep job a0\.1_H0\)$"):
+        sweep_scenarios(load_config(write_config(tmp_path, thm3)))
 
 
 def test_load_config_leapfrog4_needs_hubble_0(tmp_path, monkeypatch, capsys):

@@ -137,6 +137,32 @@ def test_block_fields_refuses_mixed_grids_and_orders(small_grid):
             block_fields([state, other])
 
 
+@pytest.mark.parametrize("scheme,order", [("rk4", 4), ("leapfrog", 2), ("leapfrog4", 6)])
+def test_snapshots_carry_their_live_extent(scheme, order):
+    # every node from a snapshot's live extent on is 0, and its prefix from
+    # that extent gives the fields a scan of the whole grid gives
+    g = RadialGrid(30.0, 512)
+    state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing", space_order=order)
+    cfg = SolverConfig(t_end=20.0, cfl=0.5, output_every=16, space_order=order,
+                       scheme=scheme)
+    snaps = []
+    evolve(state, cfg, PotentialSpec("T", n=1), g, observer=snaps.append)
+    assert snaps[0] is state and state.live is None
+    assert all(s.live is not None for s in snaps[1:])
+    assert any(s.live < g.n_nodes for s in snaps[1:])
+    for snap in snaps[1:]:
+        assert not snap.u[snap.live:].any() and not snap.u_t[snap.live:].any()
+        head = snap.prefix()
+        assert head.u.size == min(g.n_nodes, snap.live + order + 2)
+        scanned = FieldState(snap.t, snap.u, snap.u_t, g, order)
+        assert scanned.prefix().u.size <= head.u.size
+        for got, whole in zip(block_fields([head]), block_fields([scanned])):
+            k = whole.shape[-1]
+            assert np.array_equal(got[:, :k], whole) and not got[:, k:].any()
+        for got, name in zip(block_fields([head]), ("phi", "phi_t", "phi_r")):
+            assert np.array_equal(got[0], getattr(snap, name)[:head.u.size])
+
+
 @pytest.mark.parametrize("scheme", ("rk4", "leapfrog"))
 def test_resolve_dt_refuses_a_window_where_f_prime_overflows(small_grid, scheme):
     # E1's f' grows like e^{-2s}: on +-2 sup|phi| = +-1000 it overflows, so

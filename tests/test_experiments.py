@@ -1,10 +1,12 @@
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inflaton import dynamics, experiments
+from inflaton.cli import load_config, sweep_scenarios
 from inflaton.experiments import (ConvergenceReport, Scenario,
                                   ScenarioClassError, run_convergence_study,
                                   run_potential_audit_suite, run_scenario,
@@ -405,6 +407,41 @@ def test_blocks_of_one_snapshot_give_the_same_samples(monkeypatch, run):
             blocked.samples[1].t - blocked.samples[0].t)) + 1
     else:
         assert blocked.verdict.aborted is None
+
+
+@pytest.mark.parametrize("run", ["thm1-T1", "sweep-job"])
+def test_blocks_are_sized_by_their_live_nodes(monkeypatch, run):
+    # a block closes before its rows times its widest live prefix would pass
+    # BLOCK_NODES: a spreading H = 0 run starts with many narrow snapshots per
+    # block and ends with few wide ones; the sweep's blocks hold 1,040-1,240
+    # live nodes per snapshot of 4,097, so more than the 4 snapshots that
+    # BLOCK_NODES // n_nodes gave
+    if run == "thm1-T1":
+        scn = thm1_suite()[0]
+    else:
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "thm3_h1.json")
+        scn = dict(sweep_scenarios(cfg))["a0.1_H0.5"]
+    blocks = []         # the prefix width of each snapshot, per block
+    original = experiments.sample_diagnostics
+
+    def record(states, *args, **kwargs):
+        blocks.append([s.u.size for s in states])
+        return original(states, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_diagnostics", record)
+    result = run_scenario(scn)
+    budget, n = experiments.BLOCK_NODES, scn.grid().n_nodes
+    assert sum(map(len, blocks)) == len(result.samples)
+    assert all(len(b) == 1 or len(b) * max(b) <= budget for b in blocks)
+    # a block closes only when the next snapshot would pass the budget
+    assert all((len(b) + 1) * max(*b, after[0]) > budget
+               for b, after in zip(blocks, blocks[1:]))
+    if run == "thm1-T1":
+        assert len(blocks[0]) > 20 and max(blocks[0]) < n // 4
+        assert max(blocks[-1]) > 0.9 * n and len(blocks[-1]) <= budget // (0.9 * n)
+    else:
+        assert min(map(len, blocks[:-1])) > 4
+        assert max(map(max, blocks)) < 1300
 
 
 def test_a_run_the_domain_check_stops_gives_the_same_samples_in_blocks(monkeypatch):

@@ -343,3 +343,18 @@ def test_tanh_family_quartic_growth_bound(n, s):
     # why that model is classified through the sign condition instead
     spec = PotentialSpec("T", n=n)
     assert s * eval_f(spec, s) <= 2 * n * s**4 + 1e-12
+
+
+@pytest.mark.parametrize("label", list(potentials.EXPECTED_CLASS))
+def test_shared_evaluation_is_eval_F_and_eval_f_bit_for_bit(label):
+    spec = potentials.parse_family(label)
+    lo = -0.9 if spec.family == "dbrane" else -6.0
+    s = np.concatenate([np.linspace(lo, 6.0, 4001), [0.0, 1e-300, -1e-12, 3e-8]])
+    block = s[:4000].reshape(8, 500)
+    for values in (s, block):
+        F, f = potentials.eval_F_and_f(spec, values)
+        assert np.array_equal(F, potentials.eval_F(spec, values))
+        assert np.array_equal(f, potentials.eval_f(spec, values))
+    if spec.family == "dbrane":
+        with pytest.raises(DomainViolation):
+            potentials.eval_F_and_f(spec, np.array([0.5, -1.0]))

@@ -322,10 +322,31 @@ def test_block_records_match_per_functional_reference(order, hubble, spec, size)
             assert abs(getattr(sample, name) - want) <= 1e-13 * magnitude, name
 
 
-@pytest.mark.parametrize("size", [1, 3, 8])
-def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, size):
+def _late_cuts(grid, times):
+    """The field cut off at node 60 of ``_block`` at each of ``times``: its
+    prefix is the nodes [0, 67), r < 5.2 on 256 cells of r_max 20."""
+    cut = _block(grid, 4, 1)[0]
+    return [FieldState(t, cut.u, cut.u_t, grid, 4) for t in times]
+
+
+# (block, rows whose cone exterior r > 3t starts inside the block's prefix)
+_CONE_BLOCKS = {
+    # _block's snapshots reach node n - 1 from size 3 on, so every exterior
+    # starts inside
+    "1": (lambda g: _block(g, 4, 1), 1),
+    "3": (lambda g: _block(g, 4, 3), 3),
+    "8": (lambda g: _block(g, 4, 8), 8),
+    # the exterior of t = 1.7 starts at node 66, of t >= 1.75 at or past 68
+    "late-mixed": (lambda g: _late_cuts(g, [0.0, 1.7, 1.75, 3.0]), 2),
+    "late-all-past": (lambda g: _late_cuts(g, [1.75, 2.0, 3.0]), 0),
+}
+
+
+@pytest.mark.parametrize("block", list(_CONE_BLOCKS))
+def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, block):
     # the block is one weighted reduction: only E, J, J_bound and ballE
-    # integrate the (B, k) block, and coneE each row over its own exterior
+    # integrate the (B, k) block, F and f come from one shared evaluation,
+    # and coneE integrates each row whose exterior starts inside the prefix
     calls = Counter()
 
     def count(module, name):
@@ -336,13 +357,22 @@ def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, siz
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((virials, "eval_f"), (virials, "eval_F"), (grid_module, "eval_F"),
-                         (virials, "integrate"), (grid_module, "integrate"),
-                         (grid_module, "integrate_range")):
+    for module, name in ((virials, "eval_F_and_f"), (virials, "eval_F"),
+                         (grid_module, "eval_F"), (virials, "integrate"),
+                         (grid_module, "integrate"), (grid_module, "integrate_range")):
         count(module, name)
     g = RadialGrid(20.0, 256)
-    sample_diagnostics(_block(g, 4, size), 1.0, T1, g)
-    assert calls["eval_f"] == 1
-    assert calls["eval_F"] == 1
+    make, inside = _CONE_BLOCKS[block]
+    states = make(g)
+    samples = sample_diagnostics(states, 1.0, T1, g)
+    assert calls["eval_F_and_f"] == 1
+    assert calls["eval_F"] == 0
     assert calls["integrate"] == 3
-    assert calls["integrate_range"] == 1 + size
+    assert calls["integrate_range"] == 1 + inside
+    if not block.startswith("late"):
+        return
+    # the rows past the prefix hold the 0 the whole grid's quadrature gives
+    past = [(state, sample) for state, sample in zip(states, samples) if 3.0 * state.t > 5.2]
+    assert len(past) == len(states) - inside
+    for state, sample in past:
+        assert sample.coneE == reference_record(state, 1.0, T1, g)["coneE"][0] == 0.0

@@ -15,17 +15,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from inflaton.dynamics import support_radius
-from inflaton.grid import (FOUR_PI, ball_energy, density_from_squares,
-                           exterior_cone_energy, integrate)
+from inflaton.grid import FOUR_PI, ball_energy, exterior_cone_energy, integrate
 from inflaton.potentials import PotentialSpec, check_domain, eval_F, eval_f
 
 
 def energy_density(state, hubble, t, grid, spec) -> np.ndarray:
     """Node values of r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F): the energy
     integrand of one snapshot."""
-    potential = eval_F(spec, state.phi) if spec is not None else None
-    return density_from_squares(state.phi_t**2, state.phi_r**2, potential,
-                                0.5 * np.exp(-2.0 * hubble * t), grid.r_sq)
+    dens = 0.5 * state.phi_t**2 + 0.5 * np.exp(-2.0 * hubble * t) * state.phi_r**2
+    if spec is not None:
+        dens = dens + eval_F(spec, state.phi)
+    return grid.r_sq * dens
 
 
 def plain_weights(grid) -> SimpleNamespace:
