@@ -20,6 +20,6 @@ from .dynamics import (FieldState, SolverConfig, bump_profile, gaussian_profile,
                        initial_state, rhs, evolve, resolve_dt, support_radius)
 from .virials import VirialSample, sample_diagnostics
 from .experiments import (Scenario, DecayVerdict, run_scenario,
-                          run_convergence_study, run_potential_audit_suite)
+                          run_potential_audit_suite)
 
 __version__ = "0.1.0"

@@ -77,15 +77,23 @@ window's end only ever see zeros, and every nonzero node is computed from
 the same operands as on the whole grid.  The states match the whole-grid
 loop bit for bit, up to the sign of some zeros, and the force is evaluated
 as often.  Once m reaches n_nodes the same loop runs on the whole grid.
-The checks at each snapshot read the window: finiteness and sup|phi| over
-it, the support overflow over its nodes within 4 dr of r_max, which stay
-0 until the window reaches them, and, for a potential with a domain edge,
-phi over it against that edge; snapshots, which span the whole grid, are
-built only for an observer, and each carries its window's extent as its
-``live`` nodes.  ``FieldState.prefix`` cuts a snapshot to the nodes its
-phi, phi_t and phi_r can be nonzero on, ``block_fields`` builds those
-three of a block of prefixes, and ``support_radius`` their 1e-13 front,
-for the diagnostics.
+The leapfrogs step the window of whole-grid copies of u, u_t and the
+acceleration in place, with a work array: a placement takes views [0, m)
+of them, whose nodes past the window stay 0 (past the last nonzero node
+when they leave the window, and not written outside it), and the stencil
+and the force write into the acceleration's view, so neither a step nor a
+placement allocates a window-sized array beyond the force's own.  RK4
+allocates its stages, and each placement copies its fields into new
+window arrays.  The checks at each snapshot read the window and form phi
+over it once: sup|phi| from it (a NaN or inf at a node j >= 1 reaches it;
+the steps hold node 0 at 0), the support overflow over its nodes within 4
+dr of r_max, which stay 0 until the window reaches them, for a potential
+with a domain edge phi against that edge, and the stiffness check.  The
+observer gets a ``Prefix``: copies of u and u_t on the nodes its phi,
+phi_t and phi_r can be nonzero on, cut from the window (from a scan of
+the initial state at the start); ``block_fields`` builds those three of a
+block of prefixes, and ``support_radius`` their 1e-13 front, for the
+diagnostics.  Only the returned state spans the whole grid.
 """
 
 from __future__ import annotations
@@ -223,17 +231,24 @@ _D2_TAPS4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 _D2_TAPS6 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
 
 
-def _second_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
-    out = np.zeros_like(u)
+def _second_derivative(u: np.ndarray, dr: float, order: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """D2 u on the nodes of u, every row written into ``out`` (a new array if
+    None; not u itself); the Dirichlet rows 0 and -1 are 0."""
+    out = np.empty_like(u) if out is None else out
+    out[0] = out[-1] = 0.0
     h2 = dr * dr
     if order == 2:
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
+        inner = np.multiply(u[1:-1], 2.0, out=out[1:-1])
+        np.subtract(u[2:], inner, out=inner)
+        inner += u[:-2]
+        inner /= h2
         return out
     if order == 4:
-        out[2:-2] = np.convolve(u[::-1], _D2_TAPS4, "valid")[::-1] / (12.0 * h2)
+        np.divide(np.convolve(u[::-1], _D2_TAPS4, "valid")[::-1], 12.0 * h2, out=out[2:-2])
         out[1] = (-u[3] + 16.0 * u[2] - 29.0 * u[1] + 16.0 * u[0]) / (12.0 * h2)
     else:
-        out[3:-3] = np.convolve(u, _D2_TAPS6, "valid") / (180.0 * h2)
+        np.divide(np.convolve(u, _D2_TAPS6, "valid"), 180.0 * h2, out=out[3:-3])
         out[1] = (-2.0 * u[2] + 27.0 * u[1] + 270.0 * u[0] - 490.0 * u[1]
                   + 270.0 * u[2] - 27.0 * u[3] + 2.0 * u[4]) / (180.0 * h2)
         out[2] = (-2.0 * u[1] - 27.0 * u[0] + 270.0 * u[1] - 490.0 * u[2]
@@ -278,10 +293,8 @@ class FieldState:
     """Snapshot (t, u, u_t) on a grid; u = r * phi.
 
     Invariants: u and u_t vanish at r = 0 and r_max (origin regularity, outer
-    Dirichlet), and at every node from ``live`` on when it is given (None:
-    not known; ``evolve`` gives its active window).
-    The point values phi(0), phi_t(0) are reconstructed by quadratic
-    extrapolation; the dynamics itself never divides by r = 0.
+    Dirichlet).  The point values phi(0), phi_t(0) are reconstructed by
+    quadratic extrapolation; the dynamics itself never divides by r = 0.
     """
 
     t: float
@@ -289,7 +302,6 @@ class FieldState:
     u_t: np.ndarray
     grid: RadialGrid
     space_order: int = 2
-    live: int | None = None
 
     def __post_init__(self) -> None:
         if self.u.shape != (self.grid.n_nodes,) or self.u_t.shape != (self.grid.n_nodes,):
@@ -307,25 +319,17 @@ class FieldState:
     def phi_r(self) -> np.ndarray:
         return _radial_derivative(self.u, self.phi, self.grid, self.space_order)
 
-    def prefix(self) -> Prefix:
-        """Copies of u and u_t on the first k nodes: with every node from L + 1
-        on 0 (L from ``live``, else from a scan), k = L + order + 3, at most
-        n_nodes.  The order/2 nodes the derivative reaches past L keep
-        interior stencil rows, which read order/2 nodes further, and the
-        one-sided rows at the end of the prefix, which read at most five nodes
-        back, see only 0, so phi, phi_t and phi_r of the prefix are the
-        snapshot's own on those nodes."""
-        last = self.live - 1 if self.live is not None else _last_nonzero((self.u, self.u_t))
-        k = min(self.grid.n_nodes, last + self.space_order + 3)
-        return Prefix(self.t, self.u[:k].copy(), self.u_t[:k].copy(), self.grid,
-                      self.space_order)
-
 
 @dataclass(frozen=True, eq=False)
 class Prefix:
     """A snapshot on the nodes [0, k) past which its phi, phi_t and phi_r are
-    0 (``FieldState.prefix``): its time, u and u_t on them, grid and stencil
-    order."""
+    0: its time, its own copies of u and u_t on them, grid and stencil order.
+    ``evolve`` hands one to its observer: with every node from L + 1 on 0,
+    k = L + order + 3, at most n_nodes.  The order/2 nodes the derivative
+    reaches past L keep interior stencil rows, which read order/2 nodes
+    further, and the one-sided rows at the end of the prefix, which read at
+    most five nodes back, see only 0, so phi, phi_t and phi_r of the prefix
+    are the snapshot's own on those nodes."""
 
     t: float
     u: np.ndarray
@@ -352,12 +356,11 @@ def _radial_derivative(u: np.ndarray, phi: np.ndarray, grid: RadialGrid,
     return out
 
 
-def block_fields(states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi, phi_t and phi_r of a block of snapshots on one grid and stencil
-    order, or of their prefixes (``FieldState.prefix``), as (B, k) arrays on
-    the widest prefix [0, k): every row equals the snapshot's own ``phi``,
-    ``phi_t`` and ``phi_r`` on those nodes, and both are 0 beyond them."""
-    heads = [s if isinstance(s, Prefix) else s.prefix() for s in states]
+def block_fields(heads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi, phi_t and phi_r of a block of prefixes (``Prefix``) on one grid
+    and stencil order, as (B, k) arrays on the widest prefix [0, k): every
+    row equals its snapshot's own phi, phi_t and phi_r on those nodes, and
+    both are 0 beyond them."""
     grid, order = heads[0].grid, heads[0].space_order
     if any(h.grid != grid or h.space_order != order for h in heads):
         raise ValueError("a block holds snapshots of one grid and stencil order")
@@ -440,19 +443,22 @@ def rhs(state: FieldState, hubble: float, spec: PotentialSpec | None,
 
 
 def _accel(u: np.ndarray, u_t: np.ndarray | None, t: float, hubble: float,
-           spec: PotentialSpec | None, grid: RadialGrid, order: int) -> np.ndarray:
+           spec: PotentialSpec | None, grid: RadialGrid, order: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """u_tt of the semi-discrete system on the first u.size nodes of the
-    grid, with a Dirichlet row at the last; u_t is read only when hubble > 0,
-    and u_t = None leaves out the friction -3H u_t (the leapfrog centres it
-    itself)."""
-    du_t = _second_derivative(u, grid.dr, order)
+    grid, with a Dirichlet row at the last, written into ``out`` (a new array
+    if None; never u); u_t is read only when hubble > 0, and u_t = None
+    leaves out the friction -3H u_t (the leapfrog centres it itself)."""
+    du_t = _second_derivative(u, grid.dr, order, out)
     if hubble:
         du_t *= np.exp(-2.0 * hubble * t)
         if u_t is not None:
             du_t -= 3.0 * hubble * u_t
     if spec is not None:
         m = u.size
-        du_t -= grid.r[:m] * eval_f(spec, u * grid.r_inv[:m])
+        force = eval_f(spec, u * grid.r_inv[:m])
+        force *= grid.r[:m]
+        du_t -= force
     du_t[0] = 0.0
     du_t[-1] = 0.0
     return du_t
@@ -537,35 +543,36 @@ def _substeps(dt: float, cfg: SolverConfig,
     return subs
 
 
-def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, t_new: float,
-         subs: list, cfg: SolverConfig, spec: PotentialSpec | None,
-         grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One leapfrog or leapfrog4 step ending at ``t_new``; ``acc`` is A_n at
-    the start and the returned one is A_{n+1} at the end (A without the
-    friction, see the module docstring).  The substeps of leapfrog4 (H = 0)
-    all pass ``t_new``, which only the friction reads."""
+def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, scratch: np.ndarray,
+         t_new: float, subs: list, cfg: SolverConfig, spec: PotentialSpec | None,
+         grid: RadialGrid) -> None:
+    """One leapfrog or leapfrog4 step ending at ``t_new``, in place: ``acc``
+    holds A_n at the start and A_{n+1} at the end (A without the friction,
+    see the module docstring), and ``scratch``, of their size, is overwritten.
+    The substeps of leapfrog4 (H = 0) all pass ``t_new``, which only the
+    friction reads."""
     for h, kick, kick_acc, land, land_acc in subs:
-        v = kick_acc * acc
-        v += kick * u_t
-        u = u + h * v
+        u_t *= kick
+        u_t += np.multiply(acc, kick_acc, out=scratch)
+        u += np.multiply(u_t, h, out=scratch)
         u[0] = u[-1] = 0.0
-        acc = _accel(u, None, t_new, cfg.hubble, spec, grid, cfg.space_order)
-        v *= land
-        v += land_acc * acc
-        v[0] = v[-1] = 0.0
-        u_t = v
+        _accel(u, None, t_new, cfg.hubble, spec, grid, cfg.space_order, out=acc)
+        u_t *= land
+        u_t += np.multiply(acc, land_acc, out=scratch)
+        u_t[0] = u_t[-1] = 0.0
     if len(subs) > 1:       # leapfrog4
         for values in (u, u_t, acc):
-            values[np.abs(values) < TINY] = 0.0
-    return u, u_t, acc
+            values[np.abs(values, out=scratch) < TINY] = 0.0
 
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
            grid: RadialGrid,
-           observer: Callable[[FieldState], None] | None = None) -> FieldState:
-    """Integrate to t0 + t_end at the step ``resolve_dt`` gives, calling
-    ``observer`` on read-only snapshots every ``output_every`` steps (always
-    at the start and the final step).
+           observer: Callable[[Prefix], None] | None = None) -> FieldState:
+    """Integrate to t0 + t_end at the step ``resolve_dt`` gives, handing
+    ``observer`` the ``Prefix`` of the snapshot every ``output_every`` steps
+    (always at the start and the final step), and return the final state.
+    ``state0`` is left as it is; each prefix and the returned state own
+    their arrays.
 
     Each snapshot is checked before the observer sees it: it aborts with
     NonFiniteField on NaN/Inf, with SupportOverflow once the support comes
@@ -583,71 +590,73 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         n_steps = 0
     t0 = state0.t
     n = grid.n_nodes
-    fields = (state0.u, state0.u_t)     # then the carried acceleration (kdk)
+    order = cfg.space_order
+    fields = (state0.u, state0.u_t)     # then the window's, with the acceleration (kdk)
     # the first node within 4 dr of r_max: the support overflows once a node
     # from it on lies above the support threshold
     edge = int(np.searchsorted(grid.r, grid.r_max - 4.0 * grid.dr))
-
-    def snapshot(k: int) -> FieldState:
-        if k == 0:
-            return state0
-        # the window arrays end at m: every node from there on is 0
-        return FieldState(t0 + k * dt, _fit(fields[0], n), _fit(fields[1], n), grid,
-                          cfg.space_order, live=fields[0].size)
-
     kdk = cfg.scheme != "rk4"
     bounded = spec is not None and math.isfinite(spec.domain_lo)
     window = 2.0 * _sup_phi(state0)
 
-    def check_window(t: float, u: np.ndarray) -> None:
+    def inspect(k: int, last: int) -> None:
+        # every node past ``last`` and past the window is 0: the checks read
+        # the window, through phi and sup|phi| formed once
         nonlocal window
-        sup = float(np.max(np.abs(_over_r(u, grid.r_inv))))
+        u, u_t = fields[:2]
+        t = t0 + k * dt
+        phi = _over_r(u, grid.r_inv)
+        sup = float(np.abs(phi).max())
+        # a NaN or inf of u at a node j >= 1 reaches sup|phi|; the steps hold
+        # node 0 at 0
+        if not (math.isfinite(sup) and math.isfinite(u[0]) and np.isfinite(u_t).all()):
+            raise NonFiniteField(f"non-finite field at t={t:.6g}")
+        if u.size > edge and (
+                (np.abs(phi[edge:]) > SUPPORT_THRESHOLD).any()
+                or (np.abs(u_t[edge:] * grid.r_inv[edge:u.size]) > SUPPORT_THRESHOLD).any()):
+            radius = support_radius(phi, _over_r(u_t, grid.r_inv), grid)
+            raise SupportOverflow(
+                f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
+                f"at t={t:.6g}; enlarge the domain")
+        if bounded:
+            check_domain(spec, phi)
+        if observer is not None:
+            size = min(n, last + order + 3)
+            observer(Prefix(t, _fit(u, size), _fit(u_t, size), grid, order))
         if sup <= 0.5 * window:
             return
         window = 2.0 * sup
-        bound = stiffness_cfl(spec, window, grid.dr, cfg.scheme,
-                              cfg.space_order) * grid.dr
+        bound = stiffness_cfl(spec, window, grid.dr, cfg.scheme, order) * grid.dr
         if dt > bound:
             raise StiffnessViolation(
                 f"sup|phi|={sup:.4g} at t={t:.6g} widens the visited "
                 f"window to +-{window:.4g}; there the {cfg.scheme} step dt={dt:.6g} "
                 f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
 
-    def inspect(k: int) -> None:
-        # nodes beyond the window are 0: the checks read the window only
-        u, u_t = fields[:2]
-        t = t0 + k * dt
-        if not (np.isfinite(u).all() and np.isfinite(u_t).all()):
-            raise NonFiniteField(f"non-finite field at t={t:.6g}")
-        r_inv = grid.r_inv[edge:u.size]
-        if ((np.abs(u[edge:] * r_inv) > SUPPORT_THRESHOLD).any()
-                or (np.abs(u_t[edge:] * r_inv) > SUPPORT_THRESHOLD).any()):
-            radius = support_radius(_over_r(u, grid.r_inv), _over_r(u_t, grid.r_inv), grid)
-            raise SupportOverflow(
-                f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
-                f"at t={t:.6g}; enlarge the domain")
-        if bounded:
-            check_domain(spec, _over_r(u, grid.r_inv))
-        if observer is not None:
-            observer(snapshot(k))
-        check_window(t, u)
-
-    inspect(0)
-    if kdk and n_steps:
+    inspect(0, _last_nonzero(fields))
+    if n_steps == 0:
+        return state0
+    if kdk:
         subs = _substeps(dt, cfg, linear_mass(spec))
-        fields += (_accel(state0.u, None, t0, cfg.hubble, spec, grid, cfg.space_order),)
+        # whole-grid copies of u and u_t, the acceleration and a work array:
+        # the leapfrogs step their window [0, m) in place
+        whole = (state0.u.copy(), state0.u_t.copy(),
+                 _accel(state0.u, None, t0, cfg.hubble, spec, grid, order), np.empty(n))
+        fields = whole[:3]
     # the active window [0, m), see the module docstring
-    pad = RECHECK * _reach(cfg.scheme, cfg.space_order) + cfg.space_order // 2
+    pad = RECHECK * _reach(cfg.scheme, order) + order // 2
     m = 0
     for k in range(1, n_steps + 1):
         if m < n and (k - 1) % RECHECK == 0:
             m = min(n, _last_nonzero(fields) + 1 + pad)
-            fields = tuple(_fit(values, m) for values in fields)
+            if kdk:
+                *fields, scratch = (values[:m] for values in whole)
+            else:
+                fields = tuple(_fit(values, m) for values in fields)
         if kdk:
-            fields = _kdk(*fields, t0 + k * dt, subs, cfg, spec, grid)
+            _kdk(*fields, scratch, t0 + k * dt, subs, cfg, spec, grid)
         else:
-            fields = _rk4(*fields, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
-                          cfg.space_order)
+            fields = _rk4(*fields, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid, order)
         if k % cfg.output_every == 0 or k == n_steps:
-            inspect(k)
-    return snapshot(n_steps)
+            inspect(k, m - 1)
+    return FieldState(t0 + n_steps * dt, _fit(fields[0], n), _fit(fields[1], n), grid, order)

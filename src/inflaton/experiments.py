@@ -25,7 +25,7 @@ import numpy as np
 
 from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, Prefix,
                        SolverConfig, StiffnessViolation, SupportOverflow,
-                       bump_profile, evolve, initial_state, resolve_dt)
+                       evolve, initial_state, resolve_dt)
 from .grid import RadialGrid
 from .potentials import (DomainViolation, PotentialSpec, audit_potential,
                          coarse_class, eval_fprime, json_dict, parse_family,
@@ -38,21 +38,18 @@ __all__ = [
     "ScenarioResult",
     "ScenarioClassError",
     "run_scenario",
-    "run_convergence_study",
-    "ConvergenceReport",
     "run_potential_audit_suite",
     "thm1_suite",
     "thm2_suite",
     "thm3_suite",
     "energy_conservation_scenario",
-    "virial_consistency_scenario",
 ]
 
 I_MONOTONE_TOL = 1e-6          # relative to max |I|
 SATURATION_LIMIT = 0.05        # last-quarter share of int W dt
 SUPNORM_GROWTH_LIMIT = 2.0     # small-data guard for the thm2 protocol
 # live nodes per diagnostics block: run_scenario closes a block before its
-# rows times its widest live prefix would pass this (a single wider snapshot
+# rows times its widest prefix (dynamics.Prefix) would pass this (a single wider snapshot
 # is a block of its own), so the buffers and the block's temporaries stay
 # this size whatever n_nodes is (BENCH_live_blocks.json)
 BLOCK_NODES = 16_400
@@ -282,8 +279,8 @@ def _enforce_mode_preconditions(scn: Scenario) -> str:
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Evolve one scenario, collect diagnostics, and grade the verdict.
 
-    The snapshots ``evolve`` observes are buffered on their live prefixes
-    (``FieldState.prefix``) and their diagnostics evaluated a block at a time
+    The prefixes ``evolve`` hands out (``Prefix``) are buffered as they come
+    and their diagnostics evaluated a block at a time
     (``BLOCK_NODES``), the last block once ``evolve`` returns or aborts.
     Every abort is ``evolve``'s: it checks each snapshot, the potential's
     domain included, before it is observed, so every buffered snapshot has a
@@ -302,9 +299,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
         pending.clear()
         width = 0
 
-    def observer(state: FieldState) -> None:
+    def observer(head: Prefix) -> None:
         nonlocal width
-        head = state.prefix()
         if pending and (len(pending) + 1) * max(width, head.u.size) > BLOCK_NODES:
             flush()
         pending.append(head)
@@ -482,84 +478,6 @@ def energy_conservation_scenario() -> Scenario:
                     r_max=80.0, n_cells=4096, t_end=50.0, cfl=0.5,
                     space_order=6, output_every=256, scheme="leapfrog4",
                     mode="exploratory")
-
-
-def virial_consistency_scenario(n_cells: int = 4096, t_end: float = 20.0) -> Scenario:
-    """Committed run for rate-vs-finite-difference checks.
-
-    output_every is fixed so the sampling interval (2 dr) scales with dr and
-    the centered-difference truncation refines together with the mesh; the
-    fourth-order composition keeps the time error below it.
-    """
-    return Scenario(name=f"virial-consistency-{n_cells}",
-                    spec=PotentialSpec("T", n=1), amplitude=1.0, center=6.0,
-                    width=2.0, velocity="outgoing", r_max=40.0,
-                    n_cells=n_cells, t_end=t_end, cfl=0.5, space_order=4,
-                    output_every=4, scheme="leapfrog4", mode="exploratory")
-
-
-# ---------------------------------------------------------------------------
-# convergence studies
-
-
-@dataclass
-class ConvergenceReport:
-    levels: list[int]
-    dalembert_errors: list[float]
-    energy_drifts: list[float]
-    dalembert_order: float
-    energy_order: float
-
-
-def _fit_order(drs: np.ndarray, errs: np.ndarray) -> float:
-    return float(np.polyfit(np.log(drs), np.log(np.maximum(errs, 1e-300)), 1)[0])
-
-
-def _dalembert_error(n_cells: int) -> float:
-    """L2 error of the free right-moving pulse (centre 12, width 3, order-2
-    stencil at cfl 0.5) against its exact translate at t = 5."""
-    grid = RadialGrid(40.0, n_cells)
-    state0 = initial_state(grid, 1.0, 12.0, 3.0, velocity="outgoing")
-    final = evolve(state0, SolverConfig(t_end=5.0, output_every=10**9), None, grid)
-    shifted = grid.r - 5.0
-    exact = shifted * bump_profile(shifted, 1.0, 12.0, 3.0)
-    return float(np.sqrt(grid.dr * np.sum((final.u - exact) ** 2)))
-
-
-def _energy_drift(n_cells: int) -> float:
-    """|E(T) - E(0)| / |E(0)| of an outgoing T1 pulse over T = 10 (order-2
-    stencil, RK4 at cfl 0.5)."""
-    result = run_scenario(Scenario(
-        name=f"convergence-base-n{n_cells}", spec=PotentialSpec("T", n=1), amplitude=1.0,
-        center=6.0, width=2.0, velocity="outgoing", r_max=40.0, n_cells=n_cells,
-        t_end=10.0, cfl=0.5, space_order=2, output_every=10**9, mode="exploratory"))
-    e0 = result.samples[0].E
-    eT = result.samples[-1].E
-    return abs(eT - e0) / abs(e0)
-
-
-def run_convergence_study(levels: list[int]) -> ConvergenceReport:
-    """Refinement study at the given n_cells levels of r_max = 40 (dt scales
-    with dr).
-
-    Fits the observed order of both the free-translation error and the
-    H=0 energy-conservation drift.
-    """
-    if len(levels) < 2:
-        raise ValueError("need at least two refinement levels")
-    if len(set(levels)) != len(levels):
-        raise ValueError("refinement levels must be distinct")
-    levels = sorted(levels)
-    dal_errors = [_dalembert_error(n) for n in levels]
-    drifts = [_energy_drift(n) for n in levels]
-    drs = 40.0 / np.array(levels)
-    return ConvergenceReport(
-        levels=list(levels),
-        dalembert_errors=dal_errors,
-        energy_drifts=drifts,
-        dalembert_order=_fit_order(drs, np.array(dal_errors)),
-        energy_order=_fit_order(drs, np.array(drifts)),
-    )
 
 
 # ---------------------------------------------------------------------------

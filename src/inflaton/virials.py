@@ -3,9 +3,10 @@ analytic rates and the energies.  ``sample_diagnostics`` evaluates it for a
 block of snapshots of one run at once, on the block's live nodes
 (``dynamics.block_fields``): every family has F(0) = f(0) = 0, so the
 nodes past the last nonzero one add nothing.  The block is sized by those
-nodes: ``run_scenario`` buffers each snapshot on its live prefix only
-(``FieldState.prefix``) and closes a block before its rows times its
-widest prefix would pass ``experiments.BLOCK_NODES``.  F and f come from
+nodes: ``run_scenario`` buffers the live prefix of each snapshot
+(``dynamics.Prefix``), as ``evolve`` hands it out, and closes a block
+before its rows times its widest prefix would pass
+``experiments.BLOCK_NODES``.  F and f come from
 one evaluation of the family's transcendental (``eval_F_and_f``).  Each
 field product is formed once as a (B, k) array and reduced by one matrix
 product with the grid's Simpson-weighted weight table
@@ -113,9 +114,9 @@ _CSV_ROW = attrgetter(*CSV_COLUMNS)
 def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
                        grid: RadialGrid, **options) -> list[VirialSample]:
     """The diagnostics record of each snapshot of a block (one run's grid and
-    stencil order), or of each snapshot's prefix (``FieldState.prefix``),
-    evaluated together on the block's live nodes; ``options`` are
-    ``field_records``' keywords."""
+    stencil order), given by its prefix (``dynamics.Prefix``), evaluated
+    together on the block's live nodes; ``options`` are ``field_records``'
+    keywords."""
     if not states:
         return []
     return field_records([s.t for s in states], *block_fields(states), hubble, spec,

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from inflaton.experiments import run_scenario, thm3_suite, virial_consistency_scenario
+from inflaton.experiments import run_scenario, thm3_suite
 from inflaton.grid import RadialGrid
+
+from refinement_runs import virial_consistency_scenario
 
 settings.register_profile("suite", deadline=None, max_examples=50,
                           derandomize=True)

@@ -7,20 +7,40 @@ snapshots: the stiffness check follows the observer.  Its support check
 takes the 1e-13 front of every snapshot over the whole grid, the reference
 for the edge check of ``evolve`` and for the sampled ``support``; its domain
 check reads phi on every node.
+
+``scan_prefix`` cuts a whole-grid snapshot to the ``Prefix`` the size rule
+of ``evolve`` gives from a scan of its nonzero nodes, the input the
+diagnostics take, and ``whole_grid`` extends a prefix by zeros to the
+whole-grid snapshot it was cut from.
 """
 
 import numpy as np
 
-from inflaton.dynamics import (FieldState, NonFiniteField, StiffnessViolation,
-                               SupportOverflow, _accel, _kdk, _rk4, _substeps,
-                               _sup_phi, linear_mass, resolve_dt, stiffness_cfl,
-                               support_radius)
+from inflaton.dynamics import (FieldState, NonFiniteField, Prefix, StiffnessViolation,
+                               SupportOverflow, _accel, _kdk, _last_nonzero, _rk4,
+                               _substeps, _sup_phi, linear_mass, resolve_dt,
+                               stiffness_cfl, support_radius)
 from inflaton.potentials import check_domain
 
 
 def full_grid_radius(state):
     """The support front of a snapshot, from every node of the grid."""
     return support_radius(state.phi, state.phi_t, state.grid)
+
+
+def scan_prefix(state):
+    """The prefix [0, k) of a whole-grid snapshot, k = L + order + 3 (at most
+    n_nodes) with L its last nonzero node of u or u_t."""
+    k = min(state.grid.n_nodes, _last_nonzero((state.u, state.u_t)) + state.space_order + 3)
+    return Prefix(state.t, state.u[:k].copy(), state.u_t[:k].copy(), state.grid,
+                  state.space_order)
+
+
+def whole_grid(head):
+    """The whole-grid snapshot of a prefix: its u and u_t, then zeros."""
+    u, u_t = np.zeros(head.grid.n_nodes), np.zeros(head.grid.n_nodes)
+    u[:head.u.size], u_t[:head.u.size] = head.u, head.u_t
+    return FieldState(head.t, u, u_t, head.grid, head.space_order)
 
 
 def full_grid_evolve(state0, cfg, spec, grid, observer=None):
@@ -72,9 +92,10 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
     if kdk:
         subs = _substeps(dt, cfg, linear_mass(spec))
         acc = _accel(u, None, t0, cfg.hubble, spec, grid, cfg.space_order)
+        scratch = np.empty_like(u)
     for k in range(1, n_steps + 1):
         if kdk:
-            u, u_t, acc = _kdk(u, u_t, acc, t0 + k * dt, subs, cfg, spec, grid)
+            _kdk(u, u_t, acc, scratch, t0 + k * dt, subs, cfg, spec, grid)
         else:
             u, u_t = _rk4(u, u_t, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
                           cfg.space_order)

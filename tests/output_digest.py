@@ -38,11 +38,12 @@ import numpy as np  # noqa: E402
 
 from inflaton import cli  # noqa: E402
 from inflaton.experiments import (Scenario, energy_conservation_scenario,  # noqa: E402
-                                  run_scenario, thm1_suite, thm2_suite, thm3_suite,
-                                  virial_consistency_scenario)
+                                  run_scenario, thm1_suite, thm2_suite, thm3_suite)
 from inflaton.potentials import (EXPECTED_CLASS, PotentialSpec,  # noqa: E402
                                  audit_potential, parse_family)
 from inflaton.virials import VirialSample  # noqa: E402
+
+from refinement_runs import virial_consistency_scenario  # noqa: E402
 
 
 def _sha(data: bytes) -> str:

@@ -4,17 +4,19 @@ snapshots, their sampled support fronts and the abort), and timing-free
 checks that the window is in use and that the support front is computed
 only to word a SupportOverflow."""
 
+import re
+
 import numpy as np
 import pytest
 
 import inflaton.dynamics as dynamics
-from inflaton.dynamics import (FieldState, NonFiniteField, SolverConfig,
+from inflaton.dynamics import (FieldState, NonFiniteField, Prefix, SolverConfig,
                                StiffnessViolation, SupportOverflow, evolve, initial_state)
 from inflaton.grid import RadialGrid
 from inflaton.potentials import DomainViolation, PotentialSpec
 from inflaton.virials import sample_diagnostics
 
-from full_grid_oracle import full_grid_evolve, full_grid_radius
+from full_grid_oracle import full_grid_evolve, full_grid_radius, scan_prefix, whole_grid
 
 T1 = PotentialSpec("T", n=1)
 CASES = [("rk4", 2, 0.0), ("rk4", 4, 0.0), ("rk4", 6, 0.0),
@@ -51,22 +53,24 @@ def test_one_step_moves_the_last_nonzero_node_by_at_most_the_reach(scheme, order
     u, u_t = fields["u"], fields["u_t"]
     dt = _cfl(scheme) * g.dr
     if scheme == "rk4":
-        before = (u, u_t)
+        before = dynamics._last_nonzero((u, u_t))
         after = dynamics._rk4(u, u_t, 1.0, dt, hubble, T1, g, order)
     else:
         cfg = SolverConfig(t_end=dt, hubble=hubble, cfl=_cfl(scheme),
                            space_order=order, scheme=scheme)
-        before = (u, u_t, dynamics._accel(u, None, 1.0, hubble, T1, g, order))
+        after = (u, u_t, dynamics._accel(u, None, 1.0, hubble, T1, g, order))
+        before = dynamics._last_nonzero(after)
         subs = dynamics._substeps(dt, cfg, dynamics.linear_mass(T1))
-        after = dynamics._kdk(*before, 1.0 + dt, subs, cfg, T1, g)
-    growth = dynamics._last_nonzero(after) - dynamics._last_nonzero(before)
+        dynamics._kdk(*after, np.empty(g.n_nodes), 1.0 + dt, subs, cfg, T1, g)   # in place
+    growth = dynamics._last_nonzero(after) - before
     assert growth <= dynamics._reach(scheme, order)
     # and the reach is not overstated: one step from one node attains it
     assert growth == dynamics._reach(scheme, order)
 
 
 def _run(evolver, state, cfg, spec, grid, sizes):
-    """(snapshots, abort, force evaluations) of one run."""
+    """(the observed snapshots, then the returned one, abort, force
+    evaluations) of one run; ``evolve`` observes prefixes."""
     snaps = []
     sizes.clear()
     abort = None
@@ -85,11 +89,13 @@ def _assert_matches_full_grid(state, cfg, spec, grid, sizes):
     assert len(got[0]) == len(want[0]) > 1
     for a, b in zip(*(run[0] for run in (got, want))):
         # == compares values, so only the sign of a zero may differ
+        a = whole_grid(a) if isinstance(a, Prefix) else a
         assert a.t == b.t
         assert np.array_equal(a.u, b.u) and np.array_equal(a.u_t, b.u_t)
     # the sampled front, from the block's live nodes, is the whole-grid one
+    heads = [a if isinstance(a, Prefix) else scan_prefix(a) for a in got[0]]
     with np.errstate(all="ignore"):
-        samples = sample_diagnostics(got[0], 0.0, None, grid)
+        samples = sample_diagnostics(heads, 0.0, None, grid)
     assert [s.support for s in samples] == [full_grid_radius(b) for b in want[0]]
 
 
@@ -230,3 +236,107 @@ def test_the_edge_check_agrees_with_the_whole_grid_front(seeded, offset, value):
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert (outcomes[0] is True) == (offset < 0 or value < 1e-13)
+
+
+@pytest.mark.parametrize("scheme, order, hubble", [("rk4", 4, 0.0), ("leapfrog", 2, 0.5),
+                                                   ("leapfrog4", 6, 0.0)])
+def test_observed_prefixes_own_their_arrays(scheme, order, hubble):
+    # the window is stepped in place: the initial state stays as it is, every
+    # prefix kept to the end of the run still holds the whole-grid loop's
+    # snapshot on its nodes (and that snapshot is 0 beyond them), and no two
+    # of the prefixes, the initial state and the returned state share memory
+    g = RadialGrid(30.0, 512)
+    state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing", space_order=order)
+    before = state.u.tobytes(), state.u_t.tobytes()
+    cfg = SolverConfig(t_end=12.0, hubble=hubble, cfl=_cfl(scheme), output_every=16,
+                       space_order=order, scheme=scheme)
+    heads, snaps = [], []
+    final = evolve(state, cfg, T1, g, observer=heads.append)
+    full_grid_evolve(state, cfg, T1, g, observer=snaps.append)
+    assert (state.u.tobytes(), state.u_t.tobytes()) == before
+    assert len(heads) == len(snaps) > 10
+    for head, snap in zip(heads, snaps):
+        k = head.u.size
+        assert head.t == snap.t
+        assert np.array_equal(head.u, snap.u[:k]) and np.array_equal(head.u_t, snap.u_t[:k])
+        assert not snap.u[k:].any() and not snap.u_t[k:].any()
+    arrays = [a for s in (state, final, *heads) for a in (s.u, s.u_t)]
+    assert not any(np.may_share_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def _abort_case(name):
+    """(initial state, config, potential, grid) of a run that stops."""
+    g = RadialGrid(20.0, 256)
+    if name == "nan-in-u":
+        state = initial_state(g, 1.0, 5.0, 2.0)
+        state.u[10] = np.nan
+        return state, SolverConfig(t_end=1.0), None, g
+    if name == "nan-at-the-origin":
+        state = initial_state(g, 1.0, 5.0, 2.0)
+        state.u[0] = np.nan
+        return state, SolverConfig(t_end=1.0), None, g
+    if name == "inf-in-u_t":
+        state = initial_state(g, 1.0, 5.0, 2.0)
+        state.u_t[10] = np.inf
+        return state, SolverConfig(t_end=1.0), None, g
+    if name == "support-edge":
+        state = initial_state(g, 1.0, 14.0, 2.0, velocity="outgoing")
+        return state, SolverConfig(t_end=10.0, output_every=4), T1, g
+    if name == "dbrane-later-snapshot":
+        # rk4 stages stay inside the domain, the snapshot after the first step not
+        state = initial_state(g, -0.6, 4.0, 1.5, velocity="rest", space_order=4)
+        cfg = SolverConfig(t_end=8.0, output_every=1, space_order=4)
+        return state, cfg, PotentialSpec("dbrane", n=2), g
+    # E1 data at rest focus into the stiff side of the potential
+    g = RadialGrid(50.0, 256)
+    state = initial_state(g, -0.2, 10.0, 2.0, velocity="rest")
+    return state, SolverConfig(t_end=30.0, cfl=1.0, output_every=8), PotentialSpec("E", n=1), g
+
+
+_NUMBER = r"[-+.e\d]+"
+_ABORTS = {
+    "nan-in-u": (NonFiniteField, r"non-finite field at t=0", False),
+    "nan-at-the-origin": (NonFiniteField, r"non-finite field at t=0", False),
+    "inf-in-u_t": (NonFiniteField, r"non-finite field at t=0", False),
+    "support-edge": (SupportOverflow, rf"support {_NUMBER} within 4 dr of r_max=20 "
+                     rf"at t={_NUMBER}; enlarge the domain", False),
+    "dbrane-later-snapshot": (DomainViolation, r"dbrane potential requires v > -1", False),
+    "stiffness": (StiffnessViolation, rf"sup\|phi\|={_NUMBER} at t={_NUMBER} widens the "
+                  rf"visited window to \+-{_NUMBER}; there the rk4 step dt={_NUMBER} "
+                  rf"exceeds its stiffness bound cfl\* dr = {_NUMBER}", True),
+}
+
+
+@pytest.mark.parametrize("name", list(_ABORTS))
+def test_aborts_keep_their_order_messages_and_observation(name, monkeypatch):
+    # each check stops the run with its exception and message, at the
+    # snapshot and with the snapshots observed that the whole-grid loop gives:
+    # every check but the stiffness one comes before the observer
+    kind, message, observed = _ABORTS[name]
+    state, cfg, spec, g = _abort_case(name)
+    snapshot_checks = []
+    check_domain = dynamics.check_domain
+
+    def recording(potential, phi):
+        snapshot_checks.append(phi.size)
+        check_domain(potential, phi)
+
+    monkeypatch.setattr(dynamics, "check_domain", recording)
+    outcomes = []
+    for evolver in (evolve, full_grid_evolve):
+        seen = []
+        with pytest.raises(kind) as abort:
+            evolver(state, cfg, spec, g, observer=lambda s: seen.append(s.t))
+        outcomes.append((str(abort.value), seen))
+    assert outcomes[0] == outcomes[1]
+    text, seen = outcomes[0]
+    assert re.fullmatch(message, text)
+    if name.startswith("dbrane"):
+        # stopped by the snapshot check, not by the force in the next step
+        assert seen == [0.0] and len(snapshot_checks) == 2
+    t = float(re.search(r"at t=([-+.e\d]+)", text).group(1)) if "at t=" in text else None
+    if observed:
+        assert seen[-1] == pytest.approx(t, rel=1e-5)
+    elif t is not None:
+        assert not seen or seen[-1] < t

@@ -14,6 +14,7 @@ from inflaton.grid import RadialGrid, energy
 from inflaton.potentials import DomainViolation, PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
 
+from full_grid_oracle import full_grid_evolve, scan_prefix, whole_grid
 from stencil_oracle import second_derivative
 from virial_oracles import energy_density
 
@@ -134,33 +135,53 @@ def test_block_fields_refuses_mixed_grids_and_orders(small_grid):
     other_order = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=4)
     for other in (other_grid, other_order):
         with pytest.raises(ValueError, match="one grid and stencil order"):
-            block_fields([state, other])
+            block_fields([scan_prefix(state), scan_prefix(other)])
 
 
 @pytest.mark.parametrize("scheme,order", [("rk4", 4), ("leapfrog", 2), ("leapfrog4", 6)])
-def test_snapshots_carry_their_live_extent(scheme, order):
-    # every node from a snapshot's live extent on is 0, and its prefix from
-    # that extent gives the fields a scan of the whole grid gives
+def test_snapshots_carry_their_live_extent(scheme, order, monkeypatch):
+    # each observed prefix ends order + 2 nodes past its step's window [0, m)
+    # (at most at n_nodes), the first one order + 3 past the last nonzero node
+    # of a scan of the initial state; on its nodes it is the whole-grid loop's
+    # snapshot bit for bit, that snapshot is 0 beyond them, and its fields are
+    # those a scan of the snapshot gives
     g = RadialGrid(30.0, 512)
+    spec = PotentialSpec("T", n=1)
     state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing", space_order=order)
-    cfg = SolverConfig(t_end=20.0, cfl=0.5, output_every=16, space_order=order,
-                       scheme=scheme)
-    snaps = []
-    evolve(state, cfg, PotentialSpec("T", n=1), g, observer=snaps.append)
-    assert snaps[0] is state and state.live is None
-    assert all(s.live is not None for s in snaps[1:])
-    assert any(s.live < g.n_nodes for s in snaps[1:])
-    for snap in snaps[1:]:
-        assert not snap.u[snap.live:].any() and not snap.u_t[snap.live:].any()
-        head = snap.prefix()
-        assert head.u.size == min(g.n_nodes, snap.live + order + 2)
-        scanned = FieldState(snap.t, snap.u, snap.u_t, g, order)
-        assert scanned.prefix().u.size <= head.u.size
+    cfg = SolverConfig(t_end=20.0, cfl=0.5, output_every=dynamics.RECHECK,
+                       space_order=order, scheme=scheme)
+    scans = []      # the initial scan, then one per placement of the window
+    last_nonzero = dynamics._last_nonzero
+    monkeypatch.setattr(dynamics, "_last_nonzero",
+                        lambda arrays: scans.append(last_nonzero(arrays)) or scans[-1])
+    heads, snaps = [], []
+    evolve(state, cfg, spec, g, observer=heads.append)
+    full_grid_evolve(state, cfg, spec, g, observer=snaps.append)
+    n = g.n_nodes
+    pad = dynamics.RECHECK * dynamics._reach(scheme, order) + order // 2
+    dt = heads[1].t / dynamics.RECHECK
+    assert heads[0].u.size == min(n, scans[0] + order + 3)
+    for head in heads[1:]:
+        # the window of step k was placed at the step after the last multiple
+        # of RECHECK before k, until it filled the grid
+        k = round(head.t / dt)
+        m = min(n, scans[min(1 + (k - 1) // dynamics.RECHECK, len(scans) - 1)] + 1 + pad)
+        assert head.u.size == min(n, m + order + 2)
+        assert not head.u[m:].any() and not head.u_t[m:].any()
+    assert any(head.u.size < n for head in heads)
+    assert len(heads) == len(snaps)
+    for head, snap in zip(heads, snaps):
+        k = head.u.size
+        assert head.t == snap.t
+        assert np.array_equal(head.u, snap.u[:k]) and np.array_equal(head.u_t, snap.u_t[:k])
+        assert not snap.u[k:].any() and not snap.u_t[k:].any()
+        scanned = scan_prefix(snap)
+        assert scanned.u.size <= k
         for got, whole in zip(block_fields([head]), block_fields([scanned])):
-            k = whole.shape[-1]
-            assert np.array_equal(got[:, :k], whole) and not got[:, k:].any()
+            j = whole.shape[-1]
+            assert np.array_equal(got[:, :j], whole) and not got[:, j:].any()
         for got, name in zip(block_fields([head]), ("phi", "phi_t", "phi_r")):
-            assert np.array_equal(got[0], getattr(snap, name)[:head.u.size])
+            assert np.array_equal(got[0], getattr(snap, name)[:k])
 
 
 @pytest.mark.parametrize("scheme", ("rk4", "leapfrog"))
@@ -244,8 +265,8 @@ def test_energy_monotone_under_expansion():
     state = initial_state(g, 0.2, 4.0, 2.0)
     cfg = SolverConfig(t_end=8.0, hubble=1.0, cfl=0.5, output_every=8)
     energies = []
-    evolve(state, cfg, spec, g, observer=lambda s: energies.append(
-        energy(energy_density(s, 1.0, s.t, g, spec), g)))
+    evolve(state, cfg, spec, g, observer=lambda head: energies.append(
+        energy(energy_density(whole_grid(head), 1.0, head.t, g, spec), g)))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * energies[0])
 
@@ -445,7 +466,8 @@ def test_leapfrog_window_recheck():
     state = initial_state(g, 0.3, 12.0, 2.0, velocity="rest", space_order=2)
     sups, energies = [], []
 
-    def observe(s):
+    def observe(head):
+        s = whole_grid(head)
         sups.append(np.max(np.abs(s.phi)))
         energies.append(energy(energy_density(s, 0.0, s.t, g, spec), g))
 
@@ -470,7 +492,7 @@ def test_leapfrog_solves_the_centred_recurrence():
     state = initial_state(g, 1.0, 5.0, 2.0, space_order=2)
     snaps = []
     evolve(state, _leapfrog(0.5, output_every=1, hubble=hubble), spec, g,
-           observer=snaps.append)
+           observer=lambda head: snaps.append(whole_grid(head)))
     dt = snaps[1].t - snaps[0].t
     a = 1.0 + 0.25 * 2.0 * dt * dt
     b = 1.5 * hubble * dt

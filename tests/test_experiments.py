@@ -7,14 +7,15 @@ import pytest
 
 from inflaton import dynamics, experiments
 from inflaton.cli import load_config, sweep_scenarios
-from inflaton.experiments import (ConvergenceReport, Scenario,
-                                  ScenarioClassError, run_convergence_study,
+from inflaton.experiments import (Scenario, ScenarioClassError,
                                   run_potential_audit_suite, run_scenario,
                                   thm1_suite, thm2_suite,
                                   thm3_suite, _enforce_mode_preconditions,
                                   _grade, _suite_scenario, _uniform_prefix)
 from inflaton.potentials import DomainViolation, PotentialSpec
 from inflaton.virials import VirialSample
+
+from refinement_runs import ConvergenceReport, run_convergence_study
 
 
 def test_audit_suite_matches_expected_table():

@@ -10,6 +10,7 @@ from inflaton.potentials import PotentialSpec
 from inflaton.virials import sample_diagnostics
 
 from conftest import gaussian_state
+from full_grid_oracle import scan_prefix
 from virial_oracles import energy_density, weighted_h1_sq, weighted_l2_sq
 
 # sup_r |r phi| / ||phi||_{H^1(R^3)} for phi = exp(-r): 1/(e sqrt(2 pi)),
@@ -244,7 +245,7 @@ def test_cone_energy_partial_against_oracle():
 
 def _radial_sup_check(state):
     # both sides of the radial sup bound: sup_j |r_j phi_j| and ||phi||_{H^1(R^3)}
-    h1 = sample_diagnostics([state], 0.0, None, state.grid)[0].h1_norm
+    h1 = sample_diagnostics([scan_prefix(state)], 0.0, None, state.grid)[0].h1_norm
     return float(np.max(np.abs(state.u))), h1
 
 

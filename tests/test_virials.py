@@ -6,12 +6,14 @@ from types import SimpleNamespace
 
 from inflaton import grid as grid_module, virials
 from inflaton.dynamics import FieldState, evolve, initial_state
-from inflaton.experiments import thm3_suite, virial_consistency_scenario
+from inflaton.experiments import thm3_suite
 from inflaton.grid import FOUR_PI, RadialGrid, integrate_range
 from inflaton.potentials import PotentialSpec, eval_F
 from inflaton.virials import CSV_COLUMNS, VirialSample, field_records, sample_diagnostics
 
 from conftest import gaussian_state
+from full_grid_oracle import scan_prefix, whole_grid
+from refinement_runs import virial_consistency_scenario
 from virial_oracles import (p_rate_discrepancy, reference_record, virial_P_rate,
                             virial_P_rate_display, virial_R_rate,
                             virial_R_rate_corrected)
@@ -176,11 +178,15 @@ def test_p_rate_matches_run(virial_run):
     rates, rates_disp, r_rates, r_bulk = [], [], [], []
     cfg = SolverConfig(t_end=scn.t_end, cfl=scn.cfl, space_order=scn.space_order,
                        output_every=scn.output_every)
-    evolve(state, cfg, scn.spec, grid,
-           observer=lambda s: (rates.append(virial_P_rate(s, scn.spec, grid)),
-                               rates_disp.append(virial_P_rate_display(s, scn.spec, grid)),
-                               r_rates.append(virial_R_rate_corrected(s, scn.spec, grid)),
-                               r_bulk.append(virial_R_rate(s, scn.spec, grid))))
+
+    def observe(head):
+        s = whole_grid(head)
+        rates.append(virial_P_rate(s, scn.spec, grid))
+        rates_disp.append(virial_P_rate_display(s, scn.spec, grid))
+        r_rates.append(virial_R_rate_corrected(s, scn.spec, grid))
+        r_bulk.append(virial_R_rate(s, scn.spec, grid))
+
+    evolve(state, cfg, scn.spec, grid, observer=observe)
     rates = np.array(rates)
     assert np.linalg.norm(fd - rates[1:-1]) / np.linalg.norm(fd) <= 5e-3
     assert np.allclose(rates, np.array(rates_disp), atol=1e-12 * np.max(np.abs(rates)))
@@ -277,7 +283,7 @@ def test_record_matches_per_functional_reference(snapshot):
     scn, hubble = _SNAPSHOTS[snapshot]
     grid = scn.grid()
     state = evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid)
-    got = sample_diagnostics([state], hubble, scn.spec, grid,
+    got = sample_diagnostics([scan_prefix(state)], hubble, scn.spec, grid,
                              ball_radius=scn.decay_radius)[0]
     ref = reference_record(state, hubble, scn.spec, grid, ball_radius=scn.decay_radius)
     assert list(ref) == [f.name for f in fields(VirialSample)]
@@ -314,7 +320,7 @@ def _block(grid, order, size):
 def test_block_records_match_per_functional_reference(order, hubble, spec, size):
     g = RadialGrid(20.0, 256)
     states = _block(g, order, size)
-    got = sample_diagnostics(states, hubble, spec, g)
+    got = sample_diagnostics([scan_prefix(s) for s in states], hubble, spec, g)
     assert len(got) == size
     for state, sample in zip(states, got):
         ref = reference_record(state, hubble, spec, g)
@@ -364,7 +370,7 @@ def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, blo
     g = RadialGrid(20.0, 256)
     make, inside = _CONE_BLOCKS[block]
     states = make(g)
-    samples = sample_diagnostics(states, 1.0, T1, g)
+    samples = sample_diagnostics([scan_prefix(s) for s in states], 1.0, T1, g)
     assert calls["eval_F_and_f"] == 1
     assert calls["eval_F"] == 0
     assert calls["integrate"] == 3
