@@ -20,26 +20,41 @@ boundaries would contaminate the virial diagnostics).
 
 Three time schemes are offered.  ``"rk4"`` (the default) is classical RK4
 on any stencil order and any H >= 0, with four force evaluations per step.
-``"leapfrog"`` is kick-drift-kick leapfrog (velocity Verlet) on the
-three-point stencil, for any H >= 0, with one force evaluation per step.
-With v+ = (u^{n+1} - u^n) / dt and v- = (u^n - u^{n-1}) / dt it is
+``"leapfrog"`` is the centred leapfrog on the three-point stencil, for any
+H >= 0, with one force evaluation per step.  With v+ = (u^{n+1} - u^n) / dt
+and v- = (u^n - u^{n-1}) / dt it is
 
     v+ (1 + m^2 dt^2/4 + 3H dt/2) = v- (1 + m^2 dt^2/4 - 3H dt/2) + dt A_n,
     A_n = e^{-2H t_n} D2 u^n - r f(u^n / r),
 
 with the Hubble friction centred on (v+ + v-)/2 and the linear mass
 m^2 = max(0, f'(0)) weighted as (u^{n+1} + 2u^n + u^{n-1})/4; the velocity
-at the integer time level is (v+ + v-)/2.  For u_tt = u_rr it is exact on
-the lattice at dt = dr (the CFL "magic" time step): its numerical domain
-of dependence is the physical light cone, so the 1e-13 support front shows
-no dispersive precursor.  ``"leapfrog4"`` composes that step as the
-symmetric "triple jump" w1 dt, w0 dt, w1 dt, w1 = 1/(2 - 2^{1/3}),
-w0 = -2^{1/3} w1 (Yoshida, Phys. Lett. A 150 (1990) 262): fourth order in
-time, any stencil order, three force evaluations per step, H = 0 only (the
-negative substep would run the friction backwards).  It fills the quiet
-tail ahead of the front with slow subnormals, so each composed step
-flushes entries of u, u_t and the carried acceleration below the smallest
-normal double to 0, as a hardware flush-to-zero mode would.
+at the integer time level is (v+ + v-)/2.  It is stepped in its two-step
+Stormer form (Hairer, Lubich & Wanner, Acta Numerica 12 (2003) 399), the
+recurrence with a = 1 + m^2 dt^2/4 and b = 3H dt/2
+
+    (a + b) u^{n+1} = 2a u^n - (a - b) u^{n-1} + dt^2 A_n:
+
+one 3-tap convolution of u^n, taps [c, 2a - 2c, c] / (a + b) with
+c = dt^2 e^{-2H t_n} / dr^2 (fixed per run at H = 0), less
+(a - b)/(a + b) u^{n-1} (u^{n-1} itself at H = 0) and dt^2/(a + b) r f(u^n/r),
+written over u^{n-1}.  The first step is the kick
+v+ = ((a - b) v^0 + dt/2 A_0) / a and the drift u^1 = u^0 + dt v+ from the
+initial velocity v^0; the velocity of an observed level n is
+(u^{n+1} - u^{n-1}) / 2dt, which is (v+ + v-)/2, and that of the last level
+N, which has no successor, the landing v^N = (a v- + dt/2 A_N) / (a + b), so
+a run of N steps makes N + 1 force evaluations.  For u_tt = u_rr it is
+exact on the lattice at dt = dr (the CFL "magic" time step): its numerical
+domain of dependence is the physical light cone, so the 1e-13 support front
+shows no dispersive precursor.  ``"leapfrog4"`` composes the kick-drift-kick
+form of that step (velocity Verlet, which has no two-step form once
+composed) as the symmetric "triple jump" w1 dt, w0 dt, w1 dt,
+w1 = 1/(2 - 2^{1/3}), w0 = -2^{1/3} w1 (Yoshida, Phys. Lett. A 150 (1990)
+262): fourth order in time, any stencil order, three force evaluations per
+step, H = 0 only (the negative substep would run the friction backwards).
+It fills the quiet tail ahead of the front with slow subnormals, so each
+composed step flushes entries of u, u_t and the carried acceleration below
+the smallest normal double to 0, as a hardware flush-to-zero mode would.
 
 One stability bound covers every scheme.  The leapfrogs' weighted mass
 adds no stiffness, the rest of the potential does: with
@@ -64,12 +79,13 @@ that the step exceeds the new bound; that snapshot is observed first.
 
 ``evolve`` steps only the active window [0, m) of the grid, the nodes the
 field has reached.  Its invariant: every node at or beyond m - pad is
-exactly 0 in u, u_t and the carried leapfrog acceleration.  One step moves
-the last nonzero node of those arrays by at most its reach, order/2 for
-each stencil application the step chains: 2 * order/2 for RK4 (a1 feeds
-the u-argument of a3 through v2, and a3 feeds v4), order/2 for leapfrog
-and 3 * order/2 for the three substeps of leapfrog4.  Every RECHECK = 16
-steps m is reset to pad nodes past the last nonzero node, with
+exactly 0 in the arrays a step reads, u and u_t for RK4, with the carried
+acceleration for leapfrog4, u^{n-1} and u^n for the leapfrog.  One step
+moves the last nonzero node of those arrays by at most its reach, order/2
+for each stencil application the step chains: 2 * order/2 for RK4 (a1
+feeds the u-argument of a3 through v2, and a3 feeds v4), order/2 for
+leapfrog and 3 * order/2 for the three substeps of leapfrog4.  Every
+RECHECK = 16 steps m is reset to pad nodes past the last nonzero node, with
 pad = RECHECK * reach + order/2: over one recheck interval the nonzero set
 stays clear of the window's last order/2 rows and of the stencil inputs
 behind them, so the one-sided outer rows and the Dirichlet zeroing at the
@@ -77,23 +93,27 @@ window's end only ever see zeros, and every nonzero node is computed from
 the same operands as on the whole grid.  The states match the whole-grid
 loop bit for bit, up to the sign of some zeros, and the force is evaluated
 as often.  Once m reaches n_nodes the same loop runs on the whole grid.
-The leapfrogs step the window of whole-grid copies of u, u_t and the
-acceleration in place, with a work array: a placement takes views [0, m)
-of them, whose nodes past the window stay 0 (past the last nonzero node
-when they leave the window, and not written outside it), and the stencil
-and the force write into the acceleration's view, so neither a step nor a
-placement allocates a window-sized array beyond the force's own.  RK4
-allocates its stages, and each placement copies its fields into new
-window arrays.  The checks at each snapshot read the window and form phi
-over it once: sup|phi| from it (a NaN or inf at a node j >= 1 reaches it;
-the steps hold node 0 at 0), the support overflow over its nodes within 4
-dr of r_max, which stay 0 until the window reaches them, for a potential
-with a domain edge phi against that edge, and the stiffness check.  The
-observer gets a ``Prefix``: copies of u and u_t on the nodes its phi,
-phi_t and phi_r can be nonzero on, cut from the window (from a scan of
-the initial state at the start); ``block_fields`` builds those three of a
-block of prefixes, and ``support_radius`` their 1e-13 front, for the
-diagnostics.  Only the returned state spans the whole grid.
+Every scheme steps views [0, m) of whole-grid copies of u and u_t and of
+its work arrays in place: RK4's eight stage buffers, leapfrog4's
+acceleration and work array, and the leapfrog's observed velocity, where
+u^{n-1} and u^n alternate in the copies of u and u_t.  The nodes of u and
+u_t past the window stay 0 (past the last nonzero node when they leave the
+window, and not written outside it), and the leapfrog zeroes its velocity
+past each new window, so neither a step nor a placement allocates a
+window-sized array beyond the force's own and the stencil's.  The
+leapfrog checks and observes snapshot n at the step that forms u^{n+1},
+after the force at u^n, as the other schemes check snapshot n after the
+force of the step that forms it; the last snapshot after the landing.  The
+checks at each snapshot read its prefix and form phi over it once: sup|phi|
+from it (a NaN or inf at a node j >= 1 reaches it; the steps hold node 0 at
+0), the support overflow over its nodes within 4 dr of r_max, which stay 0
+until the window reaches them, for a potential with a domain edge phi
+against that edge, and the stiffness check.  The observer gets a
+``Prefix``: copies of u and u_t on the nodes its phi, phi_t and phi_r can
+be nonzero on, one slice each of the whole-grid arrays (of the initial
+state at the start, cut after a scan of it); ``block_fields`` builds those
+three of a block of prefixes, and ``support_radius`` their 1e-13 front,
+for the diagnostics.  Only the returned state spans the whole grid.
 """
 
 from __future__ import annotations
@@ -489,8 +509,8 @@ def resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
 
 
 def _reach(scheme: str, order: int) -> int:
-    """Nodes by which one step can move the last nonzero node of u, u_t and
-    the carried acceleration: order/2 per chained stencil application."""
+    """Nodes by which one step can move the last nonzero node of the arrays
+    it reads (module docstring): order/2 per chained stencil application."""
     return {"rk4": 2, "leapfrog": 1, "leapfrog4": 3}[scheme] * (order // 2)
 
 
@@ -499,70 +519,138 @@ def _last_nonzero(arrays) -> int:
     return max(int(idx[-1]) if idx.size else -1 for idx in map(np.flatnonzero, arrays))
 
 
-def _fit(values: np.ndarray, size: int) -> np.ndarray:
-    """A new array of ``size`` entries: ``values`` cut or extended by zeros."""
-    out = np.zeros(size)
-    keep = min(size, values.size)
-    out[:keep] = values[:keep]
-    return out
-
-
-def _rk4(u: np.ndarray, u_t: np.ndarray, t: float, dt: float, hubble: float,
-         spec: PotentialSpec | None, grid: RadialGrid,
-         order: int) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step; the u-derivative of each stage is its velocity,
+def _rk4(u: np.ndarray, u_t: np.ndarray, stages: np.ndarray, t: float, dt: float,
+         hubble: float, spec: PotentialSpec | None, grid: RadialGrid, order: int) -> None:
+    """One classical RK4 step, in place on u and u_t, through the eight rows
+    of ``stages`` (their size; overwritten), in the operation order of the
+    written form v2 = u_t + h a1, v3 = u_t + h a2, v4 = u_t + dt a3 (h = dt/2)
+    and the updates below; the u-derivative of each stage is its velocity,
     whose boundary entries are 0 like those of u_t and of every _accel."""
+    a1, a2, a3, a4, v2, v3, v4, arg = stages
     h = 0.5 * dt
-    a1 = _accel(u, u_t, t, hubble, spec, grid, order)
-    v2 = u_t + h * a1
-    a2 = _accel(u + h * u_t, v2, t + h, hubble, spec, grid, order)
-    v3 = u_t + h * a2
-    a3 = _accel(u + h * v2, v3, t + h, hubble, spec, grid, order)
-    v4 = u_t + dt * a3
-    a4 = _accel(u + dt * v3, v4, t + dt, hubble, spec, grid, order)
+    _accel(u, u_t, t, hubble, spec, grid, order, out=a1)
+    np.multiply(a1, h, out=v2)
+    v2 += u_t
+    np.multiply(u_t, h, out=arg)
+    arg += u
+    _accel(arg, v2, t + h, hubble, spec, grid, order, out=a2)
+    np.multiply(a2, h, out=v3)
+    v3 += u_t
+    np.multiply(v2, h, out=arg)
+    arg += u
+    _accel(arg, v3, t + h, hubble, spec, grid, order, out=a3)
+    np.multiply(a3, dt, out=v4)
+    v4 += u_t
+    np.multiply(v3, dt, out=arg)
+    arg += u
+    _accel(arg, v4, t + dt, hubble, spec, grid, order, out=a4)
     w = dt / 6.0
-    un = u + w * (u_t + 2.0 * (v2 + v3) + v4)
-    vn = u_t + w * (a1 + 2.0 * (a2 + a3) + a4)
-    un[0] = un[-1] = 0.0
-    vn[0] = vn[-1] = 0.0
-    return un, vn
+    v2 += v3                # u += w (u_t + 2 (v2 + v3) + v4)
+    v2 *= 2.0
+    v2 += u_t
+    v2 += v4
+    v2 *= w
+    u += v2
+    a2 += a3                # u_t += w (a1 + 2 (a2 + a3) + a4)
+    a2 *= 2.0
+    a2 += a1
+    a2 += a4
+    a2 *= w
+    u_t += a2
+    u[0] = u[-1] = 0.0
+    u_t[0] = u_t[-1] = 0.0
 
 
-def _substeps(dt: float, cfg: SolverConfig,
-              mass2: float) -> list[tuple[float, float, float, float, float]]:
-    """(h, kick, kick_acc, land, land_acc) of each kick-drift-kick substep h of
-    a leapfrog(4) step: with a = 1 + m^2 h^2/4 and b = 3H h/2,
-    v+ = ((a - b) v^n + h/2 A_n) / a and v^{n+1} = (a v+ + h/2 A_{n+1}) / (a + b).
-    At H = 0 without a linear mass the weights are (1, h/2, 1, h/2): plain
-    velocity Verlet."""
-    subs = []
-    for h in (W1 * dt, W0 * dt, W1 * dt) if cfg.scheme == "leapfrog4" else (dt,):
-        a = 1.0 + 0.25 * mass2 * h * h
-        b = 1.5 * cfg.hubble * h
-        subs.append((h, (a - b) / a, 0.5 * h / a, a / (a + b), 0.5 * h / (a + b)))
-    return subs
+def _substeps(dt: float, mass2: float) -> list[tuple[float, float]]:
+    """(h, h / 2a) of each kick-drift-kick substep h of a leapfrog4 step,
+    a = 1 + m^2 h^2/4: both half kicks are v += h/2a A (at H = 0 the
+    leapfrog's velocity factors (a - b)/a and a/(a + b) are 1)."""
+    return [(h, 0.5 * h / (1.0 + 0.25 * mass2 * h * h)) for h in (W1 * dt, W0 * dt, W1 * dt)]
 
 
 def _kdk(u: np.ndarray, u_t: np.ndarray, acc: np.ndarray, scratch: np.ndarray,
-         t_new: float, subs: list, cfg: SolverConfig, spec: PotentialSpec | None,
-         grid: RadialGrid) -> None:
-    """One leapfrog or leapfrog4 step ending at ``t_new``, in place: ``acc``
-    holds A_n at the start and A_{n+1} at the end (A without the friction,
-    see the module docstring), and ``scratch``, of their size, is overwritten.
-    The substeps of leapfrog4 (H = 0) all pass ``t_new``, which only the
-    friction reads."""
-    for h, kick, kick_acc, land, land_acc in subs:
-        u_t *= kick
-        u_t += np.multiply(acc, kick_acc, out=scratch)
+         subs: list, spec: PotentialSpec | None, grid: RadialGrid, order: int) -> None:
+    """One leapfrog4 step (H = 0), in place: ``acc`` holds A_n at the start and
+    A_{n+1} at the end, and ``scratch``, of their size, is overwritten."""
+    for h, half in subs:
+        u_t += np.multiply(acc, half, out=scratch)
         u += np.multiply(u_t, h, out=scratch)
         u[0] = u[-1] = 0.0
-        _accel(u, None, t_new, cfg.hubble, spec, grid, cfg.space_order, out=acc)
-        u_t *= land
-        u_t += np.multiply(acc, land_acc, out=scratch)
+        _accel(u, None, 0.0, 0.0, spec, grid, order, out=acc)
+        u_t += np.multiply(acc, half, out=scratch)
         u_t[0] = u_t[-1] = 0.0
-    if len(subs) > 1:       # leapfrog4
-        for values in (u, u_t, acc):
-            values[np.abs(values, out=scratch) < TINY] = 0.0
+    for values in (u, u_t, acc):
+        values[np.abs(values, out=scratch) < TINY] = 0.0
+
+
+class _Leapfrog:
+    """The leapfrog of one run as its two-level recurrence (module
+    docstring), with a = 1 + m^2 dt^2/4 and b = 3H dt/2.  Each method works
+    on the nodes of the arrays it is given, a window [0, m) or the grid."""
+
+    def __init__(self, dt: float, hubble: float, spec: PotentialSpec | None,
+                 grid: RadialGrid) -> None:
+        self.dt, self.hubble, self.spec, self.grid = dt, hubble, spec, grid
+        self.a = 1.0 + 0.25 * linear_mass(spec) * dt * dt
+        self.b = 1.5 * hubble * dt
+        # the factor of u^{n-1}, 1 at H = 0, and the force's weights per node
+        self.q = (self.a - self.b) / (self.a + self.b)
+        self.weight = grid.r * (dt * dt / (self.a + self.b))
+        # the taps of every step at H = 0
+        self.fixed = None if hubble else self.taps(0.0)
+
+    def taps(self, t: float) -> np.ndarray:
+        """[c, 2a - 2c, c] / (a + b), c = dt^2 e^{-2Ht} / dr^2."""
+        c = (self.dt / self.grid.dr) ** 2 * math.exp(-2.0 * self.hubble * t)
+        s = self.a + self.b
+        return np.array([c / s, (2.0 * self.a - 2.0 * c) / s, c / s])
+
+    def first(self, u: np.ndarray, u_t: np.ndarray, t: float) -> None:
+        """u^1 over u_t from u^0 = u and its velocity u_t at t: the kick
+        v+ = ((a - b) u_t + dt/2 A_0) / a, then the drift u^0 + dt v+."""
+        acc = _accel(u, None, t, self.hubble, self.spec, self.grid, 2)
+        u_t *= (self.a - self.b) / self.a
+        acc *= 0.5 * self.dt / self.a
+        u_t += acc
+        u_t *= self.dt
+        u_t += u
+        u_t[0] = u_t[-1] = 0.0
+
+    def step(self, prev: np.ndarray, cur: np.ndarray, t: float,
+             vel: np.ndarray | None = None) -> None:
+        """u^{n+1} over prev = u^{n-1} from cur = u^n at t = t_n: one 3-tap
+        convolution of u^n, less q u^{n-1} and dt^2/(a + b) r f(u^n / r), on
+        the interior rows; rows 0 and -1 keep their 0.  With ``vel``, the
+        velocity v^n = (u^{n+1} - u^{n-1}) / 2dt over it too.  The taps are
+        symmetric, so ``np.correlate`` forms the convolution, without
+        ``np.convolve``'s argument handling."""
+        if vel is not None:
+            np.copyto(vel, prev)
+        inner = prev[1:-1]
+        if self.q != 1.0:
+            inner *= self.q
+        taps = self.taps(t) if self.fixed is None else self.fixed
+        np.subtract(np.correlate(cur, taps, "valid"), inner, out=inner)
+        if self.spec is not None:
+            m = cur.size
+            force = eval_f(self.spec, cur * self.grid.r_inv[:m])
+            force *= self.weight[:m]
+            inner -= force[1:-1]
+        if vel is not None:
+            np.subtract(prev, vel, out=vel)
+            vel /= 2.0 * self.dt
+
+    def land(self, u: np.ndarray, prev: np.ndarray, vel: np.ndarray, t: float) -> None:
+        """The velocity of the last level u = u^N at t over vel: the landing
+        v^N = (a v- + dt/2 A_N) / (a + b), v- = (u^N - u^{N-1}) / dt, with
+        u^{N-1} in prev, which then holds A_N's share."""
+        np.subtract(u, prev, out=vel)
+        vel /= self.dt
+        vel *= self.a / (self.a + self.b)
+        acc = _accel(u, None, t, self.hubble, self.spec, self.grid, 2, out=prev)
+        acc *= 0.5 * self.dt / (self.a + self.b)
+        vel += acc
+        vel[0] = vel[-1] = 0.0
 
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
@@ -591,19 +679,18 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
     t0 = state0.t
     n = grid.n_nodes
     order = cfg.space_order
-    fields = (state0.u, state0.u_t)     # then the window's, with the acceleration (kdk)
     # the first node within 4 dr of r_max: the support overflows once a node
     # from it on lies above the support threshold
     edge = int(np.searchsorted(grid.r, grid.r_max - 4.0 * grid.dr))
-    kdk = cfg.scheme != "rk4"
     bounded = spec is not None and math.isfinite(spec.domain_lo)
     window = 2.0 * _sup_phi(state0)
 
-    def inspect(k: int, last: int) -> None:
-        # every node past ``last`` and past the window is 0: the checks read
-        # the window, through phi and sup|phi| formed once
+    def inspect(k: int, u: np.ndarray, u_t: np.ndarray, last: int) -> None:
+        # every node past ``last`` is 0: the checks read the prefix, through
+        # phi and sup|phi| formed once, and the observer gets its copies
         nonlocal window
-        u, u_t = fields[:2]
+        size = min(n, last + order + 3)
+        u, u_t = u[:size], u_t[:size]
         t = t0 + k * dt
         phi = _over_r(u, grid.r_inv)
         sup = float(np.abs(phi).max())
@@ -611,9 +698,9 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         # node 0 at 0
         if not (math.isfinite(sup) and math.isfinite(u[0]) and np.isfinite(u_t).all()):
             raise NonFiniteField(f"non-finite field at t={t:.6g}")
-        if u.size > edge and (
+        if size > edge and (
                 (np.abs(phi[edge:]) > SUPPORT_THRESHOLD).any()
-                or (np.abs(u_t[edge:] * grid.r_inv[edge:u.size]) > SUPPORT_THRESHOLD).any()):
+                or (np.abs(u_t[edge:] * grid.r_inv[edge:size]) > SUPPORT_THRESHOLD).any()):
             radius = support_radius(phi, _over_r(u_t, grid.r_inv), grid)
             raise SupportOverflow(
                 f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
@@ -621,8 +708,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         if bounded:
             check_domain(spec, phi)
         if observer is not None:
-            size = min(n, last + order + 3)
-            observer(Prefix(t, _fit(u, size), _fit(u_t, size), grid, order))
+            observer(Prefix(t, u.copy(), u_t.copy(), grid, order))
         if sup <= 0.5 * window:
             return
         window = 2.0 * sup
@@ -633,30 +719,53 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
                 f"window to +-{window:.4g}; there the {cfg.scheme} step dt={dt:.6g} "
                 f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
 
-    inspect(0, _last_nonzero(fields))
+    inspect(0, state0.u, state0.u_t, _last_nonzero((state0.u, state0.u_t)))
     if n_steps == 0:
         return state0
-    if kdk:
-        subs = _substeps(dt, cfg, linear_mass(spec))
-        # whole-grid copies of u and u_t, the acceleration and a work array:
-        # the leapfrogs step their window [0, m) in place
-        whole = (state0.u.copy(), state0.u_t.copy(),
-                 _accel(state0.u, None, t0, cfg.hubble, spec, grid, order), np.empty(n))
-        fields = whole[:3]
+    # whole-grid copies of u and u_t and the scheme's work arrays; each step
+    # works on their views [0, m), past which u and u_t stay 0
+    u, u_t = state0.u.copy(), state0.u_t.copy()
+    if cfg.scheme == "rk4":
+        whole = (u, u_t, np.empty((8, n)))
+    elif cfg.scheme == "leapfrog4":
+        subs = _substeps(dt, linear_mass(spec))
+        whole = (u, u_t, _accel(u, None, t0, 0.0, spec, grid, order), np.empty(n))
+    else:
+        # u^k lands in whole[k % 2] over u^{k-2} (u_t is the velocity of u^0
+        # until u^1 replaces it); whole[2] holds the observed velocity
+        leapfrog = _Leapfrog(dt, cfg.hubble, spec, grid)
+        whole = (u, u_t, np.zeros(n))
+    live = whole[:3] if cfg.scheme == "leapfrog4" else whole[:2]
     # the active window [0, m), see the module docstring
     pad = RECHECK * _reach(cfg.scheme, order) + order // 2
     m = 0
     for k in range(1, n_steps + 1):
         if m < n and (k - 1) % RECHECK == 0:
-            m = min(n, _last_nonzero(fields) + 1 + pad)
-            if kdk:
-                *fields, scratch = (values[:m] for values in whole)
+            m = min(n, _last_nonzero(live) + 1 + pad)
+            views = [values[..., :m] for values in whole]
+            if cfg.scheme == "leapfrog":
+                # a window that shrinks leaves no stale velocity behind it
+                whole[2][m:] = 0.0
+        t = t0 + (k - 1) * dt
+        if cfg.scheme != "leapfrog":
+            if cfg.scheme == "rk4":
+                _rk4(*views, t, dt, cfg.hubble, spec, grid, order)
             else:
-                fields = tuple(_fit(values, m) for values in fields)
-        if kdk:
-            _kdk(*fields, scratch, t0 + k * dt, subs, cfg, spec, grid)
+                _kdk(*views, subs, spec, grid, order)
+            if k % cfg.output_every == 0 or k == n_steps:
+                inspect(k, u, u_t, m - 1)
+        elif k == 1:
+            leapfrog.first(*views[:2], t)
         else:
-            fields = _rk4(*fields, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid, order)
-        if k % cfg.output_every == 0 or k == n_steps:
-            inspect(k, m - 1)
-    return FieldState(t0 + n_steps * dt, _fit(fields[0], n), _fit(fields[1], n), grid, order)
+            # snapshot k - 1 is observed once u^k exists
+            observed = (k - 1) % cfg.output_every == 0
+            leapfrog.step(views[k % 2], views[(k - 1) % 2], t, views[2] if observed else None)
+            if observed:
+                inspect(k - 1, whole[(k - 1) % 2], whole[2], m - 1)
+    t_end = t0 + n_steps * dt
+    if cfg.scheme == "leapfrog":
+        u, vel = whole[n_steps % 2], whole[2]
+        leapfrog.land(views[n_steps % 2], views[(n_steps - 1) % 2], views[2], t_end)
+        inspect(n_steps, u, vel, m - 1)
+        return FieldState(t_end, u, vel, grid, order)
+    return FieldState(t_end, u, u_t, grid, order)

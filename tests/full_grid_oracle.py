@@ -3,7 +3,12 @@ an active window: every stencil, force and update spans all n_nodes.
 
 It is the oracle for the active window: ``evolve`` must give the same
 snapshots, up to the sign of zeros, and the same abort, and observe the same
-snapshots: the stiffness check follows the observer.  Its support check
+snapshots: the stiffness check follows the observer.  It steps the leapfrog
+as ``evolve`` does, by its two-level recurrence, observing snapshot k once
+u^{k+1} exists; with ``kdk=True`` it steps it in its kick-drift-kick form
+instead (velocity Verlet, one force evaluation per step and one for the
+initial data), the reference the recurrence is compared with: the two are
+one scheme, equal up to rounding.  Its support check
 takes the 1e-13 front of every snapshot over the whole grid, the reference
 for the edge check of ``evolve`` and for the sampled ``support``; its domain
 check reads phi on every node.
@@ -11,14 +16,15 @@ check reads phi on every node.
 ``scan_prefix`` cuts a whole-grid snapshot to the ``Prefix`` the size rule
 of ``evolve`` gives from a scan of its nonzero nodes, the input the
 diagnostics take, and ``whole_grid`` extends a prefix by zeros to the
-whole-grid snapshot it was cut from.
+whole-grid snapshot it was cut from.  ``kdk_evolve`` is the kick-drift-kick
+form with ``evolve``'s signature: its observer gets the scanned prefixes.
 """
 
 import numpy as np
 
 from inflaton.dynamics import (FieldState, NonFiniteField, Prefix, StiffnessViolation,
-                               SupportOverflow, _accel, _kdk, _last_nonzero, _rk4,
-                               _substeps, _sup_phi, linear_mass, resolve_dt,
+                               SupportOverflow, _accel, _kdk, _last_nonzero, _Leapfrog,
+                               _rk4, _substeps, _sup_phi, linear_mass, resolve_dt,
                                stiffness_cfl, support_radius)
 from inflaton.potentials import check_domain
 
@@ -43,18 +49,35 @@ def whole_grid(head):
     return FieldState(head.t, u, u_t, head.grid, head.space_order)
 
 
-def full_grid_evolve(state0, cfg, spec, grid, observer=None):
+def kdk_step(u, u_t, acc, scratch, t_new, dt, hubble, mass2, spec, grid):
+    """One kick-drift-kick leapfrog step in place: with a = 1 + m^2 dt^2/4 and
+    b = 3H dt/2, v+ = ((a - b) v^n + dt/2 A_n) / a, u^{n+1} = u^n + dt v+ and
+    v^{n+1} = (a v+ + dt/2 A_{n+1}) / (a + b); ``acc`` holds A_n at the start
+    and A_{n+1} at the end."""
+    a = 1.0 + 0.25 * mass2 * dt * dt
+    b = 1.5 * hubble * dt
+    u_t *= (a - b) / a
+    u_t += np.multiply(acc, 0.5 * dt / a, out=scratch)
+    u += np.multiply(u_t, dt, out=scratch)
+    u[0] = u[-1] = 0.0
+    _accel(u, None, t_new, hubble, spec, grid, 2, out=acc)
+    u_t *= a / (a + b)
+    u_t += np.multiply(acc, 0.5 * dt / (a + b), out=scratch)
+    u_t[0] = u_t[-1] = 0.0
+
+
+def full_grid_evolve(state0, cfg, spec, grid, observer=None, kdk=False):
     dt_max = resolve_dt(grid, cfg, spec, state0)
     n_steps = max(1, int(np.ceil(cfg.t_end / dt_max - 1e-12)))
     dt = cfg.t_end / n_steps
     t0 = state0.t
+    order = cfg.space_order
     u = state0.u.copy()
     u_t = state0.u_t.copy()
 
     def snapshot(k):
-        return FieldState(t0 + k * dt, u.copy(), u_t.copy(), grid, cfg.space_order)
+        return FieldState(t0 + k * dt, u.copy(), u_t.copy(), grid, order)
 
-    kdk = cfg.scheme != "rk4"
     window = 2.0 * _sup_phi(state0)
 
     def check_window(state):
@@ -63,8 +86,7 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
         if sup <= 0.5 * window:
             return
         window = 2.0 * sup
-        bound = stiffness_cfl(spec, window, grid.dr, cfg.scheme,
-                              cfg.space_order) * grid.dr
+        bound = stiffness_cfl(spec, window, grid.dr, cfg.scheme, order) * grid.dr
         if dt > bound:
             raise StiffnessViolation(
                 f"sup|phi|={sup:.4g} at t={state.t:.6g} widens the visited "
@@ -89,16 +111,42 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None):
         inspect(state0)
         return state0
     inspect(snapshot(0))
-    if kdk:
-        subs = _substeps(dt, cfg, linear_mass(spec))
-        acc = _accel(u, None, t0, cfg.hubble, spec, grid, cfg.space_order)
-        scratch = np.empty_like(u)
+    if cfg.scheme == "leapfrog" and not kdk:
+        # u^{k-1} in u, u^{k-2} in prev; snapshot k - 1 is observed once u^k exists
+        leapfrog = _Leapfrog(dt, cfg.hubble, spec, grid)
+        prev, u = u, u_t
+        leapfrog.first(prev, u, t0)
+        for k in range(2, n_steps + 1):
+            vel = np.empty_like(u)
+            leapfrog.step(prev, u, t0 + (k - 1) * dt, vel)
+            prev, u = u, prev
+            if (k - 1) % cfg.output_every == 0:
+                inspect(FieldState(t0 + (k - 1) * dt, prev.copy(), vel, grid, order))
+        u_t = np.empty_like(u)
+        leapfrog.land(u, prev, u_t, t0 + n_steps * dt)
+        inspect(snapshot(n_steps))
+        return snapshot(n_steps)
+    if cfg.scheme == "leapfrog":
+        mass2 = linear_mass(spec)
+        acc = _accel(u, None, t0, cfg.hubble, spec, grid, 2)
+    elif cfg.scheme == "leapfrog4":
+        subs = _substeps(dt, linear_mass(spec))
+        acc = _accel(u, None, t0, 0.0, spec, grid, order)
+    scratch = np.empty((8, u.size))
     for k in range(1, n_steps + 1):
-        if kdk:
-            _kdk(u, u_t, acc, scratch, t0 + k * dt, subs, cfg, spec, grid)
+        if cfg.scheme == "leapfrog":
+            kdk_step(u, u_t, acc, scratch[0], t0 + k * dt, dt, cfg.hubble, mass2, spec, grid)
+        elif cfg.scheme == "leapfrog4":
+            _kdk(u, u_t, acc, scratch[0], subs, spec, grid, order)
         else:
-            u, u_t = _rk4(u, u_t, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid,
-                          cfg.space_order)
+            _rk4(u, u_t, scratch, t0 + (k - 1) * dt, dt, cfg.hubble, spec, grid, order)
         if k % cfg.output_every == 0 or k == n_steps:
             inspect(snapshot(k))
     return snapshot(n_steps)
+
+
+def kdk_evolve(state0, cfg, spec, grid, observer=None):
+    """``full_grid_evolve`` with ``kdk=True``, handing ``observer`` the
+    scanned prefixes (``scan_prefix``) of its snapshots."""
+    heads = None if observer is None else (lambda state: observer(scan_prefix(state)))
+    return full_grid_evolve(state0, cfg, spec, grid, heads, kdk=True)

@@ -140,11 +140,13 @@ def test_block_fields_refuses_mixed_grids_and_orders(small_grid):
 
 @pytest.mark.parametrize("scheme,order", [("rk4", 4), ("leapfrog", 2), ("leapfrog4", 6)])
 def test_snapshots_carry_their_live_extent(scheme, order, monkeypatch):
-    # each observed prefix ends order + 2 nodes past its step's window [0, m)
-    # (at most at n_nodes), the first one order + 3 past the last nonzero node
-    # of a scan of the initial state; on its nodes it is the whole-grid loop's
-    # snapshot bit for bit, that snapshot is 0 beyond them, and its fields are
-    # those a scan of the snapshot gives
+    # each observed prefix ends order + 2 nodes past the window [0, m) of the
+    # step it is observed at (at most at n_nodes), the first one order + 3
+    # past the last nonzero node of a scan of the initial state; on its nodes
+    # it is the whole-grid loop's snapshot bit for bit, that snapshot is 0
+    # beyond them, and its fields are those a scan of the snapshot gives.  The
+    # leapfrog observes snapshot k at step k + 1, once u^{k+1} exists, and
+    # the last one at the last step
     g = RadialGrid(30.0, 512)
     spec = PotentialSpec("T", n=1)
     state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing", space_order=order)
@@ -161,11 +163,13 @@ def test_snapshots_carry_their_live_extent(scheme, order, monkeypatch):
     pad = dynamics.RECHECK * dynamics._reach(scheme, order) + order // 2
     dt = heads[1].t / dynamics.RECHECK
     assert heads[0].u.size == min(n, scans[0] + order + 3)
+    n_steps = round(heads[-1].t / dt)
     for head in heads[1:]:
-        # the window of step k was placed at the step after the last multiple
-        # of RECHECK before k, until it filled the grid
+        # the window of step j was placed at the step after the last multiple
+        # of RECHECK before j, until it filled the grid
         k = round(head.t / dt)
-        m = min(n, scans[min(1 + (k - 1) // dynamics.RECHECK, len(scans) - 1)] + 1 + pad)
+        j = min(k + 1, n_steps) if scheme == "leapfrog" else k
+        m = min(n, scans[min(1 + (j - 1) // dynamics.RECHECK, len(scans) - 1)] + 1 + pad)
         assert head.u.size == min(n, m + order + 2)
         assert not head.u[m:].any() and not head.u_t[m:].any()
     assert any(head.u.size < n for head in heads)
