@@ -10,10 +10,12 @@ second derivative ((r phi)_rr / r) and removes the origin singularity:
 Spatial derivatives are centered differences of selectable order (2, 4, 6);
 the substitution u(-r) = -u(r) supplies exact ghost values at the origin.
 The interior rows of the order-4 and order-6 second derivative are one
-``np.convolve`` pass, which adds the taps from the first input node to the
+``np.correlate`` pass, which adds the taps from the first input node to the
 last: on u at order 6 and on u reversed at order 4, each the direction of its
-written sum, so the rows are those sums bit for bit (``tests/stencil_oracle.py``).
-It would swap its arguments on fewer nodes than taps; no input has under 17.
+written sum; the taps are symmetric, so correlating is convolving, and the
+rows are those sums bit for bit (``tests/stencil_oracle.py``).  It would swap
+its arguments on fewer nodes than taps; no input has under 17.  The rows
+near the ends are Python-float sums of one list of the end nodes.
 The outer Dirichlet row is only valid while the support stays away from
 r_max, which ``evolve`` enforces (abort, not absorbing layers -- absorbing
 boundaries would contaminate the virial diagnostics).
@@ -113,7 +115,9 @@ against that edge, and the stiffness check.  The observer gets a
 be nonzero on, one slice each of the whole-grid arrays (of the initial
 state at the start, cut after a scan of it); ``block_fields`` builds those
 three of a block of prefixes, and ``support_radius`` their 1e-13 front,
-for the diagnostics.  Only the returned state spans the whole grid.
+for the diagnostics, both in a ``Workspace``: views of flat buffers that
+a run allocates once, so a block allocates no array of its size.  Only
+the returned state spans the whole grid.
 """
 
 from __future__ import annotations
@@ -136,6 +140,7 @@ __all__ = [
     "SolverConfig",
     "FieldState",
     "Prefix",
+    "Workspace",
     "bump_profile",
     "gaussian_profile",
     "initial_state",
@@ -249,6 +254,8 @@ def stiffness_cfl(spec: PotentialSpec | None, half_width: float, dr: float,
 # stencils (u odd about r=0: ghost u[-k] = -u[k])
 _D2_TAPS4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
 _D2_TAPS6 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0])
+# the nodes the order-4 and order-6 rows near the ends read
+_END_NODES = np.array([0, 1, 2, 3, 4, 5, -5, -4, -3, -2, -1])
 
 
 def _second_derivative(u: np.ndarray, dr: float, order: int,
@@ -264,35 +271,54 @@ def _second_derivative(u: np.ndarray, dr: float, order: int,
         inner += u[:-2]
         inner /= h2
         return out
+    # the rows near the ends in Python floats, from one list of the end nodes
+    u0, u1, u2, u3, u4, u5, e5, e4, e3, e2, e1 = u[_END_NODES].tolist()
     if order == 4:
-        np.divide(np.convolve(u[::-1], _D2_TAPS4, "valid")[::-1], 12.0 * h2, out=out[2:-2])
-        out[1] = (-u[3] + 16.0 * u[2] - 29.0 * u[1] + 16.0 * u[0]) / (12.0 * h2)
+        np.divide(np.correlate(u[::-1], _D2_TAPS4, "valid")[::-1], 12.0 * h2, out=out[2:-2])
+        out[1] = (-u3 + 16.0 * u2 - 29.0 * u1 + 16.0 * u0) / (12.0 * h2)
     else:
-        np.divide(np.convolve(u, _D2_TAPS6, "valid"), 180.0 * h2, out=out[3:-3])
-        out[1] = (-2.0 * u[2] + 27.0 * u[1] + 270.0 * u[0] - 490.0 * u[1]
-                  + 270.0 * u[2] - 27.0 * u[3] + 2.0 * u[4]) / (180.0 * h2)
-        out[2] = (-2.0 * u[1] - 27.0 * u[0] + 270.0 * u[1] - 490.0 * u[2]
-                  + 270.0 * u[3] - 27.0 * u[4] + 2.0 * u[5]) / (180.0 * h2)
-        out[-3] = (-u[-1] + 16.0 * u[-2] - 30.0 * u[-3] + 16.0 * u[-4] - u[-5]) / (12.0 * h2)
-    out[-2] = (u[-1] - 2.0 * u[-2] + u[-3]) / h2
+        np.divide(np.correlate(u, _D2_TAPS6, "valid"), 180.0 * h2, out=out[3:-3])
+        out[1] = (-2.0 * u2 + 27.0 * u1 + 270.0 * u0 - 490.0 * u1
+                  + 270.0 * u2 - 27.0 * u3 + 2.0 * u4) / (180.0 * h2)
+        out[2] = (-2.0 * u1 - 27.0 * u0 + 270.0 * u1 - 490.0 * u2
+                  + 270.0 * u3 - 27.0 * u4 + 2.0 * u5) / (180.0 * h2)
+        out[-3] = (-e1 + 16.0 * e2 - 30.0 * e3 + 16.0 * e4 - e5) / (12.0 * h2)
+    out[-2] = (e1 - 2.0 * e2 + e3) / h2
     return out
 
 
-def _first_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
+def _first_derivative(u: np.ndarray, dr: float, order: int, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
     """Radial derivative along the last axis, so a (B, k) block of rows is
-    differentiated row by row; the origin row, which no caller reads, is 0."""
-    out = np.empty_like(u)
-    out[..., 0] = 0.0
+    differentiated row by row; the origin row, which no caller reads, is 0.
+    ``out`` (C-contiguous) receives it, and ``work``, of u's shape, one
+    interior term at a time (new arrays where None; neither may be u).  The
+    interior formula runs once over the rows laid end to end, which needs no
+    strided pass; the entries it forms across a row boundary are the edge
+    rows, written after it."""
+    out = np.empty(u.shape) if out is None else out
+    half = order // 2
+    flat = u.reshape(-1)
+    inner = out.reshape(-1)[half:-half]
+    term = None if work is None else work.reshape(-1)[half:-half]
     if order == 2:
-        out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
+        np.subtract(flat[2:], flat[:-2], out=inner)
+        inner /= 2.0 * dr
     elif order == 4:
-        out[..., 2:-2] = (u[..., :-4] - 8.0 * u[..., 1:-3] + 8.0 * u[..., 3:-1]
-                          - u[..., 4:]) / (12.0 * dr)
+        np.subtract(flat[:-4], np.multiply(8.0, flat[1:-3], out=inner), out=inner)
+        inner += np.multiply(8.0, flat[3:-1], out=term)
+        inner -= flat[4:]
+        inner /= 12.0 * dr
         out[..., 1] = (-u[..., 1] - 8.0 * u[..., 0] + 8.0 * u[..., 2] - u[..., 3]) / (12.0 * dr)
         out[..., -2] = (u[..., -1] - u[..., -3]) / (2.0 * dr)
     else:
-        out[..., 3:-3] = (-u[..., :-6] + 9.0 * u[..., 1:-5] - 45.0 * u[..., 2:-4]
-                          + 45.0 * u[..., 4:-2] - 9.0 * u[..., 5:-1] + u[..., 6:]) / (60.0 * dr)
+        np.negative(flat[:-6], out=inner)
+        inner += np.multiply(9.0, flat[1:-5], out=term)
+        inner -= np.multiply(45.0, flat[2:-4], out=term)
+        inner += np.multiply(45.0, flat[4:-2], out=term)
+        inner -= np.multiply(9.0, flat[5:-1], out=term)
+        inner += flat[6:]
+        inner /= 60.0 * dr
         out[..., 1] = (u[..., 2] - 9.0 * u[..., 1] - 45.0 * u[..., 0] + 45.0 * u[..., 2]
                        - 9.0 * u[..., 3] + u[..., 4]) / (60.0 * dr)
         out[..., 2] = (u[..., 1] + 9.0 * u[..., 0] - 45.0 * u[..., 1] + 45.0 * u[..., 3]
@@ -300,6 +326,7 @@ def _first_derivative(u: np.ndarray, dr: float, order: int) -> np.ndarray:
         out[..., -3] = (u[..., -5] - 8.0 * u[..., -4] + 8.0 * u[..., -2]
                         - u[..., -1]) / (12.0 * dr)
         out[..., -2] = (u[..., -1] - u[..., -3]) / (2.0 * dr)
+    out[..., 0] = 0.0
     out[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dr)
     return out
 
@@ -367,40 +394,96 @@ def _over_r(values: np.ndarray, r_inv: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-def _radial_derivative(u: np.ndarray, phi: np.ndarray, grid: RadialGrid,
-                       order: int) -> np.ndarray:
-    """phi_r = (u_r - phi) / r along the last axis, 0 at r = 0."""
-    out = _first_derivative(u, grid.dr, order)      # its origin row is 0
-    out[..., 1:] -= phi[..., 1:]
-    out[..., 1:] *= grid.r_inv[1:u.shape[-1]]
+def _radial_derivative(u: np.ndarray, phi: np.ndarray, grid: RadialGrid, order: int,
+                       out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """phi_r = (u_r - phi) / r along the last axis, 0 at r = 0, into ``out``
+    through ``work`` (``_first_derivative``'s)."""
+    out = _first_derivative(u, grid.dr, order, out, work)
+    out -= phi
+    out *= grid.r_inv[:u.shape[-1]]
+    out[..., 0] = 0.0
     return out
 
 
-def block_fields(heads) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class Workspace:
+    """Flat float buffers of ``size`` entries that the (B, k) arrays of a
+    diagnostics block are views of.  ``take`` hands out a C-contiguous view
+    at offset 0 of the next buffer, made the first time it is needed (a bool
+    view serves as a mask), and a ``with`` block on the workspace hands back,
+    as it ends, the buffers taken inside it.  ``run_scenario`` keeps one for
+    a run, sized for its widest block, so after the first block no
+    block-sized array is allocated or freed; a shape of more than ``size``
+    entries is refused (ValueError).  A view is valid until its ``with``
+    block ends; buffers are not cleared, so every array taken is written in
+    full."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._buffers: list[np.ndarray] = []
+        self._taken = 0
+        self._marks: list[int] = []
+
+    def take(self, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        if self._taken == len(self._buffers):
+            self._buffers.append(np.empty(self.size))
+        flat = self._buffers[self._taken]
+        if dtype is not float:
+            flat = flat.view(dtype)
+        view = flat[:math.prod(shape)].reshape(shape)
+        self._taken += 1
+        return view
+
+    def __enter__(self) -> Workspace:
+        self._marks.append(self._taken)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._taken = self._marks.pop()
+
+
+def block_fields(heads, workspace: Workspace | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi, phi_t and phi_r of a block of prefixes (``Prefix``) on one grid
-    and stencil order, as (B, k) arrays on the widest prefix [0, k): every
-    row equals its snapshot's own phi, phi_t and phi_r on those nodes, and
-    both are 0 beyond them."""
+    and stencil order, as (B, k) arrays on the widest prefix [0, k), taken
+    from ``workspace`` (one of the block's size if None): every row equals
+    its snapshot's own phi, phi_t and phi_r on those nodes, and both are 0
+    beyond them."""
     grid, order = heads[0].grid, heads[0].space_order
     if any(h.grid != grid or h.space_order != order for h in heads):
         raise ValueError("a block holds snapshots of one grid and stencil order")
-    k = max(h.u.size for h in heads)
-    u, u_t = np.zeros((len(heads), k)), np.zeros((len(heads), k))
-    for row, row_t, head in zip(u, u_t, heads):
-        row[:head.u.size] = head.u
-        row_t[:head.u.size] = head.u_t
-    phi = _over_r(u, grid.r_inv)
-    phi_t = _over_r(u_t, grid.r_inv, out=u_t)
-    return phi, phi_t, _radial_derivative(u, phi, grid, order)
+    shape = (len(heads), max(h.u.size for h in heads))
+    ws = Workspace(math.prod(shape)) if workspace is None else workspace
+    phi, phi_t, phi_r = ws.take(shape), ws.take(shape), ws.take(shape)
+    with ws:
+        u = ws.take(shape)
+        for row, row_t, head in zip(u, phi_t, heads):
+            size = head.u.size
+            row[:size] = head.u
+            row[size:] = 0.0
+            row_t[:size] = head.u_t
+            row_t[size:] = 0.0
+        _over_r(u, grid.r_inv, out=phi)
+        _over_r(phi_t, grid.r_inv, out=phi_t)
+        _radial_derivative(u, phi, grid, order, phi_r, ws.take(shape))
+    return phi, phi_t, phi_r
 
 
-def support_radius(phi: np.ndarray, phi_t: np.ndarray, grid: RadialGrid):
+def support_radius(phi: np.ndarray, phi_t: np.ndarray, grid: RadialGrid,
+                   workspace: Workspace | None = None):
     """The 1e-13 front: the largest r_j where |phi| or |phi_t| exceeds the
     threshold (0 if none), of the node values of a prefix of the grid (0
-    beyond it), or of each row of a (B, k) block of them."""
-    mask = (np.abs(phi) > SUPPORT_THRESHOLD) | (np.abs(phi_t) > SUPPORT_THRESHOLD)
-    last = mask.shape[-1] - 1 - np.argmax(mask[..., ::-1], axis=-1)
-    radius = np.where(mask.any(axis=-1), grid.r[last], 0.0)
+    beyond it), or of each row of a (B, k) block of them; its |.| arrays and
+    masks are taken from ``workspace`` (one of phi's size if None)."""
+    ws = Workspace(phi.size) if workspace is None else workspace
+    with ws:
+        mag = ws.take(phi.shape)
+        mask = np.greater(np.abs(phi, out=mag), SUPPORT_THRESHOLD,
+                          out=ws.take(phi.shape, bool))
+        mask |= np.greater(np.abs(phi_t, out=mag), SUPPORT_THRESHOLD,
+                           out=ws.take(phi.shape, bool))
+        last = mask.shape[-1] - 1 - np.argmax(mask[..., ::-1], axis=-1)
+        radius = np.where(mask.any(axis=-1), grid.r[last], 0.0)
     return float(radius) if radius.ndim == 0 else radius
 
 
@@ -596,14 +679,19 @@ class _Leapfrog:
         # the factor of u^{n-1}, 1 at H = 0, and the force's weights per node
         self.q = (self.a - self.b) / (self.a + self.b)
         self.weight = grid.r * (dt * dt / (self.a + self.b))
-        # the taps of every step at H = 0
+        # the taps of a step, rewritten at each step at H > 0 and fixed at H = 0
+        self._taps = np.empty(3)
         self.fixed = None if hubble else self.taps(0.0)
 
     def taps(self, t: float) -> np.ndarray:
-        """[c, 2a - 2c, c] / (a + b), c = dt^2 e^{-2Ht} / dr^2."""
+        """[c, 2a - 2c, c] / (a + b), c = dt^2 e^{-2Ht} / dr^2, written over
+        the run's one taps array."""
         c = (self.dt / self.grid.dr) ** 2 * math.exp(-2.0 * self.hubble * t)
         s = self.a + self.b
-        return np.array([c / s, (2.0 * self.a - 2.0 * c) / s, c / s])
+        taps = self._taps
+        taps[0] = taps[2] = c / s
+        taps[1] = (2.0 * self.a - 2.0 * c) / s
+        return taps
 
     def first(self, u: np.ndarray, u_t: np.ndarray, t: float) -> None:
         """u^1 over u_t from u^0 = u and its velocity u_t at t: the kick

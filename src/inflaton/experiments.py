@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, Prefix,
-                       SolverConfig, StiffnessViolation, SupportOverflow,
+                       SolverConfig, StiffnessViolation, SupportOverflow, Workspace,
                        evolve, initial_state, resolve_dt)
 from .grid import RadialGrid
 from .potentials import (DomainViolation, PotentialSpec, audit_potential,
@@ -50,8 +50,8 @@ SATURATION_LIMIT = 0.05        # last-quarter share of int W dt
 SUPNORM_GROWTH_LIMIT = 2.0     # small-data guard for the thm2 protocol
 # live nodes per diagnostics block: run_scenario closes a block before its
 # rows times its widest prefix (dynamics.Prefix) would pass this (a single wider snapshot
-# is a block of its own), so the buffers and the block's temporaries stay
-# this size whatever n_nodes is (BENCH_live_blocks.json)
+# is a block of its own), so the buffers and the views a block takes from the
+# run's workspace stay this size whatever n_nodes is (BENCH_live_blocks.json)
 BLOCK_NODES = 16_400
 
 DEFAULT_THRESHOLDS = {
@@ -281,7 +281,8 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
 
     The prefixes ``evolve`` hands out (``Prefix``) are buffered as they come
     and their diagnostics evaluated a block at a time
-    (``BLOCK_NODES``), the last block once ``evolve`` returns or aborts.
+    (``BLOCK_NODES``), the last block once ``evolve`` returns or aborts,
+    every block in the run's one ``Workspace``.
     Every abort is ``evolve``'s: it checks each snapshot, the potential's
     domain included, before it is observed, so every buffered snapshot has a
     record; a stiffness abort comes after its snapshot is observed, so the
@@ -291,10 +292,12 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     samples: list[VirialSample] = []
     pending: list[Prefix] = []
     width = 0       # the widest prefix in pending
+    # every block fits: B k <= BLOCK_NODES, or one snapshot of at most n_nodes
+    workspace = Workspace(max(BLOCK_NODES, grid.n_nodes))
 
     def flush() -> None:
         nonlocal width
-        samples.extend(sample_diagnostics(pending, scn.hubble, scn.spec, grid,
+        samples.extend(sample_diagnostics(pending, scn.hubble, scn.spec, grid, workspace,
                                           ball_radius=scn.decay_radius))
         pending.clear()
         width = 0

@@ -125,92 +125,122 @@ def check_domain(spec: PotentialSpec, v) -> None:
         raise DomainViolation(f"{spec.family} potential requires v > {spec.domain_lo:g}")
 
 
-def _omexp(s: np.ndarray) -> np.ndarray:
-    # 1 - e^{-s}, accurate near 0
-    return -np.expm1(-s)
-
-
-def _ipow(x: np.ndarray, k: int):
-    # small integer powers by squaring; avoids libm pow() in solver hot loops
-    if k == 0:
-        return np.ones_like(x)
-    out = None
+def _ipow(x: np.ndarray, k: int, out: np.ndarray | None = None,
+          sq: np.ndarray | None = None):
+    """x^k by squaring (avoids libm pow() in solver hot loops), the products
+    in one order whatever the buffers: x itself for k = 1, else written into
+    ``out``, with ``sq`` holding the squares once a product has begun (new
+    arrays where they are None; neither may be x)."""
+    if k < 2:
+        return x if k else np.ones_like(x)
+    res = None
     base = x
-    while k:
+    while True:
         if k & 1:
-            out = base if out is None else out * base
+            res = base if res is None else np.multiply(res, base, out=out)
         k >>= 1
-        if k:
-            base = base * base
-    return out
+        if not k:
+            return res
+        base = np.multiply(base, base, out=out if res is None else sq)
+
+
+# Each family's F and f is written once below, as ufunc calls into the
+# arrays ``out``, ``a`` and ``sq`` of s's shape; where they are None every
+# call makes a new array, which is what eval_F and eval_f do, and
+# eval_F_and_f hands in a diagnostics block's buffers.  The results are the
+# same bit for bit either way.
+
+
+def _shared(spec: PotentialSpec, s, out=None):
+    """The transcendental F and f of E and T share: 1 - e^{-s} (as -expm1(-s),
+    accurate near 0) or tanh s."""
+    if spec.family == "E":
+        return np.negative(np.expm1(np.negative(s, out=out), out=out), out=out)
+    return np.tanh(s, out=out)
+
+
+def _F(spec: PotentialSpec, s, out=None, a=None, sq=None):
+    fam, n = spec.family, spec.n
+    if fam in ("E", "T"):
+        return _ipow(_shared(spec, s, a), 2 * n, out, sq)
+    if fam in ("natural", "axion"):
+        # +-2 sin^2(s/2) = +-(1 - cos(s)) without cancellation near 0
+        half = np.sin(np.multiply(0.5, s, out=a), out=a)
+        return np.multiply(np.multiply(2.0 if fam == "natural" else -2.0, half, out=out),
+                           half, out=out)
+    if fam == "dbrane":
+        check_domain(spec, s)
+        inv = np.divide(1.0, _ipow(np.add(1.0, s, out=a), 2 * n, out, sq), out=out)
+        return np.subtract(np.subtract(1.0, inv, out=out),
+                           np.multiply(2.0 * n, s, out=a), out=out)
+    if fam == "hilltop":
+        return np.negative(_ipow(s, 2 * n, out, a), out=out)
+    square = np.multiply(s, s, out=out)
+    if fam == "monodromy":
+        # ((1+s^2)^{q/2} - 1)/q via expm1 for accuracy near 0
+        lg = np.log1p(square, out=out)
+        return np.divide(np.expm1(np.multiply(0.5 * spec.q, lg, out=out), out=out),
+                         spec.q, out=out)
+    return np.multiply(0.5, np.log1p(square, out=out), out=out)    # log
+
+
+def _f_of_shared(spec: PotentialSpec, s, g, out=None, a=None, sq=None):
+    """f of E or T from their shared transcendental g, formed in ``a``."""
+    n = spec.n
+    head = np.multiply(2.0 * n, _ipow(g, 2 * n - 1, out, sq), out=out)
+    if spec.family == "E":
+        tail = np.exp(np.negative(s, out=a), out=a)                   # e^{-s}
+    else:
+        tail = np.subtract(1.0, np.multiply(g, g, out=a), out=a)      # 1 - tanh^2
+    return np.multiply(head, tail, out=out)
+
+
+def _f(spec: PotentialSpec, s, out=None, a=None, sq=None):
+    fam, n = spec.family, spec.n
+    if fam in ("E", "T"):
+        return _f_of_shared(spec, s, _shared(spec, s, a), out, a, sq)
+    if fam == "natural":
+        return np.sin(s, out=out)
+    if fam == "axion":
+        return np.negative(np.sin(s, out=out), out=out)
+    if fam == "dbrane":
+        check_domain(spec, s)
+        inv = np.divide(1.0, _ipow(np.add(1.0, s, out=a), 2 * n + 1, out, sq), out=out)
+        return np.multiply(2.0 * n, np.subtract(inv, 1.0, out=out), out=out)
+    if fam == "hilltop":
+        return np.multiply(-2.0 * n, _ipow(s, 2 * n - 1, out, a), out=out)
+    # 1 + s^2, then s (1+s^2)^{q/2 - 1} (monodromy) or s / (1+s^2) (log)
+    base = np.add(1.0, np.multiply(s, s, out=out), out=out)
+    if fam == "monodromy":
+        base **= 0.5 * spec.q - 1.0
+        return np.multiply(s, base, out=out)
+    return np.divide(s, base, out=out)
 
 
 def eval_F(spec: PotentialSpec, s) -> float | np.ndarray:
     """Potential value F(s); exact closed form per family."""
-    s = np.asarray(s, dtype=float)
-    fam = spec.family
-    if fam == "E":
-        out = _ipow(_omexp(s), 2 * spec.n)
-    elif fam == "T":
-        out = _ipow(np.tanh(s), 2 * spec.n)
-    elif fam == "natural":
-        # 2 sin^2(s/2) = 1 - cos(s) without cancellation near 0
-        half = np.sin(0.5 * s)
-        out = 2.0 * half * half
-    elif fam == "axion":
-        half = np.sin(0.5 * s)
-        out = -2.0 * half * half
-    elif fam == "dbrane":
-        check_domain(spec, s)
-        out = 1.0 - 1.0 / _ipow(1.0 + s, 2 * spec.n) - 2.0 * spec.n * s
-    elif fam == "hilltop":
-        out = -_ipow(s, 2 * spec.n)
-    elif fam == "monodromy":
-        # ((1+s^2)^{q/2} - 1)/q via expm1 for accuracy near 0
-        out = np.expm1(0.5 * spec.q * np.log1p(s * s)) / spec.q
-    else:  # log
-        out = 0.5 * np.log1p(s * s)
+    out = _F(spec, np.asarray(s, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
 def eval_f(spec: PotentialSpec, s) -> float | np.ndarray:
     """Force f = F'(s), hand-derived closed form."""
-    s = np.asarray(s, dtype=float)
-    fam = spec.family
-    n = spec.n
-    if fam == "E":
-        out = 2.0 * n * _ipow(_omexp(s), 2 * n - 1) * np.exp(-s)
-    elif fam == "T":
-        th = np.tanh(s)
-        out = 2.0 * n * _ipow(th, 2 * n - 1) * (1.0 - th * th)
-    elif fam == "natural":
-        out = np.sin(s)
-    elif fam == "axion":
-        out = -np.sin(s)
-    elif fam == "dbrane":
-        check_domain(spec, s)
-        out = 2.0 * n * (1.0 / _ipow(1.0 + s, 2 * n + 1) - 1.0)
-    elif fam == "hilltop":
-        out = -2.0 * n * _ipow(s, 2 * n - 1)
-    elif fam == "monodromy":
-        out = s * (1.0 + s * s) ** (0.5 * spec.q - 1.0)
-    else:  # log
-        out = s / (1.0 + s * s)
+    out = _f(spec, np.asarray(s, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
-def eval_F_and_f(spec: PotentialSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eval_F_and_f(spec: PotentialSpec, s: np.ndarray,
+                 work: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """F and f of an array, bit for bit ``eval_F`` and ``eval_f``; E and T
-    evaluate the transcendental the two share once."""
+    evaluate the transcendental the two share once.  ``work``, four arrays
+    of s's shape (new arrays if None), receives F, f and the intermediates:
+    F and f are its first two."""
     s = np.asarray(s, dtype=float)
-    n = spec.n
-    if spec.family == "E":
-        g = _omexp(s)
-        return _ipow(g, 2 * n), 2.0 * n * _ipow(g, 2 * n - 1) * np.exp(-s)
-    if spec.family == "T":
-        th = np.tanh(s)
-        return _ipow(th, 2 * n), 2.0 * n * _ipow(th, 2 * n - 1) * (1.0 - th * th)
-    return eval_F(spec, s), eval_f(spec, s)
+    F, f, a, sq = (None,) * 4 if work is None else work
+    if spec.family in ("E", "T"):
+        g = _shared(spec, s, a)
+        return _ipow(g, 2 * spec.n, F, sq), _f_of_shared(spec, s, g, f, a, sq)
+    return _F(spec, s, F, a, sq), _f(spec, s, f, a, sq)
 
 
 def eval_fprime(spec: PotentialSpec, s) -> float | np.ndarray:
@@ -220,7 +250,7 @@ def eval_fprime(spec: PotentialSpec, s) -> float | np.ndarray:
     n = spec.n
     if fam == "E":
         e = np.exp(-s)
-        g = _omexp(s)
+        g = _shared(spec, s)
         out = 2.0 * n * e * _ipow(g, 2 * n - 2) * ((2 * n - 1) * e - g)
     elif fam == "T":
         th = np.tanh(s)

@@ -6,8 +6,11 @@ nodes past the last nonzero one add nothing.  The block is sized by those
 nodes: ``run_scenario`` buffers the live prefix of each snapshot
 (``dynamics.Prefix``), as ``evolve`` hands it out, and closes a block
 before its rows times its widest prefix would pass
-``experiments.BLOCK_NODES``.  F and f come from
-one evaluation of the family's transcendental (``eval_F_and_f``).  Each
+``experiments.BLOCK_NODES``.  Every (B, k) array of a block is a view of
+the run's ``dynamics.Workspace``, written in place, so after the run's
+first block no block-sized array is allocated or freed; a call without a
+workspace makes one for its block.  F and f come from one evaluation of
+the family's transcendental (``eval_F_and_f``), into the workspace too.  Each
 field product is formed once as a (B, k) array and reduced by one matrix
 product with the grid's Simpson-weighted weight table
 (``RadialGrid.weights``).  E, J and J_bound integrate the energy density,
@@ -57,7 +60,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .dynamics import block_fields, support_radius
+from .dynamics import Workspace, block_fields, support_radius
 from .grid import (WEIGHT_COLUMNS, RadialGrid, ball_energy, energy, exterior_cone_energy,
                    integrate, FOUR_PI)
 from .potentials import PotentialSpec, eval_F_and_f
@@ -112,96 +115,107 @@ _CSV_ROW = attrgetter(*CSV_COLUMNS)
 
 
 def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
-                       grid: RadialGrid, **options) -> list[VirialSample]:
+                       grid: RadialGrid, workspace: Workspace | None = None,
+                       **options) -> list[VirialSample]:
     """The diagnostics record of each snapshot of a block (one run's grid and
     stencil order), given by its prefix (``dynamics.Prefix``), evaluated
-    together on the block's live nodes; ``options`` are ``field_records``'
-    keywords."""
+    together on the block's live nodes in ``workspace`` (one of the block's
+    size if None); ``options`` are ``field_records``' keywords."""
     if not states:
         return []
-    return field_records([s.t for s in states], *block_fields(states), hubble, spec,
-                         grid, **options)
+    if workspace is None:
+        workspace = Workspace(len(states) * max(s.u.size for s in states))
+    with workspace:
+        return field_records([s.t for s in states], *block_fields(states, workspace), hubble,
+                             spec, grid, workspace=workspace, **options)
 
 
 def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
                   hubble: float, spec: PotentialSpec | None, grid: RadialGrid, *,
-                  sigma: float = -2.0, offset: float = 0.0,
-                  ball_radius: float = 10.0) -> list[VirialSample]:
+                  sigma: float = -2.0, offset: float = 0.0, ball_radius: float = 10.0,
+                  workspace: Workspace | None = None) -> list[VirialSample]:
     """The record of each row of (B, k) node values of phi, phi_t and phi_r on
     the first k nodes (0 beyond them) at the B times ``t``; nothing beyond
     them lies above the support threshold, so ``support`` is the front of
-    the whole grid."""
+    the whole grid.  Every (B, k) array it forms is taken from ``workspace``
+    (one of phi's size if None)."""
     t = np.asarray(t, dtype=float)
-    k = phi.shape[-1]
+    shape = phi.shape
+    ws = Workspace(phi.size) if workspace is None else workspace
     damp = np.exp(-2.0 * hubble * t)
-    sums, dens = _reduce(phi, phi_t, phi_r, spec, 0.5 * damp, grid)
-    PP, RR, TT, RT, PT = sums[:5]
+    with ws:
+        sums, dens = _reduce(phi, phi_t, phi_r, spec, 0.5 * damp, grid, ws)
+        PP, RR, TT, RT, PT = sums[:5]
+        h1w = PP[:, W_SOB] + RR[:, W_SOB]
+        l2w = TT[:, W_SOB]
+        i_rate = RR[:, I_GRAD] + PP[:, I_MASS]
+        rt_rate = l2w - RR[:, W_SOB] + PP[:, RT_MASS]
+        if spec is not None:
+            F, PF = sums[5:]
+            i_rate += F[:, PSI_P] - 0.5 * PF[:, PSI_P]
+            rt_rate -= PF[:, W_SOB]
+        e_rate = np.zeros_like(t)
+        if hubble:
+            e_rate = -hubble * FOUR_PI * (3.0 * TT[:, R_SQ] + damp * RR[:, R_SQ])
 
-    h1w = PP[:, W_SOB] + RR[:, W_SOB]
-    l2w = TT[:, W_SOB]
-    i_rate = RR[:, I_GRAD] + PP[:, I_MASS]
-    rt_rate = l2w - RR[:, W_SOB] + PP[:, RT_MASS]
-    if spec is not None:
-        F, PF = sums[5:]
-        i_rate += F[:, PSI_P] - 0.5 * PF[:, PSI_P]
-        rt_rate -= PF[:, W_SOB]
-    e_rate = np.zeros_like(t)
-    if hubble:
-        e_rate = -hubble * FOUR_PI * (3.0 * TT[:, R_SQ] + damp * RR[:, R_SQ])
-
-    # 1 + tanh x = 2/(1+q) (x >= 0) or 2q/(1+q) (x < 0) and sech^2 x =
-    # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail;
-    # formed in place, so the block's temporaries stay few
-    q = grid.r[:k] + (sigma * t + offset)[:, None]
-    ahead = q >= 0.0
-    np.abs(q, out=q)
-    q *= -2.0
-    np.exp(q, out=q)
-    inv = 1.0 + q
-    np.divide(1.0, inv, out=inv)
-    selector = q * inv
-    np.copyto(selector, inv, where=ahead)
-    selector *= dens
-    inv *= inv
-    inv *= q
-    inv *= dens
-    flux = phi[:, 0] ** 2
-    P, R = RT[:, PSI], PT[:, PSI_P]
-    columns = (
-        t, energy(dens, grid), h1w + l2w, P, R, P + 0.5 * R, i_rate, PT[:, W_SOB],
-        rt_rate, 2.0 * integrate(selector, grid), 4.0 * (1.0 + sigma) * integrate(inv, grid),
-        ball_energy(dens, ball_radius, grid),
-        exterior_cone_energy(dens, t, 2.0, grid),      # b = 2
-        np.max(np.abs(phi), axis=1), support_radius(phi, phi_t, grid),
-        np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])), h1w, l2w, flux,
-        i_rate - 0.5 * flux, e_rate)
+        with ws:
+            # 1 + tanh x = 2/(1+q) (x >= 0) or 2q/(1+q) (x < 0) and sech^2 x =
+            # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail
+            q, inv, selector = ws.take(shape), ws.take(shape), ws.take(shape)
+            q[:] = grid.r[:shape[-1]]
+            q += (sigma * t + offset)[:, None]
+            ahead = np.greater_equal(q, 0.0, out=ws.take(shape, bool))
+            np.abs(q, out=q)
+            q *= -2.0
+            np.exp(q, out=q)
+            np.add(1.0, q, out=inv)
+            np.divide(1.0, inv, out=inv)
+            np.multiply(q, inv, out=selector)
+            np.copyto(selector, inv, where=ahead)
+            selector *= dens
+            inv *= inv
+            inv *= q
+            inv *= dens
+            j, j_bound = 2.0 * integrate(selector, grid), 4.0 * (1.0 + sigma) * integrate(inv, grid)
+            sup_phi = np.max(np.abs(phi, out=q), axis=1)
+        flux = phi[:, 0] ** 2
+        P, R = RT[:, PSI], PT[:, PSI_P]
+        columns = (
+            t, energy(dens, grid), h1w + l2w, P, R, P + 0.5 * R, i_rate, PT[:, W_SOB],
+            rt_rate, j, j_bound, ball_energy(dens, ball_radius, grid),
+            exterior_cone_energy(dens, t, 2.0, grid),      # b = 2
+            sup_phi, support_radius(phi, phi_t, grid, ws),
+            np.sqrt(FOUR_PI * (PP[:, R_SQ] + RR[:, R_SQ])), h1w, l2w, flux,
+            i_rate - 0.5 * flux, e_rate)
     return [VirialSample(*row) for row in np.column_stack(columns).tolist()]
 
 
-def _reduce(phi, phi_t, phi_r, spec, half_damp, grid):
+def _reduce(phi, phi_t, phi_r, spec, half_damp, grid, ws):
     """Each field product of a block (phi^2, phi_r^2, phi_t^2, phi_r phi_t,
     phi phi_t, then F and phi f) reduced by one small matrix product with the
     (k, 7) Simpson-weighted table, sums[p][:, c] = int c * product_p dr, and
     the energy density r^2 (phi_t^2/2 + e^{-2Ht} phi_r^2/2 + F) from the same
-    squares; the products share one buffer, so the block's temporaries stay
-    few."""
-    k = phi.shape[-1]
-    table = grid.weights[:k]
-    buf = np.empty_like(phi)
-    sums = [np.multiply(phi, phi, out=buf) @ table]
-    rr = np.multiply(phi_r, phi_r, out=buf)
-    sums.append(rr @ table)
-    dens = half_damp[:, None] * rr
-    tt = np.multiply(phi_t, phi_t, out=buf)
-    sums.append(tt @ table)
-    tt *= 0.5
-    dens += tt
-    sums += [np.multiply(phi_r, phi_t, out=buf) @ table,
-             np.multiply(phi, phi_t, out=buf) @ table]
-    del buf, rr, tt
-    if spec is not None:
-        potential, force = eval_F_and_f(spec, phi)
-        dens += potential
-        sums += [potential @ table, np.multiply(phi, force, out=force) @ table]
-    dens *= grid.r_sq[:k]
+    squares, taken from the workspace ``ws``; the products share one of its
+    buffers, which then receives F."""
+    shape = phi.shape
+    table = grid.weights[:shape[-1]]
+    dens = ws.take(shape)
+    with ws:
+        work = [ws.take(shape) for _ in range(4)]
+        buf = work[0]
+        sums = [np.multiply(phi, phi, out=buf) @ table]
+        rr = np.multiply(phi_r, phi_r, out=buf)
+        sums.append(rr @ table)
+        np.multiply(half_damp[:, None], rr, out=dens)
+        tt = np.multiply(phi_t, phi_t, out=buf)
+        sums.append(tt @ table)
+        tt *= 0.5
+        dens += tt
+        sums += [np.multiply(phi_r, phi_t, out=buf) @ table,
+                 np.multiply(phi, phi_t, out=buf) @ table]
+        if spec is not None:
+            potential, force = eval_F_and_f(spec, phi, work)
+            dens += potential
+            sums += [potential @ table, np.multiply(phi, force, out=force) @ table]
+    dens *= grid.r_sq[:shape[-1]]
     return sums, dens

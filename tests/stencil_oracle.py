@@ -1,12 +1,14 @@
 """The second-derivative stencils as slice sums, written term by term.
 
 ``second_derivative`` is the oracle for ``dynamics._second_derivative``,
-whose interior rows at orders 4 and 6 are one ``np.convolve`` pass.  Each
-sum here is evaluated left to right as written, so an exact comparison
-pins the convolve's summation order, not only its taps.  ``np.convolve``
-swaps its arguments when the kernel is longer than the input, which would
-reverse that order; the shortest input the program forms has 17 nodes
-(``n_cells`` 16), and ``tests/test_dynamics.py`` compares from there up.
+whose interior rows at orders 4 and 6 are one ``np.correlate`` pass with
+the symmetric taps (so it is the convolution), and whose rows near the
+ends are Python-float sums.  Each sum here is evaluated left to right as
+written, so an exact comparison pins the correlate's summation order, not
+only its taps.  ``np.correlate`` swaps its inputs when the kernel is longer
+than the input (and reverses its result), which would reverse that order;
+the shortest input the program forms has 17 nodes (``n_cells`` 16), and
+``tests/test_dynamics.py`` compares from there up.
 """
 
 import numpy as np

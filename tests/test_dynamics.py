@@ -86,7 +86,7 @@ def test_sine_mode_is_exact_eigenvector_of_second_difference():
     assert abs(lam + k * k) <= k**4 * g.dr**2  # consistent with -k^2 to O(dr^2)
 
 
-# from the smallest grid (n_cells 16) through the convolve's small inputs to
+# from the smallest grid (n_cells 16) through the correlate's small inputs to
 # the committed grids
 _STENCIL_LENGTHS = (17, 18, 19, 33, 66, 67, 1025, 2049, 4097)
 
@@ -94,7 +94,7 @@ _STENCIL_LENGTHS = (17, 18, 19, 33, 66, 67, 1025, 2049, 4097)
 @pytest.mark.parametrize("order", (2, 4, 6))
 @pytest.mark.parametrize("n", _STENCIL_LENGTHS)
 def test_second_derivative_equals_the_written_sums(order, n):
-    # exact equality pins the summation order of the convolve pass, so that
+    # exact equality pins the summation order of the correlate pass, so that
     # every output stays bit-identical to the slice sums
     rng = np.random.default_rng(n * 10 + order)
     dr = 40.0 / (n - 1)

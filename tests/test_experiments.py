@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -475,3 +476,31 @@ def test_a_run_the_domain_check_stops_gives_the_same_samples_in_blocks(monkeypat
 def test_scenarios_on_one_grid_share_it():
     scn = _block_scenario("expanding")
     assert scn.grid() is replace(scn, name="other", t_end=1.0).grid()
+
+
+def test_later_blocks_allocate_no_block_array(monkeypatch):
+    # run_scenario evaluates every block in one workspace, so after the first
+    # block, which makes its buffers, a block allocates no (B, k) array: its
+    # transient peak under tracemalloc stays below one 128 KiB block array
+    # (8 bytes x BLOCK_NODES); each (B, k) temporary of a block used to be a
+    # new array, about 1.1 MiB of them at once on thm1-T1
+    peaks = []
+    original = experiments.sample_diagnostics
+
+    def traced(states, *args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        samples = original(states, *args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return samples
+
+    monkeypatch.setattr(experiments, "sample_diagnostics", traced)
+    tracemalloc.start()
+    try:
+        run_scenario(thm1_suite()[0])
+    finally:
+        tracemalloc.stop()
+    block_array = 8 * experiments.BLOCK_NODES
+    assert len(peaks) > 10
+    assert peaks[0] > 6 * block_array           # the first block makes the workspace
+    assert max(peaks[1:]) < block_array

@@ -5,10 +5,10 @@ from dataclasses import fields, replace
 from types import SimpleNamespace
 
 from inflaton import grid as grid_module, virials
-from inflaton.dynamics import FieldState, evolve, initial_state
+from inflaton.dynamics import FieldState, Workspace, evolve, initial_state
 from inflaton.experiments import thm3_suite
 from inflaton.grid import FOUR_PI, RadialGrid, integrate_range
-from inflaton.potentials import PotentialSpec, eval_F
+from inflaton.potentials import PotentialSpec, eval_F, parse_family
 from inflaton.virials import CSV_COLUMNS, VirialSample, field_records, sample_diagnostics
 
 from conftest import gaussian_state
@@ -382,3 +382,28 @@ def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, blo
     assert len(past) == len(states) - inside
     for state, sample in past:
         assert sample.coneE == reference_record(state, 1.0, T1, g)["coneE"][0] == 0.0
+
+
+@pytest.mark.parametrize("family", [None, "T1", "E2", "natural", "dbrane1", "hilltop2",
+                                    "monodromy:q=0.5", "log"])
+@pytest.mark.parametrize("hubble", [0.0, 0.5])
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_a_reused_workspace_leaves_nothing_stale(order, hubble, family):
+    # one workspace evaluates a wide block, a narrow one and a wide one again,
+    # each of snapshots with unequal live prefixes: every buffer a block
+    # takes is written in full, so each record equals a fresh evaluation
+    g = RadialGrid(20.0, 256)
+    spec = None if family is None else parse_family(family)
+    narrow = [_late_cuts(g, [0.4])[0],
+              initial_state(g, 0.3, 1.5, 1.0, velocity="outgoing", space_order=order)]
+    narrow = [FieldState(0.2 * i, s.u, s.u_t, g, order) for i, s in enumerate(narrow)]
+    blocks = [[scan_prefix(s) for s in states]
+              for states in (_block(g, order, 8), narrow, _block(g, order, 3)[::-1])]
+    for block in blocks:
+        assert len({head.u.size for head in block}) > 1
+    workspace = Workspace(max(len(b) * max(h.u.size for h in b) for b in blocks))
+    for block in blocks:
+        got = sample_diagnostics(block, hubble, spec, g, workspace)
+        assert got == sample_diagnostics(block, hubble, spec, g)
+    with pytest.raises(ValueError):
+        workspace.take((2, workspace.size))
