@@ -7,7 +7,8 @@ Layout:
     dynamics     u = r*phi method-of-lines integrator (RK4 on orders 2/4/6,
                  leapfrog on order 2, its fourth-order composition at H = 0)
                  and the one time-step rule, resolve_dt
-    virials      diagnostics record as one weighted reduction per snapshot
+    virials      diagnostics record as one weighted reduction per block
+                 of snapshots
     experiments  canned decay scenarios with pass/fail verdicts
     cli          JSON-config command line front end
 """

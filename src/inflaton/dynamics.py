@@ -111,20 +111,20 @@ from it (a NaN or inf at a node j >= 1 reaches it; the steps hold node 0 at
 0), the support overflow over its nodes within 4 dr of r_max, which stay 0
 until the window reaches them, for a potential with a domain edge phi
 against that edge, and the stiffness check.  The observer gets a
-``Prefix``: copies of u and u_t on the nodes its phi, phi_t and phi_r can
-be nonzero on, one slice each of the whole-grid arrays (of the initial
-state at the start, cut after a scan of it); ``block_fields`` builds those
-three of a block of prefixes, and ``support_radius`` their 1e-13 front,
-for the diagnostics, both in a ``Workspace``: views of flat buffers that
-a run allocates once, so a block allocates no array of its size.  Only
-the returned state spans the whole grid.
+``FieldState`` on the nodes its phi, phi_t and phi_r can be nonzero on (the
+size rule is in its docstring), with copies of u and u_t, one slice each of
+the whole-grid arrays (of the initial state at the start, cut after a scan
+of it); ``block_fields`` builds those three of a block of snapshots, and
+``support_radius`` their 1e-13 front, for the diagnostics, both in a
+``Workspace``: views of flat buffers that a run allocates once, so a block
+allocates no array of its size.  Only the returned state spans the whole
+grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -139,7 +139,6 @@ __all__ = [
     "StiffnessViolation",
     "SolverConfig",
     "FieldState",
-    "Prefix",
     "Workspace",
     "bump_profile",
     "gaussian_profile",
@@ -335,13 +334,21 @@ def _first_derivative(u: np.ndarray, dr: float, order: int, out: np.ndarray | No
 # state
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FieldState:
-    """Snapshot (t, u, u_t) on a grid; u = r * phi.
+    """A snapshot on the nodes [0, k) of its grid, k <= n_nodes, 0 past them:
+    time, u = r * phi and u_t on those nodes, grid and stencil order.
 
-    Invariants: u and u_t vanish at r = 0 and r_max (origin regularity, outer
-    Dirichlet).  The point values phi(0), phi_t(0) are reconstructed by
-    quadratic extrapolation; the dynamics itself never divides by r = 0.
+    ``initial_state`` and ``evolve``'s return value span the grid.  A
+    snapshot ``evolve`` observes has its own copies of u and u_t on
+    k = L + order + 3 nodes (at most n_nodes), with every node from L + 1 on
+    0: the order/2 nodes the derivative reaches past L keep interior stencil
+    rows, which read order/2 nodes further, and the one-sided rows at the
+    end, which read at most five nodes back, see only 0, so its phi, phi_t
+    and phi_r are the whole grid's on its nodes.  u and u_t vanish at r = 0,
+    and at r_max on the whole grid; phi(0) is extrapolated (``_over_r``).
+    The constructor checks only that u and u_t are 1-D, of one length and at
+    most n_nodes long.
     """
 
     t: float
@@ -351,38 +358,8 @@ class FieldState:
     space_order: int = 2
 
     def __post_init__(self) -> None:
-        if self.u.shape != (self.grid.n_nodes,) or self.u_t.shape != (self.grid.n_nodes,):
-            raise ValueError("field arrays must match the grid")
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return _over_r(self.u, self.grid.r_inv)
-
-    @cached_property
-    def phi_t(self) -> np.ndarray:
-        return _over_r(self.u_t, self.grid.r_inv)
-
-    @cached_property
-    def phi_r(self) -> np.ndarray:
-        return _radial_derivative(self.u, self.phi, self.grid, self.space_order)
-
-
-@dataclass(frozen=True, eq=False)
-class Prefix:
-    """A snapshot on the nodes [0, k) past which its phi, phi_t and phi_r are
-    0: its time, its own copies of u and u_t on them, grid and stencil order.
-    ``evolve`` hands one to its observer: with every node from L + 1 on 0,
-    k = L + order + 3, at most n_nodes.  The order/2 nodes the derivative
-    reaches past L keep interior stencil rows, which read order/2 nodes
-    further, and the one-sided rows at the end of the prefix, which read at
-    most five nodes back, see only 0, so phi, phi_t and phi_r of the prefix
-    are the snapshot's own on those nodes."""
-
-    t: float
-    u: np.ndarray
-    u_t: np.ndarray
-    grid: RadialGrid
-    space_order: int
+        if self.u.ndim != 1 or self.u.shape != self.u_t.shape or self.u.size > self.grid.n_nodes:
+            raise ValueError("field arrays must be 1-D, of one length, at most n_nodes")
 
 
 def _over_r(values: np.ndarray, r_inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -442,26 +419,26 @@ class Workspace:
         self._taken = self._marks.pop()
 
 
-def block_fields(heads, workspace: Workspace | None = None
+def block_fields(states, workspace: Workspace | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi, phi_t and phi_r of a block of prefixes (``Prefix``) on one grid
-    and stencil order, as (B, k) arrays on the widest prefix [0, k), taken
-    from ``workspace`` (one of the block's size if None): every row equals
-    its snapshot's own phi, phi_t and phi_r on those nodes, and both are 0
+    """phi, phi_t and phi_r of a block of snapshots (``FieldState``) on one
+    grid and stencil order, as (B, k) arrays on the longest one's nodes
+    [0, k), taken from ``workspace`` (one of the block's size if None): every
+    row equals its snapshot's own phi, phi_t and phi_r on its nodes, and 0
     beyond them."""
-    grid, order = heads[0].grid, heads[0].space_order
-    if any(h.grid != grid or h.space_order != order for h in heads):
+    grid, order = states[0].grid, states[0].space_order
+    if any(s.grid != grid or s.space_order != order for s in states):
         raise ValueError("a block holds snapshots of one grid and stencil order")
-    shape = (len(heads), max(h.u.size for h in heads))
+    shape = (len(states), max(s.u.size for s in states))
     ws = Workspace(math.prod(shape)) if workspace is None else workspace
     phi, phi_t, phi_r = ws.take(shape), ws.take(shape), ws.take(shape)
     with ws:
         u = ws.take(shape)
-        for row, row_t, head in zip(u, phi_t, heads):
-            size = head.u.size
-            row[:size] = head.u
+        for row, row_t, state in zip(u, phi_t, states):
+            size = state.u.size
+            row[:size] = state.u
             row[size:] = 0.0
-            row_t[:size] = head.u_t
+            row_t[:size] = state.u_t
             row_t[size:] = 0.0
         _over_r(u, grid.r_inv, out=phi)
         _over_r(phi_t, grid.r_inv, out=phi_t)
@@ -568,7 +545,7 @@ def _accel(u: np.ndarray, u_t: np.ndarray | None, t: float, hubble: float,
 
 
 def _sup_phi(state: FieldState) -> float:
-    return float(np.max(np.abs(state.phi)))
+    return float(np.max(np.abs(_over_r(state.u, state.grid.r_inv))))
 
 
 def resolve_dt(grid: RadialGrid, cfg: SolverConfig, spec: PotentialSpec | None,
@@ -743,12 +720,13 @@ class _Leapfrog:
 
 def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
            grid: RadialGrid,
-           observer: Callable[[Prefix], None] | None = None) -> FieldState:
-    """Integrate to t0 + t_end at the step ``resolve_dt`` gives, handing
-    ``observer`` the ``Prefix`` of the snapshot every ``output_every`` steps
-    (always at the start and the final step), and return the final state.
-    ``state0`` is left as it is; each prefix and the returned state own
-    their arrays.
+           observer: Callable[[FieldState], None] | None = None) -> FieldState:
+    """Integrate ``state0``, on any nodes [0, k) of ``grid``, to t0 + t_end
+    at the step ``resolve_dt`` gives, handing ``observer`` the snapshot every
+    ``output_every`` steps (always at the start and the final step) on its
+    nonzero nodes (``FieldState``), and return the final state on the whole
+    grid.  ``state0`` is left as it is; each observed snapshot and the
+    returned state own their arrays, which share no memory.
 
     Each snapshot is checked before the observer sees it: it aborts with
     NonFiniteField on NaN/Inf, with SupportOverflow once the support comes
@@ -796,7 +774,7 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
         if bounded:
             check_domain(spec, phi)
         if observer is not None:
-            observer(Prefix(t, u.copy(), u_t.copy(), grid, order))
+            observer(FieldState(t, u.copy(), u_t.copy(), grid, order))
         if sup <= 0.5 * window:
             return
         window = 2.0 * sup
@@ -807,12 +785,14 @@ def evolve(state0: FieldState, cfg: SolverConfig, spec: PotentialSpec | None,
                 f"window to +-{window:.4g}; there the {cfg.scheme} step dt={dt:.6g} "
                 f"exceeds its stiffness bound cfl* dr = {bound:.6g}")
 
-    inspect(0, state0.u, state0.u_t, _last_nonzero((state0.u, state0.u_t)))
+    # whole-grid copies of u and u_t, 0 past the nodes of state0, and the
+    # scheme's work arrays; each step works on their views [0, m), past which
+    # u and u_t stay 0
+    u, u_t = np.zeros(n), np.zeros(n)
+    u[:state0.u.size], u_t[:state0.u.size] = state0.u, state0.u_t
+    inspect(0, u, u_t, _last_nonzero((u, u_t)))
     if n_steps == 0:
         return state0
-    # whole-grid copies of u and u_t and the scheme's work arrays; each step
-    # works on their views [0, m), past which u and u_t stay 0
-    u, u_t = state0.u.copy(), state0.u_t.copy()
     if cfg.scheme == "rk4":
         whole = (u, u_t, np.empty((8, n)))
     elif cfg.scheme == "leapfrog4":

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField, Prefix,
+from .dynamics import (SCHEMES, SPACE_ORDERS, FieldState, NonFiniteField,
                        SolverConfig, StiffnessViolation, SupportOverflow, Workspace,
                        evolve, initial_state, resolve_dt)
 from .grid import RadialGrid
@@ -49,7 +49,7 @@ I_MONOTONE_TOL = 1e-6          # relative to max |I|
 SATURATION_LIMIT = 0.05        # last-quarter share of int W dt
 SUPNORM_GROWTH_LIMIT = 2.0     # small-data guard for the thm2 protocol
 # live nodes per diagnostics block: run_scenario closes a block before its
-# rows times its widest prefix (dynamics.Prefix) would pass this (a single wider snapshot
+# rows times its longest snapshot would pass this (a single longer snapshot
 # is a block of its own), so the buffers and the views a block takes from the
 # run's workspace stay this size whatever n_nodes is (BENCH_live_blocks.json)
 BLOCK_NODES = 16_400
@@ -279,10 +279,11 @@ def _enforce_mode_preconditions(scn: Scenario) -> str:
 def run_scenario(scn: Scenario) -> ScenarioResult:
     """Evolve one scenario, collect diagnostics, and grade the verdict.
 
-    The prefixes ``evolve`` hands out (``Prefix``) are buffered as they come
-    and their diagnostics evaluated a block at a time
-    (``BLOCK_NODES``), the last block once ``evolve`` returns or aborts,
-    every block in the run's one ``Workspace``.
+    The snapshots ``evolve`` hands out, each on its live nodes
+    (``FieldState``), are buffered as they come and their diagnostics
+    evaluated a block at a time (``BLOCK_NODES``), with the ball of
+    ``decay_radius``, the last block once ``evolve`` returns or aborts, every
+    block in the run's one ``Workspace``.
     Every abort is ``evolve``'s: it checks each snapshot, the potential's
     domain included, before it is observed, so every buffered snapshot has a
     record; a stiffness abort comes after its snapshot is observed, so the
@@ -290,24 +291,24 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
     theorem_class = _enforce_mode_preconditions(scn)
     grid = scn.grid()
     samples: list[VirialSample] = []
-    pending: list[Prefix] = []
-    width = 0       # the widest prefix in pending
+    pending: list[FieldState] = []
+    width = 0       # the longest snapshot in pending
     # every block fits: B k <= BLOCK_NODES, or one snapshot of at most n_nodes
     workspace = Workspace(max(BLOCK_NODES, grid.n_nodes))
 
     def flush() -> None:
         nonlocal width
-        samples.extend(sample_diagnostics(pending, scn.hubble, scn.spec, grid, workspace,
+        samples.extend(sample_diagnostics(pending, scn.hubble, scn.spec, workspace,
                                           ball_radius=scn.decay_radius))
         pending.clear()
         width = 0
 
-    def observer(head: Prefix) -> None:
+    def observer(state: FieldState) -> None:
         nonlocal width
-        if pending and (len(pending) + 1) * max(width, head.u.size) > BLOCK_NODES:
+        if pending and (len(pending) + 1) * max(width, state.u.size) > BLOCK_NODES:
             flush()
-        pending.append(head)
-        width = max(width, head.u.size)
+        pending.append(state)
+        width = max(width, state.u.size)
 
     aborted: str | None = None
     try:

@@ -1,26 +1,25 @@
 """The diagnostics record of a field snapshot: virial functionals, their
 analytic rates and the energies.  ``sample_diagnostics`` evaluates it for a
 block of snapshots of one run at once, on the block's live nodes
-(``dynamics.block_fields``): every family has F(0) = f(0) = 0, so the
-nodes past the last nonzero one add nothing.  The block is sized by those
-nodes: ``run_scenario`` buffers the live prefix of each snapshot
-(``dynamics.Prefix``), as ``evolve`` hands it out, and closes a block
-before its rows times its widest prefix would pass
-``experiments.BLOCK_NODES``.  Every (B, k) array of a block is a view of
-the run's ``dynamics.Workspace``, written in place, so after the run's
-first block no block-sized array is allocated or freed; a call without a
-workspace makes one for its block.  F and f come from one evaluation of
-the family's transcendental (``eval_F_and_f``), into the workspace too.  Each
-field product is formed once as a (B, k) array and reduced by one matrix
-product with the grid's Simpson-weighted weight table
-(``RadialGrid.weights``).  E, J and J_bound integrate the energy density,
-formed from the same squares, against the Simpson weights; the ball and
-cone energies keep the odd-cell rule of ``grid.integrate_range``, and a
-row whose cone exterior starts past the block's nodes has coneE exactly 0
-without a quadrature.  One snapshot is a block of one.  The record
-also holds the snapshot's support front ``support``, the 1e-13 radius of
-``dynamics.support_radius``, which the verdict compares with the light
-cone; it is not a CSV column.
+(``dynamics.block_fields``): every family has F(0) = f(0) = 0, so the nodes
+past the last nonzero one add nothing.  The block is sized by those nodes:
+``run_scenario`` buffers each snapshot as ``evolve`` hands it out, on its
+live nodes (``dynamics.FieldState``), and closes a block before its rows
+times its longest snapshot would pass ``experiments.BLOCK_NODES``.  Every
+(B, k) array of a block is a view of the run's ``dynamics.Workspace``,
+written in place, so after the run's first block no block-sized array is
+allocated or freed; a call without a workspace makes one for its block.  F
+and f come from one evaluation of the family's transcendental
+(``eval_F_and_f``), into the workspace too.  Each field product is formed
+once as a (B, k) array and reduced by one matrix product with the grid's
+Simpson-weighted weight table (``RadialGrid.weights``).  E, J and J_bound
+integrate the energy density, formed from the same squares, against the
+Simpson weights; the ball and cone energies keep the odd-cell rule of
+``grid.integrate_range``, and a row whose cone exterior starts past the
+block's nodes has coneE exactly 0 without a quadrature.  One snapshot is a
+block of one.  The record also holds the snapshot's support front
+``support``, the 1e-13 radius of ``dynamics.support_radius``, which the
+verdict compares with the light cone; it is not a CSV column.
 
 With psi = r^2/(1+r), psi' = r(r+2)/(1+r)^2 and the energy density
 e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F):
@@ -30,14 +29,14 @@ e = r^2 (phi_t^2/2 + phi_r^2/(2 e^{2Ht}) + F):
     I  = P + R/2
     Rt = int r^2/(1+r)^4 phi phi_t dr          (heavily origin-damped variant)
     W  = int r^2/(1+r)^4 (phi^2 + phi_r^2 + phi_t^2) dr
-    J  = int (1 + tanh(r + sigma t + offset)) e dr
+    J  = int (1 + tanh(r - 2t)) e dr
     E  = 4 pi int e dr; ballE and coneE restrict it to r <= R and r > (1+b) t
 
 Rates, in the displayed forms (H = 0 for I and Rt):
 
     I_rate  = int r^2/(1+r)^2 phi_r^2 + r(r+4)/(2(1+r)^4) phi^2 + psi'/2 (2F - phi f)
     Rt_rate = int r^2/(1+r)^4 (phi_t^2 - phi_r^2 - phi f) + 2r(3r-2)/(1+r)^6 phi^2
-    J_bound = (1 + sigma) int sech^2(r + sigma t + offset) e dr
+    J_bound = -int sech^2(r - 2t) e dr
     E_rate  = -H 4 pi int r^2 (3 phi_t^2 + phi_r^2 / e^{2Ht}) dr
 
 I_rate is bounded below by the weighted H^1 norm when 2F - s f >= 0.
@@ -45,12 +44,11 @@ Integration by parts in dI/dt leaves a boundary flux -phi(0,t)^2/2 at the
 origin whenever the field does not vanish there (radial waves focus
 through r = 0, so this is the generic case); ``I_rate_corrected`` adds it
 and matches centered differences of I.  Rt has no origin flux: its weight
-kills every boundary term at r = 0.  J_bound bounds dJ/dt when F >= 0 and
-is nonpositive for sigma <= -1, which makes J a decreasing light-cone
-selector.  Every run takes sigma = -2 and offset 0, the defaults of
-``field_records``, and b = 2: the selector 1 + tanh(r - 2t) and the cone
-r > 3t; only the tests vary sigma and the offset.  Near-origin integrands
-are written in cancelled polynomial form, never as 1/r quotients.
+kills every boundary term at r = 0.  J_bound bounds dJ/dt when F >= 0: the
+selector moves out at speed 2, faster than the field's speed 1, so J is a
+decreasing light-cone selector.  The selector 1 + tanh(r - 2t) and the
+cone r > 3t (b = 2) are the same in every run.  Near-origin integrands are
+written in cancelled polynomial form, never as 1/r quotients.
 """
 
 from __future__ import annotations
@@ -115,24 +113,25 @@ _CSV_ROW = attrgetter(*CSV_COLUMNS)
 
 
 def sample_diagnostics(states, hubble: float, spec: PotentialSpec | None,
-                       grid: RadialGrid, workspace: Workspace | None = None,
-                       **options) -> list[VirialSample]:
-    """The diagnostics record of each snapshot of a block (one run's grid and
-    stencil order), given by its prefix (``dynamics.Prefix``), evaluated
-    together on the block's live nodes in ``workspace`` (one of the block's
-    size if None); ``options`` are ``field_records``' keywords."""
+                       workspace: Workspace | None = None, *,
+                       ball_radius: float = 10.0) -> list[VirialSample]:
+    """The diagnostics record of each snapshot (``dynamics.FieldState``) of a
+    block on one grid and stencil order, evaluated together on the block's
+    live nodes in ``workspace`` (one of the block's size if None); ballE is
+    the energy within ``ball_radius``."""
     if not states:
         return []
     if workspace is None:
         workspace = Workspace(len(states) * max(s.u.size for s in states))
     with workspace:
         return field_records([s.t for s in states], *block_fields(states, workspace), hubble,
-                             spec, grid, workspace=workspace, **options)
+                             spec, states[0].grid, ball_radius=ball_radius,
+                             workspace=workspace)
 
 
 def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
                   hubble: float, spec: PotentialSpec | None, grid: RadialGrid, *,
-                  sigma: float = -2.0, offset: float = 0.0, ball_radius: float = 10.0,
+                  ball_radius: float = 10.0,
                   workspace: Workspace | None = None) -> list[VirialSample]:
     """The record of each row of (B, k) node values of phi, phi_t and phi_r on
     the first k nodes (0 beyond them) at the B times ``t``; nothing beyond
@@ -160,10 +159,11 @@ def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
 
         with ws:
             # 1 + tanh x = 2/(1+q) (x >= 0) or 2q/(1+q) (x < 0) and sech^2 x =
-            # 4q/(1+q)^2 from one q = exp(-2|x|): no cancellation in either tail
+            # 4q/(1+q)^2 from one q = exp(-2|x|), x = r - 2t: no cancellation
+            # in either tail
             q, inv, selector = ws.take(shape), ws.take(shape), ws.take(shape)
             q[:] = grid.r[:shape[-1]]
-            q += (sigma * t + offset)[:, None]
+            q -= (2.0 * t)[:, None]
             ahead = np.greater_equal(q, 0.0, out=ws.take(shape, bool))
             np.abs(q, out=q)
             q *= -2.0
@@ -176,7 +176,7 @@ def field_records(t, phi: np.ndarray, phi_t: np.ndarray, phi_r: np.ndarray,
             inv *= inv
             inv *= q
             inv *= dens
-            j, j_bound = 2.0 * integrate(selector, grid), 4.0 * (1.0 + sigma) * integrate(inv, grid)
+            j, j_bound = 2.0 * integrate(selector, grid), -4.0 * integrate(inv, grid)
             sup_phi = np.max(np.abs(phi, out=q), axis=1)
         flux = phi[:, 0] ** 2
         P, R = RT[:, PSI], PT[:, PSI_P]

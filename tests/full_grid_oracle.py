@@ -13,37 +13,51 @@ takes the 1e-13 front of every snapshot over the whole grid, the reference
 for the edge check of ``evolve`` and for the sampled ``support``; its domain
 check reads phi on every node.
 
-``scan_prefix`` cuts a whole-grid snapshot to the ``Prefix`` the size rule
-of ``evolve`` gives from a scan of its nonzero nodes, the input the
-diagnostics take, and ``whole_grid`` extends a prefix by zeros to the
-whole-grid snapshot it was cut from.  ``kdk_evolve`` is the kick-drift-kick
-form with ``evolve``'s signature: its observer gets the scanned prefixes.
+``scan_prefix`` cuts a whole-grid snapshot to the nodes the size rule of
+``evolve`` gives from a scan of its nonzero nodes, as ``evolve`` observes
+it, and ``whole_grid`` extends a snapshot by zeros to the whole grid.
+``field_values`` gives phi, phi_t and phi_r of a snapshot in the form of
+the analytic snapshots the oracles take.  ``kdk_evolve`` is the
+kick-drift-kick form with ``evolve``'s signature: its observer gets the
+scanned snapshots.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from inflaton.dynamics import (FieldState, NonFiniteField, Prefix, StiffnessViolation,
+from inflaton.dynamics import (FieldState, NonFiniteField, StiffnessViolation,
                                SupportOverflow, _accel, _kdk, _last_nonzero, _Leapfrog,
-                               _rk4, _substeps, _sup_phi, linear_mass, resolve_dt,
-                               stiffness_cfl, support_radius)
+                               _over_r, _radial_derivative, _rk4, _substeps, _sup_phi,
+                               linear_mass, resolve_dt, stiffness_cfl, support_radius)
 from inflaton.potentials import check_domain
+
+
+def field_values(state):
+    """(t, phi, phi_t, phi_r) of a ``FieldState`` on its own nodes, as the
+    program forms them (``_over_r``, ``_radial_derivative``)."""
+    grid = state.grid
+    phi = _over_r(state.u, grid.r_inv)
+    return SimpleNamespace(t=state.t, phi=phi, phi_t=_over_r(state.u_t, grid.r_inv),
+                           phi_r=_radial_derivative(state.u, phi, grid, state.space_order))
 
 
 def full_grid_radius(state):
     """The support front of a snapshot, from every node of the grid."""
-    return support_radius(state.phi, state.phi_t, state.grid)
+    values = field_values(state)
+    return support_radius(values.phi, values.phi_t, state.grid)
 
 
 def scan_prefix(state):
-    """The prefix [0, k) of a whole-grid snapshot, k = L + order + 3 (at most
-    n_nodes) with L its last nonzero node of u or u_t."""
+    """The snapshot on the nodes [0, k) of a whole-grid one, k = L + order + 3
+    (at most n_nodes) with L its last nonzero node of u or u_t."""
     k = min(state.grid.n_nodes, _last_nonzero((state.u, state.u_t)) + state.space_order + 3)
-    return Prefix(state.t, state.u[:k].copy(), state.u_t[:k].copy(), state.grid,
-                  state.space_order)
+    return FieldState(state.t, state.u[:k].copy(), state.u_t[:k].copy(), state.grid,
+                      state.space_order)
 
 
 def whole_grid(head):
-    """The whole-grid snapshot of a prefix: its u and u_t, then zeros."""
+    """The whole-grid snapshot of a snapshot: its u and u_t, then zeros."""
     u, u_t = np.zeros(head.grid.n_nodes), np.zeros(head.grid.n_nodes)
     u[:head.u.size], u_t[:head.u.size] = head.u, head.u_t
     return FieldState(head.t, u, u_t, head.grid, head.space_order)
@@ -102,7 +116,7 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None, kdk=False):
                 f"support {radius:.4g} within 4 dr of r_max={grid.r_max:.4g} "
                 f"at t={state.t:.6g}; enlarge the domain")
         if spec is not None:
-            check_domain(spec, state.phi)
+            check_domain(spec, _over_r(state.u, grid.r_inv))
         if observer is not None:
             observer(state)
         check_window(state)
@@ -146,7 +160,7 @@ def full_grid_evolve(state0, cfg, spec, grid, observer=None, kdk=False):
 
 
 def kdk_evolve(state0, cfg, spec, grid, observer=None):
-    """``full_grid_evolve`` with ``kdk=True``, handing ``observer`` the
-    scanned prefixes (``scan_prefix``) of its snapshots."""
+    """``full_grid_evolve`` with ``kdk=True``, handing ``observer`` its
+    snapshots cut by ``scan_prefix``."""
     heads = None if observer is None else (lambda state: observer(scan_prefix(state)))
     return full_grid_evolve(state0, cfg, spec, grid, heads, kdk=True)

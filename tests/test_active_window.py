@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import inflaton.dynamics as dynamics
-from inflaton.dynamics import (FieldState, NonFiniteField, Prefix, SolverConfig,
+from inflaton.dynamics import (FieldState, NonFiniteField, SolverConfig,
                                StiffnessViolation, SupportOverflow, evolve, initial_state)
 from inflaton.grid import RadialGrid
 from inflaton.potentials import DomainViolation, PotentialSpec
@@ -78,7 +78,8 @@ def test_one_step_moves_the_last_nonzero_node_by_at_most_the_reach(scheme, order
 
 def _run(evolver, state, cfg, spec, grid, sizes):
     """(the observed snapshots, then the returned one, abort, force
-    evaluations) of one run; ``evolve`` observes prefixes."""
+    evaluations) of one run; ``evolve`` observes its snapshots on their
+    nonzero nodes."""
     snaps = []
     sizes.clear()
     abort = None
@@ -97,13 +98,12 @@ def _assert_matches_full_grid(state, cfg, spec, grid, sizes):
     assert len(got[0]) == len(want[0]) > 1
     for a, b in zip(*(run[0] for run in (got, want))):
         # == compares values, so only the sign of a zero may differ
-        a = whole_grid(a) if isinstance(a, Prefix) else a
+        a = whole_grid(a)
         assert a.t == b.t
         assert np.array_equal(a.u, b.u) and np.array_equal(a.u_t, b.u_t)
     # the sampled front, from the block's live nodes, is the whole-grid one
-    heads = [a if isinstance(a, Prefix) else scan_prefix(a) for a in got[0]]
     with np.errstate(all="ignore"):
-        samples = sample_diagnostics(heads, 0.0, None, grid)
+        samples = sample_diagnostics(got[0], 0.0, None)
     assert [s.support for s in samples] == [full_grid_radius(b) for b in want[0]]
 
 
@@ -250,9 +250,11 @@ def test_the_edge_check_agrees_with_the_whole_grid_front(seeded, offset, value):
                                                    ("leapfrog4", 6, 0.0)])
 def test_observed_prefixes_own_their_arrays(scheme, order, hubble):
     # the window is stepped in place: the initial state stays as it is, every
-    # prefix kept to the end of the run still holds the whole-grid loop's
-    # snapshot on its nodes (and that snapshot is 0 beyond them), and no two
-    # of the prefixes, the initial state and the returned state share memory
+    # observed snapshot kept to the end of the run still holds the whole-grid
+    # loop's snapshot on its nodes (and that one is 0 beyond them), and no two
+    # of the observed snapshots, the initial state and the returned state may
+    # share memory (np.may_share_memory: stricter than np.shares_memory), as
+    # evolve's docstring promises
     g = RadialGrid(30.0, 512)
     state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing", space_order=order)
     before = state.u.tobytes(), state.u_t.tobytes()
@@ -271,6 +273,26 @@ def test_observed_prefixes_own_their_arrays(scheme, order, hubble):
     arrays = [a for s in (state, final, *heads) for a in (s.u, s.u_t)]
     assert not any(np.may_share_memory(a, b)
                    for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "leapfrog", "leapfrog4"])
+def test_a_snapshot_on_its_nonzero_nodes_evolves_as_on_the_whole_grid(scheme):
+    # evolve places the nodes [0, k) of its initial state on the whole grid,
+    # so a snapshot as evolve observes it can start a run
+    g = RadialGrid(20.0, 256)
+    state = initial_state(g, 0.5, 4.0, 1.5, velocity="outgoing")
+    short = scan_prefix(state)
+    assert short.u.size < g.n_nodes
+    cfg = SolverConfig(t_end=3.0, cfl=_cfl(scheme), output_every=4, scheme=scheme)
+    runs = []
+    for start in (state, short):
+        snaps = []
+        snaps.append(evolve(start, cfg, T1, g, observer=snaps.append))
+        runs.append(snaps)
+    assert len(runs[0]) == len(runs[1]) > 2
+    for a, b in zip(*runs):
+        assert a.t == b.t
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.u_t, b.u_t)
 
 
 def _abort_case(name):

@@ -14,7 +14,7 @@ from inflaton.grid import RadialGrid, energy
 from inflaton.potentials import DomainViolation, PotentialSpec, eval_f, eval_fprime
 from inflaton.virials import sample_diagnostics
 
-from full_grid_oracle import full_grid_evolve, scan_prefix, whole_grid
+from full_grid_oracle import field_values, full_grid_evolve, scan_prefix, whole_grid
 from stencil_oracle import second_derivative
 from virial_oracles import energy_density
 
@@ -23,7 +23,7 @@ def _sampled(state, cfg, spec, grid):
     """The diagnostics records of a run's snapshots, taken by an observer."""
     snaps = []
     evolve(state, cfg, spec, grid, observer=snaps.append)
-    return sample_diagnostics(snaps, cfg.hubble, spec, grid)
+    return sample_diagnostics(snaps, cfg.hubble, spec)
 
 
 def _fronts(samples):
@@ -123,9 +123,14 @@ def test_rhs_damping_term():
 
 
 def test_field_state_refuses_arrays_off_the_grid(small_grid):
+    # a snapshot spans the nodes [0, k) of its grid, k <= n_nodes
     n = small_grid.n_nodes
-    for u, u_t in ((np.zeros(n - 1), np.zeros(n)), (np.zeros(n), np.zeros((1, n)))):
-        with pytest.raises(ValueError, match="field arrays must match the grid"):
+    for k in (4, n - 1, n):
+        assert FieldState(0.0, np.zeros(k), np.zeros(k), small_grid).u.size == k
+    for u, u_t in ((np.zeros(n + 1), np.zeros(n + 1)), (np.zeros(n - 1), np.zeros(n)),
+                   (np.zeros(n), np.zeros(n - 1)), (np.zeros(n), np.zeros((1, n))),
+                   (np.zeros((1, n)), np.zeros((1, n)))):
+        with pytest.raises(ValueError, match="field arrays must be 1-D, of one length"):
             FieldState(0.0, u, u_t, small_grid)
 
 
@@ -134,8 +139,12 @@ def test_block_fields_refuses_mixed_grids_and_orders(small_grid):
     other_grid = initial_state(RadialGrid(20.0, 128), 1.0, 5.0, 2.0)
     other_order = initial_state(small_grid, 1.0, 5.0, 2.0, space_order=4)
     for other in (other_grid, other_order):
+        block = [scan_prefix(state), scan_prefix(other)]
         with pytest.raises(ValueError, match="one grid and stencil order"):
-            block_fields([scan_prefix(state), scan_prefix(other)])
+            block_fields(block)
+        # the diagnostics take the grid from the block, behind this refusal
+        with pytest.raises(ValueError, match="one grid and stencil order"):
+            sample_diagnostics(block, 0.0, None)
 
 
 @pytest.mark.parametrize("scheme,order", [("rk4", 4), ("leapfrog", 2), ("leapfrog4", 6)])
@@ -184,8 +193,9 @@ def test_snapshots_carry_their_live_extent(scheme, order, monkeypatch):
         for got, whole in zip(block_fields([head]), block_fields([scanned])):
             j = whole.shape[-1]
             assert np.array_equal(got[:, :j], whole) and not got[:, j:].any()
+        values = field_values(snap)
         for got, name in zip(block_fields([head]), ("phi", "phi_t", "phi_r")):
-            assert np.array_equal(got[0], getattr(snap, name)[:k])
+            assert np.array_equal(got[0], getattr(values, name)[:k])
 
 
 @pytest.mark.parametrize("scheme", ("rk4", "leapfrog"))
@@ -217,7 +227,8 @@ def test_evolve_refuses_a_state_whose_origin_value_leaves_the_domain():
     phi = np.zeros(g.n_nodes)
     phi[1:4] = (-0.9, -0.5, -0.4)
     state = FieldState(0.0, g.r * phi, np.zeros(g.n_nodes), g)
-    assert state.phi[0] == pytest.approx(-1.6) and state.phi[1:].min() > -1.0
+    phi = field_values(state).phi
+    assert phi[0] == pytest.approx(-1.6) and phi[1:].min() > -1.0
     observed = []
     with pytest.raises(DomainViolation, match="^dbrane potential requires v > -1$"):
         evolve(state, SolverConfig(t_end=0.0), PotentialSpec("dbrane", n=1), g,
@@ -256,9 +267,9 @@ def test_short_energy_conservation_all_orders(order):
     spec = PotentialSpec("T", n=1)
     state = initial_state(g, 1.0, 4.0, 2.0, space_order=order)
     cfg = SolverConfig(t_end=5.0, cfl=0.25, space_order=order, output_every=10**9)
-    e0 = energy(energy_density(state, 0.0, 0.0, g, spec), g)
+    e0 = energy(energy_density(field_values(state), 0.0, 0.0, g, spec), g)
     final = evolve(state, cfg, spec, g)
-    eT = energy(energy_density(final, 0.0, final.t, g, spec), g)
+    eT = energy(energy_density(field_values(final), 0.0, final.t, g, spec), g)
     tol = {2: 2e-3, 4: 3e-5, 6: 6e-6}[order]
     assert abs(eT - e0) / e0 <= tol
 
@@ -270,20 +281,21 @@ def test_energy_monotone_under_expansion():
     cfg = SolverConfig(t_end=8.0, hubble=1.0, cfl=0.5, output_every=8)
     energies = []
     evolve(state, cfg, spec, g, observer=lambda head: energies.append(
-        energy(energy_density(whole_grid(head), 1.0, head.t, g, spec), g)))
+        energy(energy_density(field_values(whole_grid(head)), 1.0, head.t, g, spec), g)))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12 * energies[0])
 
 
 def test_support_radius_and_sampled_support(small_grid):
     state = initial_state(small_grid, 1.0, 5.0, 2.0)
-    rad = support_radius(state.phi, state.phi_t, small_grid)
+    values = field_values(state)
+    rad = support_radius(values.phi, values.phi_t, small_grid)
     assert 6.0 < rad <= 7.0 + 2 * small_grid.dr
-    assert rad == small_grid.r[np.flatnonzero(np.abs(state.phi) > 1e-13)[-1]]
+    assert rad == small_grid.r[np.flatnonzero(np.abs(values.phi) > 1e-13)[-1]]
     zero = np.zeros(small_grid.n_nodes)
     assert support_radius(zero, zero, small_grid) == 0.0
     # a (B, k) block gives the front of each row
-    block = np.stack([state.phi, zero])
+    block = np.stack([values.phi, zero])
     assert support_radius(block, block, small_grid).tolist() == [rad, 0.0]
     # the observer of a zero horizon sees the initial record
     sampled = _sampled(state, SolverConfig(t_end=0.0), None, small_grid)
@@ -347,9 +359,9 @@ def test_field_state_origin_extrapolation(small_grid):
     # for phi = cos(r) (smooth and even) the reconstructed phi(0) is accurate
     phi = np.cos(small_grid.r)
     u = small_grid.r * phi
-    state = FieldState(0.0, u, np.zeros_like(u), small_grid)
-    assert state.phi[0] == pytest.approx(1.0, abs=1e-3)
-    assert state.phi_r[0] == 0.0
+    values = field_values(FieldState(0.0, u, np.zeros_like(u), small_grid))
+    assert values.phi[0] == pytest.approx(1.0, abs=1e-3)
+    assert values.phi_r[0] == 0.0
 
 
 def test_evolution_is_deterministic(small_grid):
@@ -384,7 +396,7 @@ def test_dissipation_identity_smoke():
     cfg = SolverConfig(t_end=6.0, hubble=1.0, cfl=0.5, space_order=4, output_every=1)
     samples = []
     evolve(state, cfg, spec, g,
-           observer=lambda s: samples.extend(sample_diagnostics([s], 1.0, spec, g)))
+           observer=lambda s: samples.extend(sample_diagnostics([s], 1.0, spec)))
     t = np.array([s.t for s in samples])
     E = np.array([s.E for s in samples])
     rate = np.array([s.E_rate for s in samples])
@@ -471,7 +483,7 @@ def test_leapfrog_window_recheck():
     sups, energies = [], []
 
     def observe(head):
-        s = whole_grid(head)
+        s = field_values(whole_grid(head))
         sups.append(np.max(np.abs(s.phi)))
         energies.append(energy(energy_density(s, 0.0, s.t, g, spec), g))
 

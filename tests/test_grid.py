@@ -245,7 +245,7 @@ def test_cone_energy_partial_against_oracle():
 
 def _radial_sup_check(state):
     # both sides of the radial sup bound: sup_j |r_j phi_j| and ||phi||_{H^1(R^3)}
-    h1 = sample_diagnostics([scan_prefix(state)], 0.0, None, state.grid)[0].h1_norm
+    h1 = sample_diagnostics([scan_prefix(state)], 0.0, None)[0].h1_norm
     return float(np.max(np.abs(state.u))), h1
 
 

@@ -12,7 +12,7 @@ from inflaton.potentials import PotentialSpec, eval_F, parse_family
 from inflaton.virials import CSV_COLUMNS, VirialSample, field_records, sample_diagnostics
 
 from conftest import gaussian_state
-from full_grid_oracle import scan_prefix, whole_grid
+from full_grid_oracle import field_values, scan_prefix, whole_grid
 from refinement_runs import virial_consistency_scenario
 from virial_oracles import (p_rate_discrepancy, reference_record, virial_P_rate,
                             virial_P_rate_display, virial_R_rate,
@@ -64,8 +64,9 @@ def test_gaussian_quadratures_against_refined_oracle():
     g = RadialGrid(16.0, 512)
     fine = RadialGrid(16.0, 8192)
     s, sf = gaussian_state(g), gaussian_state(fine)
-    s.t = 0.3
-    sample = record(s, 0.5, T1, g, sigma=-2.0, offset=1.0)
+    # the selector 1 + tanh(r - 2t) at t = -0.2 is 1 + tanh(r + 0.4)
+    s.t = -0.2
+    sample = record(s, 0.5, T1, g)
 
     got_P = sample.P
     want_P = np.trapezoid(fine.r**2 / (1 + fine.r) * sf.phi_r * sf.phi_t, fine.r)
@@ -81,8 +82,8 @@ def test_gaussian_quadratures_against_refined_oracle():
     assert got_Rt == pytest.approx(want_Rt, abs=5e-7)
 
     got_J = sample.J
-    dens = fine.r**2 * (1 + np.tanh(fine.r - 2.0 * 0.3 + 1.0)) * (
-        0.5 * sf.phi_t**2 + 0.5 * np.exp(-2 * 0.5 * 0.3) * sf.phi_r**2
+    dens = fine.r**2 * (1 + np.tanh(fine.r + 0.4)) * (
+        0.5 * sf.phi_t**2 + 0.5 * np.exp(-2 * 0.5 * -0.2) * sf.phi_r**2
         + eval_F(T1, sf.phi))
     assert got_J == pytest.approx(np.trapezoid(dens, fine.r), abs=1e-6)
 
@@ -180,7 +181,7 @@ def test_p_rate_matches_run(virial_run):
                        output_every=scn.output_every)
 
     def observe(head):
-        s = whole_grid(head)
+        s = field_values(whole_grid(head))
         rates.append(virial_P_rate(s, scn.spec, grid))
         rates_disp.append(virial_P_rate_display(s, scn.spec, grid))
         r_rates.append(virial_R_rate_corrected(s, scn.spec, grid))
@@ -222,10 +223,12 @@ def test_I_bounded_by_early_range(virial_run):
 
 def test_J_saturation_limit():
     # with the transition far to the left of the support the weight is
-    # exactly 2 in double precision, so J = 2 * E / (4 pi)
+    # exactly 2 in double precision, so J = 2 * E / (4 pi): at t = -15 and
+    # H = 0 the selector is 1 + tanh(r + 30)
     g = RadialGrid(16.0, 512)
     state = gaussian_state(g, amplitude=0.8, width=1.2)
-    sample = record(state, 0.0, T1, g, sigma=0.0, offset=30.0)
+    state.t = -15.0
+    sample = record(state, 0.0, T1, g)
     assert sample.J == pytest.approx(2.0 * sample.E / FOUR_PI, rel=1e-12)
 
 
@@ -233,13 +236,7 @@ def test_J_bound_signs():
     g = RadialGrid(16.0, 512)
     state = gaussian_state(g)
     state.t = 0.5
-
-    def bound(sigma):
-        return record(state, 1.0, T1, g, sigma=sigma, offset=0.0).J_bound
-
-    assert bound(-1.0) == 0.0
-    assert bound(-2.0) <= 0.0
-    assert bound(-0.5) >= 0.0
+    assert record(state, 1.0, T1, g).J_bound <= 0.0
 
 
 def test_J_monotone_and_bounded_along_expanding_run(thm3_run):
@@ -256,8 +253,7 @@ def test_J_monotone_and_bounded_along_expanding_run(thm3_run):
 
 def test_sample_diagnostics_csv_contract(small_grid):
     state = gaussian_state(small_grid)
-    sample = record(state, 0.5, T1, small_grid,
-                                sigma=-2.0, offset=0.0, ball_radius=5.0)
+    sample = record(state, 0.5, T1, small_grid, ball_radius=5.0)
     row = sample.csv_row()
     assert len(row) == len(CSV_COLUMNS) == 15
     assert CSV_COLUMNS[0] == "t" and CSV_COLUMNS[-1] == "h1_norm"
@@ -283,9 +279,10 @@ def test_record_matches_per_functional_reference(snapshot):
     scn, hubble = _SNAPSHOTS[snapshot]
     grid = scn.grid()
     state = evolve(scn.initial(grid), scn.solver_config(), scn.spec, grid)
-    got = sample_diagnostics([scan_prefix(state)], hubble, scn.spec, grid,
+    got = sample_diagnostics([scan_prefix(state)], hubble, scn.spec,
                              ball_radius=scn.decay_radius)[0]
-    ref = reference_record(state, hubble, scn.spec, grid, ball_radius=scn.decay_radius)
+    ref = reference_record(field_values(state), hubble, scn.spec, grid,
+                           ball_radius=scn.decay_radius)
     assert list(ref) == [f.name for f in fields(VirialSample)]
     for name, (want, magnitude) in ref.items():
         assert getattr(got, name) == pytest.approx(
@@ -320,10 +317,10 @@ def _block(grid, order, size):
 def test_block_records_match_per_functional_reference(order, hubble, spec, size):
     g = RadialGrid(20.0, 256)
     states = _block(g, order, size)
-    got = sample_diagnostics([scan_prefix(s) for s in states], hubble, spec, g)
+    got = sample_diagnostics([scan_prefix(s) for s in states], hubble, spec)
     assert len(got) == size
     for state, sample in zip(states, got):
-        ref = reference_record(state, hubble, spec, g)
+        ref = reference_record(field_values(state), hubble, spec, g)
         for name, (want, magnitude) in ref.items():
             assert abs(getattr(sample, name) - want) <= 1e-13 * magnitude, name
 
@@ -370,7 +367,7 @@ def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, blo
     g = RadialGrid(20.0, 256)
     make, inside = _CONE_BLOCKS[block]
     states = make(g)
-    samples = sample_diagnostics([scan_prefix(s) for s in states], 1.0, T1, g)
+    samples = sample_diagnostics([scan_prefix(s) for s in states], 1.0, T1)
     assert calls["eval_F_and_f"] == 1
     assert calls["eval_F"] == 0
     assert calls["integrate"] == 3
@@ -381,7 +378,8 @@ def test_one_block_makes_one_force_and_one_potential_evaluation(monkeypatch, blo
     past = [(state, sample) for state, sample in zip(states, samples) if 3.0 * state.t > 5.2]
     assert len(past) == len(states) - inside
     for state, sample in past:
-        assert sample.coneE == reference_record(state, 1.0, T1, g)["coneE"][0] == 0.0
+        assert sample.coneE == reference_record(field_values(state), 1.0, T1,
+                                                g)["coneE"][0] == 0.0
 
 
 @pytest.mark.parametrize("family", [None, "T1", "E2", "natural", "dbrane1", "hilltop2",
@@ -403,7 +401,7 @@ def test_a_reused_workspace_leaves_nothing_stale(order, hubble, family):
         assert len({head.u.size for head in block}) > 1
     workspace = Workspace(max(len(b) * max(h.u.size for h in b) for b in blocks))
     for block in blocks:
-        got = sample_diagnostics(block, hubble, spec, g, workspace)
-        assert got == sample_diagnostics(block, hubble, spec, g)
+        got = sample_diagnostics(block, hubble, spec, workspace)
+        assert got == sample_diagnostics(block, hubble, spec)
     with pytest.raises(ValueError):
         workspace.take((2, workspace.size))

@@ -7,7 +7,9 @@ whole grid; it is the oracle for the single weighted reduction of
 ``sample_diagnostics``.  The energy density, the dP/dt and dR/dt identities
 at H = 0 and the weighted norms serve as oracles next to it, and
 ``dbrane_virial_closed_form`` is the oracle for the dbrane family's sign
-margin 2F - v f.
+margin 2F - v f.  Each takes a snapshot as t, phi, phi_t and phi_r on the
+whole grid: an analytic one, or a ``FieldState``'s through
+``full_grid_oracle.field_values``.
 """
 
 from types import SimpleNamespace
@@ -57,7 +59,7 @@ def _exact(value):
     return value, abs(value)
 
 
-def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
+def reference_record(state, hubble, spec, grid, *,
                      ball_radius=10.0) -> dict[str, tuple[float, float]]:
     """Every ``VirialSample`` field as (value, magnitude).
 
@@ -71,7 +73,7 @@ def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
     fpot = eval_F(spec, phi) if spec is not None else 0.0
     phi_f = phi * eval_f(spec, phi) if spec is not None else 0.0
     damp = np.exp(-2.0 * hubble * t)
-    cone = r + sigma * t + offset
+    cone = r - 2.0 * t
 
     def quad(integrand, factor=1.0):
         return factor * integrate(integrand, grid), abs(factor) * integrate(
@@ -94,7 +96,7 @@ def reference_record(state, hubble, spec, grid, *, sigma=-2.0, offset=0.0,
         "Rt_rate": quad(w.w_sob * (phi_t**2 - phi_r**2 - phi_f)
                         + 2.0 * r * (3.0 * r - 2.0) / (1.0 + r) ** 6 * phi**2),
         "J": quad((1.0 + np.tanh(cone)) * dens),
-        "J_bound": quad(_sech_sq(cone) * dens, 1.0 + sigma),
+        "J_bound": quad(_sech_sq(cone) * dens, -1.0),
         "ballE": _exact(ball_energy(dens, ball_radius, grid)),
         "coneE": _exact(exterior_cone_energy(dens, t, 2.0, grid)),     # r > 3t
         "sup_phi": _exact(float(np.max(np.abs(phi)))),
