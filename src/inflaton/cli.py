@@ -16,9 +16,11 @@ Both exit 1 also when an output cannot be written (``error: cannot write
 output: ...``), after the run.  ``audit`` and ``audit-suite``: 1 on a bad family,
 interval (also one on which the potential overflows) or sample count, 2 on
 an expected-class mismatch.  A usage error (unknown command, missing or
-malformed argument) exits 1, with argparse's message.  ``Scenario`` checks
-the mode's field rules and the step from its initial data when it is built:
-an unstable step is refused at load, and ``sweep`` builds every job's
+malformed argument) exits 1, with argparse's message.  Every command exits 1
+on a size it cannot allocate (``error: not enough memory: ...``), such as
+a ``grid.n_cells`` or ``--samples`` of 10^13.  ``Scenario`` checks the
+mode's field rules and the step from its initial data when it is built: an
+unstable step is refused at load, and ``sweep`` builds every job's
 ``Scenario`` before it writes anything.
 
 ``time.scheme`` picks the time integrator: ``"rk4"`` (the default, any
@@ -187,25 +189,20 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def scenario_from_config(cfg: dict, **swept) -> Scenario:
+def checked_scenario(cfg: dict, **swept) -> Scenario:
     """Flatten a loaded config onto Scenario's fields, the ``swept`` ones
     (a sweep job's name, amplitude and hubble) replacing the config's, and
-    construct it."""
+    construct it; a rule the scenario breaks raises ConfigError with its key
+    path, a value a sweep lists keyed by its sweep key."""
     flat = {key: value for key, value in cfg.items() if key in _FIELDS}
     for block in BLOCKS:
         flat.update(cfg[block])
     try:
         spec = parse_family(cfg["potential"])
     except ValueError as exc:
-        raise ValueError(f"spec: {exc}") from None
-    return Scenario(spec=spec, **{**flat, **swept})
-
-
-def checked_scenario(cfg: dict, **swept) -> Scenario:
-    """``scenario_from_config``; a rule the scenario breaks raises ConfigError
-    with its key path, a value a sweep lists keyed by its sweep key."""
+        raise ConfigError(f"potential: {exc}") from None
     try:
-        return scenario_from_config(cfg, **swept)
+        return Scenario(spec=spec, **{**flat, **swept})
     except ValueError as exc:
         listed = cfg["sweep"] or {}
         paths = {**_PATHS, **{name: f"sweep.{key}" for name, key in _SWEPT.items()
@@ -450,7 +447,11 @@ def main(argv=None) -> int:
         if exc.code == 0:
             raise
         return 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -582,41 +582,31 @@ def _last_nonzero(arrays) -> int:
 def _rk4(u: np.ndarray, u_t: np.ndarray, stages: np.ndarray, t: float, dt: float,
          hubble: float, spec: PotentialSpec | None, grid: RadialGrid, order: int) -> None:
     """One classical RK4 step, in place on u and u_t, through the eight rows
-    of ``stages`` (their size; overwritten), in the operation order of the
-    written form v2 = u_t + h a1, v3 = u_t + h a2, v4 = u_t + dt a3 (h = dt/2)
-    and the updates below; the u-derivative of each stage is its velocity,
-    whose boundary entries are 0 like those of u_t and of every _accel."""
+    of ``stages`` (their size; overwritten), from its tableau: the stage at
+    t + c forms v = u_t + c a and u + c v from the stage before (c = dt/2,
+    dt/2, dt); then u += dt/6 (u_t + 2 (v2 + v3) + v4) and u_t += dt/6
+    (a1 + 2 (a2 + a3) + a4).  Each stage's u-derivative is its velocity,
+    whose boundary entries are 0 like those of u_t and of every _accel.
+    ``tests/rk4_oracle.py`` writes the step out; the tests pin this to it."""
     a1, a2, a3, a4, v2, v3, v4, arg = stages
     h = 0.5 * dt
     _accel(u, u_t, t, hubble, spec, grid, order, out=a1)
-    np.multiply(a1, h, out=v2)
-    v2 += u_t
-    np.multiply(u_t, h, out=arg)
-    arg += u
-    _accel(arg, v2, t + h, hubble, spec, grid, order, out=a2)
-    np.multiply(a2, h, out=v3)
-    v3 += u_t
-    np.multiply(v2, h, out=arg)
-    arg += u
-    _accel(arg, v3, t + h, hubble, spec, grid, order, out=a3)
-    np.multiply(a3, dt, out=v4)
-    v4 += u_t
-    np.multiply(v3, dt, out=arg)
-    arg += u
-    _accel(arg, v4, t + dt, hubble, spec, grid, order, out=a4)
+    a_prev, v_prev = a1, u_t
+    for c, a_next, v_next in ((h, a2, v2), (h, a3, v3), (dt, a4, v4)):
+        np.multiply(a_prev, c, out=v_next)
+        v_next += u_t
+        np.multiply(v_prev, c, out=arg)
+        arg += u
+        _accel(arg, v_next, t + c, hubble, spec, grid, order, out=a_next)
+        a_prev, v_prev = a_next, v_next
     w = dt / 6.0
-    v2 += v3                # u += w (u_t + 2 (v2 + v3) + v4)
-    v2 *= 2.0
-    v2 += u_t
-    v2 += v4
-    v2 *= w
-    u += v2
-    a2 += a3                # u_t += w (a1 + 2 (a2 + a3) + a4)
-    a2 *= 2.0
-    a2 += a1
-    a2 += a4
-    a2 *= w
-    u_t += a2
+    for y, k1, k2, k3, k4 in ((u, u_t, v2, v3, v4), (u_t, a1, a2, a3, a4)):
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= w
+        y += k2
     u[0] = u[-1] = 0.0
     u_t[0] = u_t[-1] = 0.0
 

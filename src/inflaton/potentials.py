@@ -361,9 +361,11 @@ def audit_potential(spec: PotentialSpec, interval: tuple[float, float] = (-10.0,
     """Run every audit and classify which decay theorem the family satisfies.
 
     F, f and f' are evaluated once on the wide window and F and f once on the
-    local one (-1, 1); every extremum is read from those samples.  Refuses
-    (ValueError) a wide window on which F, f or f' overflows: one non-finite
-    sample would decide every sampled extremum."""
+    local one (-1, 1); ``quartic_flatness_constant`` evaluates f again on the
+    same local points and on 400 probes toward 0, so an audit makes three
+    ``eval_f`` calls, two on the local window.  Every extremum is read from
+    those samples.  Refuses (ValueError) a wide window on which F, f or f'
+    overflows: one non-finite sample would decide every sampled extremum."""
     delta = 1.0     # the local window (-delta, delta) of the small-data hypotheses
     lo, hi = _clip_interval(spec, interval[0], interval[1])
     llo, lhi = _clip_interval(spec, -delta, delta)

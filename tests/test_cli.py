@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import runpy
 import sys
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inflaton import cli, dynamics
-from inflaton.cli import (ConfigError, load_config, main, scenario_from_config,
+from inflaton.cli import (ConfigError, checked_scenario, load_config, main,
                           sweep_scenarios)
 from inflaton.dynamics import CflViolation, resolve_dt
 from inflaton.experiments import DEFAULT_THRESHOLDS, Scenario, run_scenario
@@ -52,7 +53,7 @@ def test_load_config_valid(tmp_path):
     assert cfg["name"] == "tiny"
     assert cfg["time"]["cfl"] == 0.5
     assert cfg["seed"] == 0  # default filled in
-    scn = scenario_from_config(cfg)
+    scn = checked_scenario(cfg)
     assert scn.n_cells == 256
     assert scn.spec.label == "T1"
 
@@ -72,7 +73,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
                          ids=lambda path: path.name)
 def test_load_config_accepts_every_committed_config(path):
     cfg = load_config(path)
-    assert scenario_from_config(cfg).name == cfg["name"]
+    assert checked_scenario(cfg).name == cfg["name"]
 
 
 def test_load_config_missing_and_typed(tmp_path):
@@ -365,6 +366,29 @@ def test_unwritable_output_exits_1_without_traceback(tmp_path, monkeypatch, capf
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_an_unallocatable_size_exits_1_without_traceback(tmp_path, capfd, command):
+    # 10^13 cells or samples take 73 TiB per array, so the first allocation
+    # fails; a 16 TiB address-space limit makes it fail under any overcommit
+    # policy, and nothing is allocated or written
+    cfg = json.loads((REPO / "configs" / "t1_smoke.json").read_text())
+    cfg["grid"]["n_cells"] = 10 ** 13
+    out_dir = tmp_path / "out"
+    argv = (["simulate", str(write_config(tmp_path, cfg)), "--out", str(out_dir)]
+            if command == "simulate" else ["audit", "T1", "--samples", str(10 ** 13)])
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 44 if limits[1] == resource.RLIM_INFINITY else min(1 << 44, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        code = main(argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: not enough memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not out_dir.exists()
+
+
 def test_sweep(tmp_path, monkeypatch):
     monkeypatch.setenv("INFLATON_THREADS", "1")
     cfg = tiny_config()
@@ -504,7 +528,7 @@ def test_series_csv_bytes_are_the_repr_of_each_float(tmp_path, run):
     # already: the bytes of repr(float(v)) for every value
     cfg = load_config(REPO / "configs" / ("t1_smoke.json" if run == "t1_smoke"
                                           else "thm3_h1.json"))
-    scn = (scenario_from_config(cfg) if run == "t1_smoke"
+    scn = (checked_scenario(cfg) if run == "t1_smoke"
            else dataclasses.replace(sweep_scenarios(cfg)[1][1], t_end=1.0))
     samples = run_scenario(scn).samples
     cli.write_series_csv(tmp_path / "series.csv", samples)
@@ -586,14 +610,14 @@ def _leapfrog_config(**time):
 def test_load_config_leapfrog_rules(tmp_path):
     cfg = load_config(write_config(tmp_path, _leapfrog_config()))
     assert cfg["time"]["scheme"] == "leapfrog"
-    assert scenario_from_config(cfg).solver_config().scheme == "leapfrog"
+    assert checked_scenario(cfg).solver_config().scheme == "leapfrog"
     assert load_config(write_config(tmp_path, tiny_config()))["time"]["scheme"] == "rk4"
     # the leapfrog centres the Hubble friction: hubble > 0 loads, at the
     # top level and in sweep.hubbles
     expanding = _leapfrog_config()
     expanding["hubble"] = 0.5
     cfg = load_config(write_config(tmp_path, expanding))
-    assert scenario_from_config(cfg).solver_config().hubble == 0.5
+    assert checked_scenario(cfg).solver_config().hubble == 0.5
     swept = _leapfrog_config()
     swept["sweep"] = {"amplitudes": [0.1], "hubbles": [0.0, 1.0]}
     assert load_config(write_config(tmp_path, swept))["sweep"]["hubbles"] == [0.0, 1.0]
@@ -679,8 +703,8 @@ def test_leapfrogs_refuse_a_step_their_bound_cuts_below_half(tmp_path, monkeypat
     cfg["time"].update(t_end=30.0, cfl=cfl, space_order=order, scheme=scheme)
     message = (rf"cfl: the {scheme} step cfl\*dr = \S+ exceeds twice its stability bound "
                rf"cfl\* dr = {bound}; admissible dt <= {bound}")
-    with pytest.raises(CflViolation, match=f"^{message}$"):
-        scenario_from_config(cfg)
+    with pytest.raises(ConfigError, match=f"^time.{message}$"):
+        checked_scenario({**cfg, "sweep": None})    # as load_config fills it in
     out = tmp_path / "e3"
     assert main(["simulate", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
     assert re.search(f"^config error: time.{message}$", capsys.readouterr().err, re.M)
@@ -875,7 +899,7 @@ def test_mutated_configs_load_or_raise_config_error(tmp_path_factory, mutations)
         loaded = load_config(path)
     except ConfigError:
         return
-    scenario_from_config(loaded)
+    checked_scenario(loaded)
 
 
 def _n_steps(scn: Scenario) -> float:
@@ -909,7 +933,7 @@ def test_accepted_mutated_configs_run_to_a_documented_exit(tmp_path_factory, mut
         jobs = [scn for _, scn in sweep_scenarios(cfg)]
     except ValueError:      # the sweep exits 1 before it runs a job
         jobs = []
-    for scn in [scenario_from_config(cfg), *jobs]:
+    for scn in [checked_scenario(cfg), *jobs]:
         if scn.n_cells > 1024 or _n_steps(scn) > 3000:
             return
     with mock.patch.dict(os.environ, {"INFLATON_THREADS": "1"}):

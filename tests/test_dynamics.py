@@ -15,6 +15,7 @@ from inflaton.potentials import DomainViolation, PotentialSpec, eval_f, eval_fpr
 from inflaton.virials import sample_diagnostics
 
 from full_grid_oracle import field_values, full_grid_evolve, scan_prefix, whole_grid
+from rk4_oracle import rk4
 from stencil_oracle import second_derivative
 from virial_oracles import energy_density
 
@@ -109,6 +110,28 @@ def test_second_derivative_equals_the_written_sums(order, n):
     u[n // 2:] = 0.0
     assert np.array_equal(dynamics._second_derivative(u, dr, order),
                           second_derivative(u, dr, order))
+
+
+@pytest.mark.parametrize("order", (2, 4, 6))
+@pytest.mark.parametrize("hubble", (0.0, 0.5))
+@pytest.mark.parametrize("spec", (None, PotentialSpec("T", n=1)), ids=("free", "T1"))
+def test_rk4_step_equals_the_written_stages(order, hubble, spec):
+    # exact equality pins the tableau loops' operation order to the step
+    # written out; at H = 0.5 the friction -3H u_t enters every stage.  Like
+    # evolve, both step the views [0, m) of whole-grid arrays, 0 past them
+    g = RadialGrid(30.0, 512)
+    state = initial_state(g, 0.8, 4.0, 1.5, velocity="outgoing", space_order=order)
+    m = dynamics._last_nonzero((state.u, state.u_t)) + 1 + 3 * dynamics._reach("rk4", order)
+    assert m < g.n_nodes
+    dt = 0.5 * g.dr
+    got, want = [(state.u.copy(), state.u_t.copy(), np.empty((8, g.n_nodes)))
+                 for _ in range(2)]
+    for k in range(3):
+        t = 0.7 + k * dt
+        dynamics._rk4(*(values[..., :m] for values in got), t, dt, hubble, spec, g, order)
+        rk4(*(values[..., :m] for values in want), t, dt, hubble, spec, g, order)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[1][:m].any()
 
 
 def test_rhs_damping_term():
